@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import SCENARIOS, ScenarioError, run_scenario
+from .experiments import SCENARIOS, run_scenario
+from .spin import SpinliftError
 
 TWO_PI = 2.0 * np.pi
 
 
-class ConfigError(ValueError):
+class ConfigError(SpinliftError, ValueError):
     """Raised for unknown keys, malformed values or unit violations."""
 
 
@@ -251,7 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError) as exc:
+    except SpinliftError as exc:
         error_doc = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error_doc), file=sys.stderr)
         if getattr(args, "out", None):

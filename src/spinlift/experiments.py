@@ -23,6 +23,7 @@ import numpy as np
 
 from .spin import (
     DimensionError,
+    SpinliftError,
     lift_unitary,
     named_state,
     rotation_unitary,
@@ -105,7 +106,7 @@ _D3_DARK = named_state(3, "D")
 _D3_ZERO = named_state(3, "0")
 
 
-class ScenarioError(ValueError):
+class ScenarioError(SpinliftError, ValueError):
     """Raised for invalid scenario parameters."""
 
 

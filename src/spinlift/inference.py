@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import xlogy
 
-from .spin import DimensionError
+from .spin import DimensionError, SpinliftError
 from .waveforms import lift_schedule, square_pulse
 from .dynamics import IntegratorConfig, propagator
 
@@ -45,7 +45,7 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-class FitSingularError(RuntimeError):
+class FitSingularError(SpinliftError, RuntimeError):
     """Raised when the fringe data cannot constrain the fit."""
 
 

@@ -23,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
+    "SpinliftError",
     "DimensionError",
     "NormalizationError",
     "UnknownStateError",
@@ -44,15 +45,19 @@ NORM_TOL = 1e-9
 UNITARY_TOL = 1e-12
 
 
-class DimensionError(ValueError):
+class SpinliftError(Exception):
+    """Base of every error spinlift raises on invalid input or failed numerics."""
+
+
+class DimensionError(SpinliftError, ValueError):
     """Raised for invalid or mismatched Hilbert-space dimensions."""
 
 
-class NormalizationError(ValueError):
+class NormalizationError(SpinliftError, ValueError):
     """Raised when an amplitude pair / state / axis is not normalized."""
 
 
-class UnknownStateError(KeyError):
+class UnknownStateError(SpinliftError, KeyError):
     """Raised by named_state for labels that do not exist at a given d."""
 
 

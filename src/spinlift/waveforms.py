@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spin import DimensionError, angular_momentum_ops
+from .spin import DimensionError, SpinliftError, angular_momentum_ops
 
 __all__ = [
     "ScheduleError",
@@ -52,7 +52,7 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-class ScheduleError(ValueError):
+class ScheduleError(SpinliftError, ValueError):
     """Raised for invalid schedule parameters or out-of-domain sampling."""
 
 
@@ -580,10 +580,6 @@ class MultiLevelDrive:
     @property
     def boundaries(self) -> np.ndarray:
         return self.schedule.boundaries
-
-    @property
-    def constant_segments(self) -> tuple:
-        return tuple(s.is_constant for s in self.schedule.segments)
 
     def hamiltonian(self, t):
         ops = angular_momentum_ops(self.dim)

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import spinlift
+from spinlift import experiments
 from spinlift.cli import ConfigError, list_scenarios, main, parse_config, run
 
 TWO_PI = 2 * np.pi
@@ -128,3 +130,51 @@ class TestIntegratorOverrides:
     def test_invalid_max_step(self):
         with pytest.raises(ConfigError, match="max_step_us"):
             parse_config("fig3c", {"max_step_us": -2})
+
+
+class TestErrorContract:
+    """Every spinlift error leaves the CLI as exit 2 plus error.json."""
+
+    @staticmethod
+    def failing_run(tmp_path, *args):
+        assert main(["run", *args, "--out", str(tmp_path)]) == 2
+        return json.loads((tmp_path / "error.json").read_text())
+
+    def test_schedule_error(self, tmp_path, capsys):
+        err = self.failing_run(tmp_path, "--scenario", "fig2e", "--set", "t_omega_us=400")
+        assert err["error"] == "ScheduleError"
+        assert "t_omega" in err["message"]
+
+    def test_scenario_error(self, tmp_path, capsys):
+        err = self.failing_run(tmp_path, "--scenario", "verify-reversal", "--set", "d=9")
+        assert err["error"] == "ScenarioError"
+
+    def test_fit_singular_error(self, tmp_path, capsys):
+        err = self.failing_run(tmp_path, "--scenario", "fig4c", "--set", "method=tbb1",
+                               "--set", "ns=[8]", "--set", "shots=100")
+        assert err["error"] == "FitSingularError"
+
+    def test_integrator_error(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(drive, cfg):
+            raise spinlift.IntegratorError("no convergence after 14 halvings", 1e-3)
+
+        monkeypatch.setattr(experiments, "propagator", no_convergence)
+        err = self.failing_run(tmp_path, "--scenario", "verify-reversal", "--set", "d=3")
+        assert err["error"] == "IntegratorError"
+        assert "no convergence" in err["message"]
+
+    @pytest.mark.parametrize("error", [
+        ConfigError, spinlift.ScheduleError, spinlift.IntegratorError,
+        spinlift.FitSingularError, experiments.ScenarioError, spinlift.DimensionError,
+        spinlift.NormalizationError, spinlift.UnknownStateError])
+    def test_every_error_shares_the_base(self, error):
+        assert issubclass(error, spinlift.SpinliftError)
+
+
+class TestTbb1AmplitudeErrorSweep:
+    def test_final_state_normalized_for_every_error(self):
+        # the accepted states are projected to unit norm, so Trajectory.state
+        # never trips StateVector's 1e-12 norm^2 check on rounding
+        for delta_hz in np.linspace(-10e3, 0.0, 41):
+            report = run(parse_config("fig3c", {"delta_omega_hz": float(delta_hz)}))
+            assert report.outputs["final_fidelity_to_dark"] > 0.99

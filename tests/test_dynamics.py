@@ -26,7 +26,15 @@ from spinlift import (
     square_pulse,
     state_fidelity,
 )
-from spinlift.dynamics import _auto_max_step, _evolve_states
+from spinlift import dynamics
+from spinlift.dynamics import (
+    Trajectory,
+    _auto_max_step,
+    _evolve_states,
+    _ordered_product,
+    _step_grid,
+    _step_unitaries,
+)
 
 TWO_PI = 2 * np.pi
 OMEGA0 = TWO_PI * 40e3
@@ -219,6 +227,79 @@ class TestPropagator:
         psi = propagator(lift_schedule(sched, 3), CFG) @ named_state(3, "0")
         # bounded by the non-adiabaticity floor, not exact
         assert state_fidelity(psi, named_state(3, "0")) > 1 - 1e-3
+
+
+class TestIntegrator:
+    FORWARD = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3,
+                                               200e-6, 300e-6, 0.0, "forward"))
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+
+        def counted(drive, grid):
+            builds.append(grid.size - 1)
+            return _step_unitaries(drive, grid)
+
+        monkeypatch.setattr(dynamics, "_step_unitaries", counted)
+        return builds
+
+    def test_cf4_fourth_order_on_blackman_leg(self):
+        drive = lift_schedule(self.FORWARD, 3)
+        ref = propagator(drive, IntegratorConfig(tolerance=1e-13)).mat
+
+        def error(h):
+            grid = _step_grid(drive, np.array([]), h)
+            return np.max(np.abs(_ordered_product(_step_unitaries(drive, grid)) - ref))
+
+        # fourth order predicts a 16x cut; a second-order rule gives 4x
+        assert error(5e-6) > 10 * error(2.5e-6)
+
+    def test_constant_segments_exact_in_one_build(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        sched = random_schedule(rng)
+        u2 = two_level_oracle(sched)
+        a, b = u2[0, 0], u2[1, 0]
+        builds = self.count_builds(monkeypatch)
+        for d in (2, 3, 4, 5):
+            builds.clear()
+            ud = propagator(lift_schedule(sched, d), CFG)
+            assert builds == [len(sched.segments)]
+            assert phase_aligned_deviation(ud, lift_unitary(a, b, d)) < 1e-12
+
+    def test_constant_segments_not_subdivided_in_propagate(self, monkeypatch):
+        drive = lift_schedule(composite_method(bb1_sequence(), OMEGA0), 3)
+        builds = self.count_builds(monkeypatch)
+        times = np.linspace(0.0, drive.total_duration, 7)
+        propagate(drive, named_state(3, "0"), CFG, times)
+        # one step per gap between the forced nodes (boundaries and samples)
+        nodes = np.unique(np.concatenate([drive.boundaries, times]))
+        assert builds == [nodes.size - 1]
+
+    def test_propagate_agrees_with_propagator(self):
+        sched = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3,
+                                                 100e-6, 150e-6, 50e-6, "round-trip"))
+        drive = lift_schedule(sched, 3)
+        psi0 = named_state(3, "0")
+        traj = propagate(drive, psi0, CFG, [sched.total_duration])
+        psi = propagator(drive, CFG) @ psi0
+        assert np.max(np.abs(traj.states[-1] - psi.amps)) < 2 * CFG.tolerance
+
+    def test_trajectory_states_projected_to_unit_norm(self):
+        psi = named_state(3, "D").amps
+        traj = Trajectory(times=[0.0], states=[psi * (1 + 1e-11)])
+        assert abs(np.linalg.norm(traj.states[0]) - 1) < 1e-15
+        traj.state(0)  # StateVector checks norm^2 to 1e-12
+        with pytest.raises(IntegratorError):
+            Trajectory(times=[0.0], states=[psi * (1 + 1e-8)])
+
+    def test_debug_log_reports_builds(self, caplog):
+        caplog.set_level("DEBUG", logger="spinlift.dynamics")
+        propagator(lift_schedule(square_pulse(np.pi, 0.0, OMEGA0), 3), CFG)
+        propagator(lift_schedule(self.FORWARD, 3), IntegratorConfig(tolerance=1e-8))
+        shortcut, halved = [r.getMessage() for r in caplog.records]
+        assert "all segments constant, 1 build" in shortcut
+        assert "builds, steps per build [" in halved and "residual" in halved
 
 
 class TestEigenScan:
