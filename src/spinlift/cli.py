@@ -167,7 +167,7 @@ def run(config: RunConfig):
                **config.user_config}
         path = os.path.join(config.out_dir,
                             f"{config.scenario}_{config.seed}_config.json")
-        from .experiments import _write_atomic
+        from .dynamics import _write_atomic
         _write_atomic(path, json.dumps(eff, indent=2, sort_keys=True))
     return report
 
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
         error_doc = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error_doc), file=sys.stderr)
         if getattr(args, "out", None):
-            from .experiments import _write_atomic
+            from .dynamics import _write_atomic
             _write_atomic(os.path.join(args.out, "error.json"),
                           json.dumps(error_doc, indent=2, sort_keys=True))
         return 2

@@ -1,30 +1,51 @@
-"""Time evolution under lifted drives: fourth-order commutator-free Magnus
-steps, with constant segments taken exactly.
+"""Time evolution under lifted drives: SU(2)-first, with fourth-order
+commutator-free Magnus steps and constant segments taken exactly.
+
+A drive whose Hamiltonian is Lambda(t) . J (every lifted schedule; a
+dressed drive whose field errors keep the SU(2) symmetry) is propagated as
+the spin-1/2 problem Lambda(t) . S: each step is a closed-form 2x2
+exponential, the ordered product runs over (a, b) pairs of
+[[a, -b*], [b, a*]], and each build is lifted to d levels once
+(spin.lift_matrices).  Only a drive that breaks the symmetry takes the
+dense path, a batched d x d spectral exponential per factor and a d x d
+ordered product; that path also serves as the independent reference for
+the lift.  Several covariant drives on one schedule (the Gauss-Hermite
+nodes of a Zeeman average) are built together by propagators(), sampling
+the controls once per grid for all of them.
 
 Step boundaries are forced at segment boundaries and sample times, so no
 step straddles a discontinuity of the controls (composite phases are
 handled exactly).  An interval inside a constant-control segment is one
-exact spectral exponential and is never subdivided.  An interval inside a
-smooth segment (a Blackman sweep) is cut into steps, each taken with the
+exact exponential and is never subdivided.  An interval inside a smooth
+segment (a Blackman sweep) is cut into steps, each taken with the
 two-exponential fourth-order commutator-free Magnus rule (CF4; Blanes,
 Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009); Alvermann & Fehske,
-J. Comput. Phys. 230, 5930 (2011)), which samples H at the two Gauss nodes
-of the step.  A result is accepted only once halving the step changes every
-requested amplitude by less than the configured tolerance; a drive whose
-segments are all constant is exact after one build and is not halved.
+J. Comput. Phys. 230, 5930 (2011)), which samples the controls at the two
+Gauss nodes of the step.  A result is accepted only once halving the step
+changes every requested d-level amplitude by less than the configured
+tolerance, whichever path built it; a drive whose segments are all constant
+is exact after one build and is not halved.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .spin import DimensionError, SpinliftError, StateVector, Unitary, angular_momentum_ops
-from .waveforms import MultiLevelDrive, ScheduleError
+from .spin import (
+    DimensionError,
+    SpinliftError,
+    StateVector,
+    Unitary,
+    angular_momentum_ops,
+    lift_matrices,
+)
+from .waveforms import MultiLevelDrive, ScheduleError, Su2Form
 
 __all__ = [
     "IntegratorError",
@@ -33,7 +54,9 @@ __all__ = [
     "hamiltonian",
     "propagate",
     "propagator",
+    "propagators",
     "eigen_scan",
+    "write_populations_csv",
 ]
 
 # default step criterion: max(Omega, |delta|) * max_step <= 0.4 rad
@@ -101,24 +124,47 @@ class Trajectory:
 
     @property
     def p_f1(self) -> np.ndarray:
-        if self.dim % 2 == 0:
-            raise DimensionError("p_f1 needs an odd dimension with a middle m=0 level")
-        return 1.0 - self.populations[:, (self.dim - 1) // 2]
+        return 1.0 - self.populations[:, _middle_level(self.dim)]
 
     def state(self, k: int) -> StateVector:
         return StateVector(self.states[k])
 
     def to_csv(self, path) -> None:
         """Columns: time_us, p_0 .. p_{d-1} (basis index order), p_f1."""
-        pops = self.populations
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["time_us"] + [f"p_{k}" for k in range(self.dim)] + ["p_f1"])
-            pf1 = self.p_f1
-            for i, t in enumerate(self.times):
-                w.writerow([f"{t * 1e6:.12g}"]
-                           + [f"{pops[i, k]:.12g}" for k in range(self.dim)]
-                           + [f"{pf1[i]:.12g}"])
+        write_populations_csv(path, self.times, self.populations)
+
+
+def _middle_level(d: int) -> int:
+    if d % 2 == 0:
+        raise DimensionError("p_f1 needs an odd dimension with a middle m=0 level")
+    return (d - 1) // 2
+
+
+def _write_atomic(path, text: str) -> None:
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_populations_csv(path, times: np.ndarray, populations: np.ndarray) -> None:
+    """Write populations over time atomically.  Columns: time_us, p_0 ..
+    p_{d-1} (basis index order), p_f1 = 1 - P(m=0 level); values as %.12g."""
+    pops = np.asarray(populations)
+    d = pops.shape[1]
+    mid = _middle_level(d)
+    lines = ["time_us," + ",".join(f"p_{k}" for k in range(d)) + ",p_f1"]
+    for t, row in zip(times, pops):
+        lines.append(",".join([f"{t * 1e6:.12g}", *(f"{p:.12g}" for p in row),
+                               f"{1.0 - row[mid]:.12g}"]))
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def hamiltonian(drive: MultiLevelDrive, t) -> np.ndarray:
@@ -173,6 +219,27 @@ def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float
     return np.concatenate(pieces)
 
 
+def _path(drive) -> str:
+    return "dense" if drive.su2_form() is None else "su2"
+
+
+def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray):
+    """Step propagators over each grid interval, on the drive's path.
+
+    An interval inside a constant segment is one exact exponential.  Any
+    other interval takes the fourth-order commutator-free Magnus step: with
+    H1, H2 sampled at the Gauss nodes,
+    U = exp(-i dt (A1 H1 + A2 H2)) exp(-i dt (A2 H1 + A1 H2)),
+    where the right-hand factor acts first.  An SU(2)-covariant drive gets
+    its steps as two-level (a, b) pairs (_Su2Steps), any other drive as
+    d x d matrices; _ordered_product takes either.
+    """
+    form = drive.su2_form()
+    if form is None:
+        return _dense_steps(drive, grid)
+    return _su2_steps(drive, form, grid)
+
+
 def _expm_hermitian(h: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """exp(-i dt h) for a batch of Hermitian h, by spectral decomposition."""
     w, v = np.linalg.eigh(h)
@@ -180,15 +247,9 @@ def _expm_hermitian(h: np.ndarray, dts: np.ndarray) -> np.ndarray:
     return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray) -> np.ndarray:
-    """Step propagators over each grid interval.
-
-    An interval inside a constant segment is one exact exponential.  Any
-    other interval takes the fourth-order commutator-free Magnus step: with
-    H1, H2 sampled at the Gauss nodes,
-    U = exp(-i dt (A1 H1 + A2 H2)) exp(-i dt (A2 H1 + A1 H2)),
-    where the right-hand factor acts first.
-    """
+def _dense_steps(drive, grid: np.ndarray) -> np.ndarray:
+    """d x d CF4 step propagators of the drive's Hamiltonian (see
+    _step_unitaries), each factor by a batched spectral exponential."""
     starts = grid[:-1]
     dts = np.diff(grid)
     const = _constant_mask(drive, starts, grid[1:])
@@ -208,10 +269,124 @@ def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Su2Steps:
+    """Step propagators of an SU(2)-covariant drive as the (a, b) pairs of
+    [[a, -b*], [b, a*]], shape (n_steps, *batch, 2); the d-level step is the
+    spin-j lift on the first spin_dim of the drive's dim levels."""
+
+    ab: np.ndarray
+    spin_dim: int
+    dim: int
+
+    def lift(self, ab: np.ndarray) -> np.ndarray:
+        """d-level matrices, shape ab.shape[:-1] + (dim, dim), of (a, b) pairs."""
+        u = lift_matrices(ab[..., 0], ab[..., 1], self.spin_dim)
+        if self.dim == self.spin_dim:
+            return u
+        out = np.zeros(u.shape[:-2] + (self.dim, self.dim), dtype=complex)
+        out[..., : self.spin_dim, : self.spin_dim] = u
+        rest = np.arange(self.spin_dim, self.dim)
+        out[..., rest, rest] = 1.0
+        return out
+
+
+def _su2_exp(v: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """exp(-i dt v . sigma / 2) as (a, b) pairs on the last axis, in closed
+    form: cos(theta) I - i (sin(theta) / |v|) v . sigma, theta = |v| dt / 2.
+    m ascends, so sigma_z = diag(-1, +1) and sigma_y[1, 0] = -i; hence
+    a = cos(theta) + i s v_z and b = -s (v_y + i v_x) with s = sin(theta)/|v|
+    (any finite s serves where v = 0)."""
+    norm = np.sqrt(np.sum(v * v, axis=-1))
+    theta = norm * dt / 2.0
+    s = np.sin(theta) / np.where(norm > 0.0, norm, 1.0)
+    out = np.empty(theta.shape + (2,), dtype=complex)
+    out[..., 0] = np.cos(theta) + 1j * s * v[..., 2]
+    out[..., 1] = -s * (v[..., 1] + 1j * v[..., 0])
+    return out
+
+
+def _su2_compose(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The product u @ w of (a, b) pairs on the last axis."""
+    a1, b1, a2, b2 = u[..., 0], u[..., 1], w[..., 0], w[..., 1]
+    out = np.empty(np.broadcast_shapes(u.shape, w.shape), dtype=complex)
+    out[..., 0] = a1 * a2 - b1.conj() * b2
+    out[..., 1] = b1 * a2 + a1.conj() * b2
+    return out
+
+
+def _su2_steps(drive, form: Su2Form, grid: np.ndarray) -> _Su2Steps:
+    """CF4 steps (see _step_unitaries) of Lambda(t) . S, Lambda given by the
+    drive's schedule and Su2Form; the controls are sampled once for every
+    gain and shift of the form."""
+    starts = grid[:-1]
+    dts = np.diff(grid)
+    const = _constant_mask(drive, starts, grid[1:])
+    smooth = ~const
+    omega, chi, delta = drive.schedule.controls(np.concatenate([
+        starts[const] + dts[const] / 2.0,
+        starts[smooth] + _GAUSS_NODES[0] * dts[smooth],
+        starts[smooth] + _GAUSS_NODES[1] * dts[smooth]]))
+    batch = np.shape(form.gain)
+    v = np.empty(omega.shape + batch + (3,))  # control vectors
+    v[..., 0] = np.multiply.outer(omega * np.cos(chi), form.gain)
+    v[..., 1] = np.multiply.outer(omega * np.sin(chi), form.gain)
+    v[..., 2] = np.add.outer(delta, form.shift)
+    dts = dts.reshape(dts.shape + (1,) * len(batch))
+    n_const, n_smooth = int(const.sum()), int(smooth.sum())
+    v1 = v[n_const : n_const + n_smooth]
+    v2 = v[n_const + n_smooth :]
+    ab = np.empty((dts.shape[0],) + batch + (2,), dtype=complex)
+    if n_const:
+        ab[const] = _su2_exp(v[:n_const], dts[const])
+    if n_smooth:
+        first = _su2_exp(_CF4_WEIGHTS[1] * v1 + _CF4_WEIGHTS[0] * v2, dts[smooth])
+        second = _su2_exp(_CF4_WEIGHTS[0] * v1 + _CF4_WEIGHTS[1] * v2, dts[smooth])
+        ab[smooth] = _su2_compose(second, first)
+    return _Su2Steps(ab, form.spin_dim, drive.dim)
+
+
+def _pairwise_product(arr: np.ndarray, compose) -> np.ndarray:
+    """compose-product arr[n-1] ... arr[0] over the first axis by pairwise
+    reduction."""
+    while arr.shape[0] > 1:
+        n = arr.shape[0]
+        merged = compose(arr[1:n:2], arr[0 : n - n % 2 : 2])
+        if n % 2:
+            merged = np.concatenate([merged, arr[-1:]], axis=0)
+        arr = merged
+    return arr[0]
+
+
+def _ordered_product(steps) -> np.ndarray:
+    """Product steps[n-1] @ ... @ steps[0] by pairwise reduction; SU(2)
+    steps are multiplied as (a, b) pairs and the product is lifted once."""
+    if isinstance(steps, _Su2Steps):
+        return steps.lift(_pairwise_product(steps.ab, _su2_compose))
+    return _pairwise_product(steps, np.matmul)
+
+
+def _prefix_products(ab: np.ndarray) -> np.ndarray:
+    """Inclusive ordered prefix products out[k] = U_k ... U_0 of (a, b)
+    pairs along the first axis (Hillis-Steele scan, log2(n) passes)."""
+    out = ab.copy()
+    shift = 1
+    while shift < out.shape[0]:
+        out[shift:] = _su2_compose(out[shift:], out[:-shift])
+        shift *= 2
+    return out
+
+
 def _evolve_on_grid(drive, psi0: np.ndarray, sample_times: np.ndarray,
                     grid: np.ndarray) -> np.ndarray:
     steps = _step_unitaries(drive, grid)
     sample_idx = np.searchsorted(grid, sample_times)
+    if isinstance(steps, _Su2Steps):
+        # lift the cumulative (a, b) at each sample time, then apply it to psi0
+        identity = np.zeros((1,) + steps.ab.shape[1:], dtype=complex)
+        identity[..., 0] = 1.0
+        cumulative = np.concatenate([identity, _prefix_products(steps.ab)])
+        return steps.lift(cumulative[sample_idx]) @ psi0.astype(complex)
     out = np.empty((sample_times.size, psi0.size), dtype=complex)
     psi = psi0.astype(complex)
     prev = 0
@@ -229,22 +404,8 @@ def _evolve_states(drive, psi0: np.ndarray, sample_times: np.ndarray,
                            _step_grid(drive, sample_times, max_step))
 
 
-def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """Product steps[n-1] @ ... @ steps[0] by pairwise reduction."""
-    arr = steps
-    while arr.shape[0] > 1:
-        n = arr.shape[0]
-        even = arr[0 : n - n % 2 : 2]
-        odd = arr[1 : n : 2]
-        merged = np.matmul(odd, even)
-        if n % 2:
-            merged = np.concatenate([merged, arr[-1:]], axis=0)
-        arr = merged
-    return arr[0]
-
-
 def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
-              caller: str) -> np.ndarray:
+              caller: str, path: str) -> np.ndarray:
     """on_grid(grid) evaluated on successively halved step grids until two
     successive results differ by less than cfg.tolerance everywhere.
 
@@ -254,8 +415,8 @@ def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
     total = drive.total_duration
     if _all_constant(drive):
         grid = _step_grid(drive, sample_times, total)
-        logger.debug("%s: all segments constant, 1 build of %d steps, no halving",
-                     caller, grid.size - 1)
+        logger.debug("%s: path %s, all segments constant, 1 build of %d steps, no halving",
+                     caller, path, grid.size - 1)
         return on_grid(grid)
     h = cfg.max_step if cfg.max_step is not None else _auto_max_step(drive)
     h = min(h, total)
@@ -270,12 +431,12 @@ def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
         fine = on_grid(grid)
         residual = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
         if residual < cfg.tolerance:
-            logger.debug("%s: %d builds, steps per build %s, residual %.3e",
-                         caller, len(steps), steps, residual)
+            logger.debug("%s: path %s, %d builds, steps per build %s, residual %.3e",
+                         caller, path, len(steps), steps, residual)
             return fine
         coarse = fine
-    logger.debug("%s: no convergence, %d builds, steps per build %s, residual %.3e",
-                 caller, len(steps), steps, residual)
+    logger.debug("%s: path %s, no convergence, %d builds, steps per build %s, residual %.3e",
+                 caller, path, len(steps), steps, residual)
     raise IntegratorError(
         f"no convergence after {cfg.max_halvings} halvings (residual {residual:.3e})",
         residual)
@@ -301,24 +462,93 @@ def propagate(drive: MultiLevelDrive, psi0: StateVector, cfg: IntegratorConfig,
     times = np.clip(times, 0.0, total)
     states = _converge(drive, cfg, times,
                        lambda grid: _evolve_on_grid(drive, psi0.amps, times, grid),
-                       "propagate")
+                       "propagate", _path(drive))
     return Trajectory(times=times, states=states)
 
 
 def propagator(drive: MultiLevelDrive, cfg: IntegratorConfig) -> Unitary:
     """Total evolution operator of the drive, the ordered product of its step
     unitaries; accepted like propagate's states, then re-unitarized."""
+    return Unitary(_propagator_matrix(
+        drive, cfg, lambda grid: _ordered_product(_step_unitaries(drive, grid)),
+        _path(drive)))
+
+
+def _dense_propagator(drive: MultiLevelDrive, cfg: IntegratorConfig) -> Unitary:
+    """propagator on the dense d-level path whatever the drive's symmetry:
+    the side of the SU(2) lift that does not use the lift."""
+    return Unitary(_propagator_matrix(
+        drive, cfg, lambda grid: _ordered_product(_dense_steps(drive, grid)), "dense"))
+
+
+def _propagator_matrix(drive, cfg: IntegratorConfig, build, path: str) -> np.ndarray:
     if drive.total_duration == 0:
-        return Unitary(np.eye(drive.dim))
+        return np.eye(drive.dim, dtype=complex)
     no_samples = np.array([], dtype=float)
-    u = _converge(drive, cfg, no_samples,
-                  lambda grid: _ordered_product(_step_unitaries(drive, grid)),
-                  "propagator")
-    return Unitary(_reunitarize(u))
+    return _reunitarize(_converge(drive, cfg, no_samples, build, "propagator", path))
+
+
+@dataclass(frozen=True)
+class _Su2Batch:
+    """SU(2)-covariant drives on one schedule, seen as one drive whose
+    Su2Form holds an array of gains and shifts."""
+
+    drives: tuple
+    forms: tuple
+
+    @property
+    def schedule(self):
+        return self.drives[0].schedule
+
+    @property
+    def dim(self) -> int:
+        return self.drives[0].dim
+
+    @property
+    def total_duration(self) -> float:
+        return self.schedule.total_duration
+
+    @property
+    def boundaries(self) -> np.ndarray:
+        return self.schedule.boundaries
+
+    def control_peaks(self) -> float:
+        # the step follows the drive with the largest level shift
+        widest = max(range(len(self.forms)), key=lambda k: abs(self.forms[k].shift))
+        return self.drives[widest].control_peaks()
+
+    def su2_form(self) -> Su2Form:
+        return Su2Form(gain=np.array([f.gain for f in self.forms], dtype=float),
+                       shift=np.array([f.shift for f in self.forms], dtype=float),
+                       spin_dim=self.forms[0].spin_dim)
+
+
+def propagators(drives: Sequence, cfg: IntegratorConfig) -> list[Unitary]:
+    """Propagators of drives that share one schedule and dimension, such as
+    the Gauss-Hermite nodes of a Zeeman average.
+
+    When every drive is SU(2)-covariant with the same spin dimension they
+    are built together: the controls are sampled once per grid for all of
+    them, the step is set by the drive with the largest shift, and a halving
+    is accepted only when every drive's d-level propagator moved by less
+    than cfg.tolerance.  Otherwise each drive is propagated on its own.
+    """
+    drives = tuple(drives)
+    first = drives[0]
+    if any(d.schedule != first.schedule or d.dim != first.dim for d in drives):
+        raise ScheduleError("propagators needs drives on one schedule and dimension")
+    forms = tuple(d.su2_form() for d in drives)
+    if any(f is None for f in forms) or len({f.spin_dim for f in forms}) > 1:
+        return [propagator(d, cfg) for d in drives]
+    batch = _Su2Batch(drives, forms)
+    mats = _propagator_matrix(
+        batch, cfg, lambda grid: _ordered_product(_step_unitaries(batch, grid)), "su2")
+    return [Unitary(u) for u in mats]
 
 
 def _reunitarize(u: np.ndarray) -> np.ndarray:
-    """Polar projection removing accumulated rounding (no-op at working precision)."""
+    """Polar projection removing accumulated rounding (no-op at working
+    precision); batched over leading axes."""
     w, s, vh = np.linalg.svd(u)
     return w @ vh
 

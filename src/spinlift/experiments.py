@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Sequence
 
@@ -39,9 +38,18 @@ from .waveforms import (
     composite_method,
     lift_schedule,
     square_pulse,
+    Su2Form,
     TWO_PI,
+    control_peaks,
 )
-from .dynamics import IntegratorConfig, propagate, propagator
+from .dynamics import (
+    IntegratorConfig,
+    _write_atomic,
+    propagate,
+    propagator,
+    propagators,
+    write_populations_csv,
+)
 from .inference import (
     FringeData,
     MeasurementModel,
@@ -153,20 +161,6 @@ class ScenarioReport:
             indent=2, sort_keys=True)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_report(report: ScenarioReport, out_dir: str | None) -> ScenarioReport:
     if out_dir is None:
         return report
@@ -243,17 +237,16 @@ class DressedDrive:
         return h
 
     def control_peaks(self, n_probe: int = 512) -> float:
-        total = self.total_duration
-        if total == 0:
-            return 0.0
-        probes = np.unique(np.concatenate(
-            [np.linspace(0.0, total, n_probe), self.boundaries]))
-        omega_half, _, delta_half = self.schedule.controls(probes)
-        scale = (1.0 + self.noise.rabi_mismatch) * abs(self._gain())
-        peak_omega = np.sqrt(2.0) * np.max(np.abs(omega_half)) * scale
-        peak_delta = 2.0 * np.max(np.abs(delta_half)) + 2.0 * (
-            abs(self.zeeman) + abs(self.noise.static_detuning))
-        return float(max(peak_omega, peak_delta))
+        return control_peaks(self.schedule, self._gain(), self.noise.rabi_mismatch,
+                             abs(self.zeeman) + abs(self.noise.static_detuning), n_probe)
+
+    def su2_form(self) -> Su2Form | None:
+        """With no Rabi mismatch and no static detuning the drive is the lifted
+        one with its Rabi frequency scaled by the common gain and delta_half
+        shifted by the Zeeman shift; the clock level of dim = 4 stays put."""
+        if self.noise.rabi_mismatch != 0 or self.noise.static_detuning != 0:
+            return None
+        return Su2Form(gain=self._gain(), shift=self.zeeman, spin_dim=3)
 
 
 def zeeman_quadrature(sigma: float, n_nodes: int = 21):
@@ -289,8 +282,10 @@ def transfer_schedules(method: str, params: AdiabaticParams) -> tuple[ControlSch
 
 def _op_unitaries(schedule: ControlSchedule, noise: NoiseParams, shifts: np.ndarray,
                   cfg: IntegratorConfig, dim: int, omega0_ref: float) -> list[np.ndarray]:
-    return [propagator(DressedDrive(schedule, noise, float(z), dim, omega0_ref), cfg).mat
-            for z in shifts]
+    """Operation unitaries at each Zeeman node; covariant noise builds all the
+    nodes in one SU(2) propagation, symmetry-breaking noise one at a time."""
+    drives = [DressedDrive(schedule, noise, float(z), dim, omega0_ref) for z in shifts]
+    return [u.mat for u in propagators(drives, cfg)]
 
 
 def _apply_channel(rho: np.ndarray, unitaries: Sequence[np.ndarray],
@@ -346,24 +341,13 @@ def run_adiabatic_transfer(params: AdiabaticParams = NOMINAL_ADIABATIC,
     artifacts = {}
     if out_dir is not None:
         csv_path = os.path.join(out_dir, f"{name}_{seed}.csv")
-        _write_trajectory_csv(csv_path, times, pops)
+        write_populations_csv(csv_path, times, pops)
         artifacts["trajectory_csv"] = os.path.basename(csv_path)
     report = ScenarioReport(
         name=name, seed=seed,
         inputs={"params": _adiabatic_dict(params), "noise": asdict(noise)},
         outputs=outputs, artifacts=artifacts)
     return _write_report(report, out_dir)
-
-
-def _write_trajectory_csv(path: str, times: np.ndarray, pops: np.ndarray) -> None:
-    d = pops.shape[1]
-    lines = ["time_us," + ",".join(f"p_{k}" for k in range(d)) + ",p_f1"]
-    mid = (d - 1) // 2
-    for i, t in enumerate(times):
-        row = [f"{t * 1e6:.12g}"] + [f"{pops[i, k]:.12g}" for k in range(d)]
-        row.append(f"{1.0 - pops[i, mid]:.12g}")
-        lines.append(",".join(row))
-    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _adiabatic_dict(p: AdiabaticParams) -> dict:
@@ -401,7 +385,7 @@ def run_tbb1(delta_omega: float = 0.0,
     artifacts = {}
     if out_dir is not None:
         csv_path = os.path.join(out_dir, f"{name}_{seed}.csv")
-        _write_trajectory_csv(csv_path, times, traj.populations)
+        traj.to_csv(csv_path)
         artifacts["trajectory_csv"] = os.path.basename(csv_path)
     report = ScenarioReport(
         name=name, seed=seed,
@@ -796,12 +780,16 @@ def _cfg_from_params(p: dict) -> IntegratorConfig:
     return IntegratorConfig(max_step=p.get("max_step"), tolerance=p["tolerance"])
 
 
+def _noise_from_params(p: dict) -> NoiseParams:
+    return NoiseParams(p["rabi_mismatch"], p["common_rabi_error"],
+                       p["static_detuning"], p["zeeman_sigma"])
+
+
 def _scn_fig2e(p: dict, seed: int, out_dir) -> ScenarioReport:
     return run_adiabatic_transfer(
         params=AdiabaticParams(p["omega0"], p["delta0"], p["t_omega"],
                                p["t_delta"], p["t_hold"]),
-        noise=NoiseParams(p["rabi_mismatch"], p["common_rabi_error"],
-                          p["static_detuning"], p["zeeman_sigma"]),
+        noise=_noise_from_params(p),
         cfg=_cfg_from_params(p),
         seed=seed, out_dir=out_dir)
 
@@ -822,8 +810,7 @@ def _scn_fig4b(p: dict, seed: int, out_dir) -> ScenarioReport:
     return run_fig4b(m=MeasurementModel(shots=p["shots"], seed=seed),
                      params=AdiabaticParams(p["omega0"], p["delta0"],
                                             p["t_omega"], p["t_delta"], 0.0),
-                     noise=NoiseParams(p["rabi_mismatch"], p["common_rabi_error"],
-                                       p["static_detuning"], p["zeeman_sigma"]),
+                     noise=_noise_from_params(p),
                      cfg=_cfg_from_params(p),
                      seed=seed, out_dir=out_dir)
 
@@ -832,8 +819,7 @@ def _scn_fig4c(p: dict, seed: int, out_dir) -> ScenarioReport:
     return measure_fidelity_vs_n(
         method=p["method"], ns=p["ns"],
         m=MeasurementModel(shots=p["shots"], seed=seed),
-        noise=NoiseParams(p["rabi_mismatch"], p["common_rabi_error"],
-                          p["static_detuning"], p["zeeman_sigma"]),
+        noise=_noise_from_params(p),
         cfg=_cfg_from_params(p),
         params=AdiabaticParams(p["omega0"], p["delta0"], p["t_omega"],
                                p["t_delta"], 0.0),
@@ -844,8 +830,7 @@ def _scn_ramsey(p: dict, seed: int, out_dir) -> ScenarioReport:
     return run_ramsey_dressed_qubit(
         n_transfers=p["n_transfers"],
         m=None if p["shots"] == 0 else MeasurementModel(shots=p["shots"], seed=seed),
-        noise=NoiseParams(p["rabi_mismatch"], p["common_rabi_error"],
-                          p["static_detuning"], p["zeeman_sigma"]),
+        noise=_noise_from_params(p),
         cfg=_cfg_from_params(p),
         seed=seed, out_dir=out_dir)
 

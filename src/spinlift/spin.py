@@ -33,6 +33,7 @@ __all__ = [
     "angular_momentum_ops",
     "rotation_unitary",
     "lift_unitary",
+    "lift_matrices",
     "named_state",
     "basis_state",
     "state_fidelity",
@@ -179,6 +180,43 @@ def rotation_unitary(d: int, axis: Iterable[float], angle: float) -> Unitary:
     return Unitary(_expm_hermitian(gen, angle))
 
 
+@lru_cache(maxsize=None)
+def _lift_table(d: int):
+    """Terms of the spin-j lift for dimension d, one per (r, s, q) of the
+    binomial sum in lift_unitary: (coefficients, powers of a, a*, b and -b*,
+    start of each matrix entry's run of terms), ordered by entry r*d + s."""
+    n = d - 1
+    coeff, powers, starts = [], [], []
+    for r in range(1, d + 1):
+        for s in range(1, d + 1):
+            starts.append(len(coeff))
+            for q in range(max(0, r + s - n - 2), min(r - 1, s - 1) + 1):
+                coeff.append(np.sqrt(comb(r - 1, q) * comb(s - 1, q)
+                                     * comb(n + 1 - r, s - 1 - q)
+                                     * comb(n + 1 - s, r - 1 - q)))
+                powers.append((n + 2 - r - s + q, q, r - 1 - q, s - 1 - q))
+    return (_as_readonly(np.array(coeff)), _as_readonly(np.array(powers).T),
+            _as_readonly(np.array(starts)))
+
+
+def lift_matrices(a, b, d: int) -> np.ndarray:
+    """Spin-j representations of a batch of two-level unitaries
+    [[a, -b*], [b, a*]]: shape a.shape + (d, d).  The entries are
+    lift_unitary's binomial sums, evaluated from a per-d table of terms that
+    is built on first use; unlike lift_unitary, nothing is checked."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    coeff, (pa, pac, pb, pbc), starts = _lift_table(d)
+    # powers[k, ..., p] = x_k ** p for x = (a, a*, b, -b*) and p = 0 .. d-1
+    bases = np.empty((4,) + a.shape + (1,), dtype=complex)
+    bases[0, ..., 0], bases[1, ..., 0] = a, a.conj()
+    bases[2, ..., 0], bases[3, ..., 0] = b, -b.conj()
+    powers = bases ** np.arange(d)
+    terms = coeff * powers[0][..., pa] * powers[1][..., pac] * powers[2][..., pb] \
+        * powers[3][..., pbc]
+    return np.add.reduceat(terms, starts, axis=-1).reshape(a.shape + (d, d))
+
+
 def lift_unitary(a: complex, b: complex, d: int) -> Unitary:
     """Spin-j representation of the two-level unitary [[a, -b*], [b, a*]].
 
@@ -200,29 +238,7 @@ def lift_unitary(a: complex, b: complex, d: int) -> Unitary:
     norm_sq = abs(a) ** 2 + abs(b) ** 2
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise NormalizationError(f"|a|^2 + |b|^2 deviates from 1 by {norm_sq - 1.0:.3e}")
-    n = d - 1  # 2j
-    mat = np.zeros((d, d), dtype=complex)
-    for r in range(1, d + 1):
-        for s in range(1, d + 1):
-            q_min = max(0, r + s - n - 2)
-            q_max = min(r - 1, s - 1)
-            total = 0.0 + 0.0j
-            for q in range(q_min, q_max + 1):
-                coeff = np.sqrt(
-                    comb(r - 1, q)
-                    * comb(s - 1, q)
-                    * comb(n + 1 - r, s - 1 - q)
-                    * comb(n + 1 - s, r - 1 - q)
-                )
-                total += (
-                    coeff
-                    * a ** (n + 2 - r - s + q)
-                    * np.conj(a) ** q
-                    * b ** (r - 1 - q)
-                    * (-np.conj(b)) ** (s - 1 - q)
-                )
-            mat[r - 1, s - 1] = total
-    return Unitary(mat)
+    return Unitary(lift_matrices(a, b, int(d)))
 
 
 def basis_state(d: int, index: int) -> StateVector:

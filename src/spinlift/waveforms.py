@@ -42,6 +42,8 @@ __all__ = [
     "square_pulse",
     "TransitionDrive",
     "MultiLevelDrive",
+    "Su2Form",
+    "control_peaks",
     "lift_schedule",
     "schedule_to_json",
     "schedule_from_json",
@@ -595,15 +597,46 @@ class MultiLevelDrive:
     def control_peaks(self, n_probe: int = 512) -> float:
         """max over t of max(Omega, |delta|) (three-level field units), used
         for the default integrator step."""
-        total = self.total_duration
-        if total == 0:
-            return 0.0
-        probes = np.linspace(0.0, total, n_probe)
-        probes = np.unique(np.concatenate([probes, self.boundaries,
-                                           np.clip(self.boundaries - 1e-15, 0, total)]))
-        omega, _, delta = self.schedule.controls(probes)
-        return float(max(np.max(np.sqrt(2.0) * np.abs(omega)),
-                         np.max(2.0 * np.abs(delta)), 0.0))
+        return control_peaks(self.schedule, n_probe=n_probe)
+
+    def su2_form(self) -> "Su2Form":
+        """A lifted schedule is SU(2)-covariant by construction."""
+        return Su2Form(gain=1.0, shift=0.0, spin_dim=self.dim)
+
+
+@dataclass(frozen=True)
+class Su2Form:
+    """How an SU(2)-covariant drive's Hamiltonian follows from its schedule.
+
+    H is the spin-j lift, on the first spin_dim levels, of the two-level
+    Hamiltonian Lambda . S with Lambda = (gain Omega_half cos chi,
+    gain Omega_half sin chi, delta_half + shift); any further levels are
+    left untouched.  gain and shift may be arrays, one entry per drive of a
+    batch that shares the schedule.
+    """
+
+    gain: float | np.ndarray
+    shift: float | np.ndarray
+    spin_dim: int
+
+
+def control_peaks(schedule: ControlSchedule, gain: float = 1.0, mismatch: float = 0.0,
+                  detuning_bound: float = 0.0, n_probe: int = 512) -> float:
+    """max over t of max(Omega, |delta|) in three-level field units, used for
+    the default integrator step.  The schedule's per-field Rabi frequency
+    sqrt(2) Omega_half is scaled by |gain| (1 + mismatch), and its detuning
+    2 |delta_half| is widened by 2 detuning_bound (a bound on any static
+    level shifts)."""
+    total = schedule.total_duration
+    if total == 0:
+        return 0.0
+    bounds = schedule.boundaries
+    probes = np.unique(np.concatenate([np.linspace(0.0, total, n_probe), bounds,
+                                       np.clip(bounds - 1e-15, 0, total)]))
+    omega_half, _, delta_half = schedule.controls(probes)
+    peak_omega = np.sqrt(2.0) * np.max(np.abs(omega_half)) * ((1.0 + mismatch) * abs(gain))
+    peak_delta = 2.0 * np.max(np.abs(delta_half)) + 2.0 * detuning_bound
+    return float(max(peak_omega, peak_delta, 0.0))
 
 
 def _scaled(schedule: ControlSchedule, which: str, factor: float) -> Callable:

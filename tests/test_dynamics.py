@@ -5,6 +5,7 @@ import pytest
 
 from spinlift import (
     AdiabaticParams,
+    DimensionError,
     CompositeSequence,
     ConstantSegment,
     ControlSchedule,
@@ -13,6 +14,7 @@ from spinlift import (
     ScheduleError,
     adiabatic_method,
     angular_momentum_ops,
+    basis_state,
     bb1_sequence,
     composite_method,
     eigen_scan,
@@ -26,7 +28,8 @@ from spinlift import (
     square_pulse,
     state_fidelity,
 )
-from spinlift import dynamics
+from spinlift import acceptance, dynamics
+from spinlift.experiments import DressedDrive, NoiseParams, _op_unitaries, zeeman_quadrature
 from spinlift.dynamics import (
     Trajectory,
     _auto_max_step,
@@ -302,6 +305,136 @@ class TestIntegrator:
         assert "builds, steps per build [" in halved and "residual" in halved
 
 
+class TestSu2Path:
+    """SU(2)-covariant drives propagate as 2x2 problems lifted once; the dense
+    d-level path is the reference they must agree with."""
+
+    FORWARD = TestIntegrator.FORWARD
+    COMPOSITE = composite_method(bb1_sequence(), OMEGA0, protect=True)
+    TOL = IntegratorConfig(tolerance=1e-8)
+
+    @staticmethod
+    def count_paths(monkeypatch):
+        paths = []
+        real = _step_unitaries
+
+        def counted(drive, grid):
+            steps = real(drive, grid)
+            paths.append("su2" if isinstance(steps, dynamics._Su2Steps) else "dense")
+            return steps
+
+        monkeypatch.setattr(dynamics, "_step_unitaries", counted)
+        return paths
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_lifted_drives_agree_with_dense(self, d):
+        for sched in (self.FORWARD, self.COMPOSITE):
+            drive = lift_schedule(sched, d)
+            su2 = propagator(drive, self.TOL).mat
+            dense = dynamics._dense_propagator(drive, self.TOL).mat
+            assert np.max(np.abs(su2 - dense)) < self.TOL.tolerance
+
+    def test_same_grid_matches_dense_steps(self):
+        # on one grid the closed-form 2x2 steps, lifted, equal the dense steps
+        # to rounding, both for the total product and along a trajectory
+        drive = DressedDrive(self.FORWARD, NoiseParams(common_rabi_error=TWO_PI * 2e3),
+                             TWO_PI * 500.0, 4, OMEGA0)
+        times = np.linspace(0.0, self.FORWARD.total_duration, 9)
+        grid = _step_grid(drive, times, 2e-6)
+        su2 = _step_unitaries(drive, grid)
+        dense = dynamics._dense_steps(drive, grid)
+        assert isinstance(su2, dynamics._Su2Steps)
+        assert np.max(np.abs(_ordered_product(su2) - _ordered_product(dense))) < 1e-13
+        psi0 = np.array([0, 1, 0, 0], dtype=complex)
+        states = dynamics._evolve_on_grid(drive, psi0, times, grid)
+        idx = np.searchsorted(grid, times)
+        expect = [psi0 if k == 0 else _ordered_product(dense[:k]) @ psi0 for k in idx]
+        assert np.max(np.abs(states - np.array(expect))) < 1e-13
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_dressed_drive_with_zeeman_and_gain_agrees_with_dense(self, dim, monkeypatch):
+        noise = NoiseParams(common_rabi_error=-TWO_PI * 3e3)
+        paths = self.count_paths(monkeypatch)
+        for sched in (self.FORWARD, self.COMPOSITE):
+            drive = DressedDrive(sched, noise, TWO_PI * 800.0, dim, OMEGA0)
+            su2 = propagator(drive, self.TOL).mat
+            assert set(paths) == {"su2"}
+            dense = dynamics._dense_propagator(drive, self.TOL).mat
+            assert np.max(np.abs(su2 - dense)) < self.TOL.tolerance
+            psi0 = basis_state(dim, 1)
+            times = np.linspace(0.0, sched.total_duration, 5)
+            traj = propagate(drive, psi0, self.TOL, times)
+            assert np.max(np.abs(traj.states[-1] - dense @ psi0.amps)) < 2 * self.TOL.tolerance
+        if dim == 4:
+            assert np.max(np.abs(su2[3] - [0, 0, 0, 1])) == 0.0
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_batched_gauss_hermite_nodes_match_per_node_dense(self, tol, monkeypatch):
+        cfg = IntegratorConfig(tolerance=tol)
+        noise = NoiseParams(quasi_static_zeeman_sigma=TWO_PI * 200.0)
+        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        builds = TestIntegrator.count_builds(monkeypatch)
+        batched = _op_unitaries(self.FORWARD, noise, shifts, cfg, 3, OMEGA0)
+        n_batched_builds = len(builds)
+        per_node = [dynamics._dense_propagator(DressedDrive(self.FORWARD, noise, float(z), 3,
+                                                            OMEGA0), cfg).mat
+                    for z in shifts]
+        assert len(batched) == shifts.size
+        # one batched build per halving, not one per node
+        assert n_batched_builds < shifts.size
+        # each side is within tol of the exact operator, so they differ by < 2 tol
+        assert max(np.max(np.abs(u - v)) for u, v in zip(batched, per_node)) < 2 * tol
+
+    def test_batch_of_constant_schedules_builds_once(self, monkeypatch):
+        noise = NoiseParams(quasi_static_zeeman_sigma=TWO_PI * 200.0)
+        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        builds = TestIntegrator.count_builds(monkeypatch)
+        batched = _op_unitaries(self.COMPOSITE, noise, shifts, CFG, 4, OMEGA0)
+        assert len(builds) == 1
+        for z, u in zip(shifts, batched):
+            single = propagator(DressedDrive(self.COMPOSITE, noise, float(z), 4, OMEGA0), CFG)
+            assert np.max(np.abs(u - single.mat)) < 1e-12
+
+    @pytest.mark.parametrize("noise", [NoiseParams(rabi_mismatch=0.002),
+                                       NoiseParams(static_detuning=TWO_PI * 5.0),
+                                       NoiseParams(rabi_mismatch=0.001,
+                                                   quasi_static_zeeman_sigma=TWO_PI * 200.0)])
+    def test_symmetry_breaking_noise_takes_dense_path(self, noise, monkeypatch):
+        paths = self.count_paths(monkeypatch)
+        drive = DressedDrive(self.COMPOSITE, noise, TWO_PI * 100.0, 3, OMEGA0)
+        assert drive.su2_form() is None
+        propagator(drive, CFG)
+        propagate(drive, named_state(3, "0"), CFG, [drive.total_duration])
+        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        _op_unitaries(self.COMPOSITE, noise, shifts, CFG, 3, OMEGA0)
+        assert paths and set(paths) == {"dense"}
+
+    def test_criterion_1_propagates_dense_drive_against_lift(self, monkeypatch):
+        paths = self.count_paths(monkeypatch)
+        dense_builds = []
+        real_dense = dynamics._dense_steps
+
+        def counted_dense(drive, grid):
+            dense_builds.append(drive.dim)
+            return real_dense(drive, grid)
+
+        monkeypatch.setattr(dynamics, "_dense_steps", counted_dense)
+        result = acceptance.check_majorana_equivalence()
+        assert result.passed
+        # 100 schedules: one 2x2 reference each, lifted and compared with a
+        # dense propagation at every d = 2..5
+        assert paths == ["su2"] * 100
+        assert sorted(set(dense_builds)) == [2, 3, 4, 5] and len(dense_builds) == 400
+
+    def test_debug_log_names_path(self, caplog):
+        caplog.set_level("DEBUG", logger="spinlift.dynamics")
+        propagator(lift_schedule(self.COMPOSITE, 3), CFG)
+        drive = DressedDrive(self.COMPOSITE, NoiseParams(rabi_mismatch=0.001), 0.0, 3, OMEGA0)
+        propagator(drive, CFG)
+        su2, dense = [r.getMessage() for r in caplog.records]
+        assert "path su2" in su2 and "path dense" in dense
+
+
 class TestEigenScan:
     def test_two_level_closed_form(self):
         omega = OMEGA0
@@ -350,6 +483,21 @@ class TestTrajectoryCsv:
         assert np.allclose(rows["time_us"], times * 1e6, rtol=1e-10)
         assert np.allclose(rows["p_1"], traj.populations[:, 1], rtol=1e-10)
         assert np.allclose(rows["p_f1"], traj.p_f1, rtol=1e-10)
+
+
+    def test_exact_bytes(self, tmp_path):
+        traj = Trajectory(times=[0.0, 1.5e-6], states=[[0, 1, 0], np.ones(3) / np.sqrt(3)])
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        assert path.read_bytes() == (
+            b"time_us,p_0,p_1,p_2,p_f1\n"
+            b"0,0,1,0,0\n"
+            b"1.5,0.333333333333,0.333333333333,0.333333333333,0.666666666667\n")
+
+    def test_even_dimension_rejected(self, tmp_path):
+        traj = Trajectory(times=[0.0], states=[[1, 0]])
+        with pytest.raises(DimensionError):
+            traj.to_csv(tmp_path / "traj.csv")
 
 
 def _random_state(rng, d):

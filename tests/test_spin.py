@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from math import comb
+
 from hypothesis import given, settings, strategies as st
 
 from spinlift import (
@@ -17,6 +19,7 @@ from spinlift import (
     state_fidelity,
     states_equal_up_to_phase,
 )
+from spinlift.spin import lift_matrices
 
 
 def series_expm(h, order=60):
@@ -164,6 +167,27 @@ class TestLiftUnitary:
             rotated = rotation_unitary(d, (0, 1, 0), theta)
             assert phase_aligned_deviation(lifted, rotated) < 1e-10
 
+    def test_tables_match_the_binomial_sum_loop(self):
+        # the per-d tables evaluate the same terms as the textbook triple loop,
+        # with products grouped differently: equal to a few ulps
+        rng = np.random.default_rng(23)
+        for d in range(2, 9):
+            for _ in range(5):
+                a, b = random_cayley_klein(rng)
+                assert np.max(np.abs(lift_unitary(a, b, d).mat
+                                     - loop_lift(a, b, d))) < 1e-14
+
+    def test_batch_matches_single_lifts(self):
+        rng = np.random.default_rng(29)
+        pairs = np.array([random_cayley_klein(rng) for _ in range(6)]).reshape(2, 3, 2)
+        for d in (2, 3, 6):
+            batch = lift_matrices(pairs[..., 0], pairs[..., 1], d)
+            assert batch.shape == (2, 3, d, d)
+            for i in range(2):
+                for j in range(3):
+                    single = lift_unitary(pairs[i, j, 0], pairs[i, j, 1], d).mat
+                    assert np.array_equal(batch[i, j], single)
+
     def test_unitarity(self):
         rng = np.random.default_rng(17)
         for d in (2, 4, 6, 8):
@@ -238,3 +262,17 @@ class TestRotationCycles:
         for target in ("u", "-1", "d", "+1"):
             psi = r @ psi
             assert states_equal_up_to_phase(psi, named_state(3, target), 1e-10)
+
+
+def loop_lift(a, b, d):
+    """Reference spin-j lift: the binomial sum of lift_unitary, entry by entry."""
+    n = d - 1
+    mat = np.zeros((d, d), dtype=complex)
+    for r in range(1, d + 1):
+        for s in range(1, d + 1):
+            for q in range(max(0, r + s - n - 2), min(r - 1, s - 1) + 1):
+                coeff = np.sqrt(comb(r - 1, q) * comb(s - 1, q)
+                                * comb(n + 1 - r, s - 1 - q) * comb(n + 1 - s, r - 1 - q))
+                mat[r - 1, s - 1] += (coeff * a ** (n + 2 - r - s + q) * np.conj(a) ** q
+                                      * b ** (r - 1 - q) * (-np.conj(b)) ** (s - 1 - q))
+    return mat
