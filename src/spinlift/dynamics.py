@@ -1,16 +1,17 @@
 """Time evolution under lifted drives: SU(2)-first, with fourth-order
 commutator-free Magnus steps and constant segments taken exactly.
 
-A drive whose Hamiltonian is Lambda(t) . J (every lifted schedule; a
-dressed drive whose field errors keep the SU(2) symmetry) is propagated as
-the spin-1/2 problem Lambda(t) . S: each step is a closed-form 2x2
-exponential, the ordered product runs over (a, b) pairs of
+Every drive is a waveforms.MultiLevelDrive.  When its su2_form() is not
+None (no Rabi mismatch and no static detuning, so H = Lambda(t) . J) it is
+propagated as the spin-1/2 problem Lambda(t) . S: each step is a
+closed-form 2x2 exponential, the ordered product runs over (a, b) pairs of
 [[a, -b*], [b, a*]], and each build is lifted to d levels once
 (spin.lift_matrices).  Only a drive that breaks the symmetry takes the
-dense path, a batched d x d spectral exponential per factor and a d x d
-ordered product; that path also serves as the independent reference for
-the lift.  Several covariant drives on one schedule (the Gauss-Hermite
-nodes of a Zeeman average) are built together by propagators(), sampling
+dense path, a batched d x d spectral exponential of drive.hamiltonian per
+factor and a d x d ordered product; that path also serves as the
+independent reference for the lift.  Several covariant drives on one
+schedule (the Gauss-Hermite nodes of a Zeeman average) are built together
+by propagators() as one drive with an array of gains and shifts, sampling
 the controls once per grid for all of them.
 
 Step boundaries are forced at segment boundaries and sample times, so no
@@ -32,7 +33,7 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -488,59 +489,26 @@ def _propagator_matrix(drive, cfg: IntegratorConfig, build, path: str) -> np.nda
     return _reunitarize(_converge(drive, cfg, no_samples, build, "propagator", path))
 
 
-@dataclass(frozen=True)
-class _Su2Batch:
-    """SU(2)-covariant drives on one schedule, seen as one drive whose
-    Su2Form holds an array of gains and shifts."""
-
-    drives: tuple
-    forms: tuple
-
-    @property
-    def schedule(self):
-        return self.drives[0].schedule
-
-    @property
-    def dim(self) -> int:
-        return self.drives[0].dim
-
-    @property
-    def total_duration(self) -> float:
-        return self.schedule.total_duration
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        return self.schedule.boundaries
-
-    def control_peaks(self) -> float:
-        # the step follows the drive with the largest level shift
-        widest = max(range(len(self.forms)), key=lambda k: abs(self.forms[k].shift))
-        return self.drives[widest].control_peaks()
-
-    def su2_form(self) -> Su2Form:
-        return Su2Form(gain=np.array([f.gain for f in self.forms], dtype=float),
-                       shift=np.array([f.shift for f in self.forms], dtype=float),
-                       spin_dim=self.forms[0].spin_dim)
-
-
-def propagators(drives: Sequence, cfg: IntegratorConfig) -> list[Unitary]:
+def propagators(drives: Sequence[MultiLevelDrive], cfg: IntegratorConfig) -> list[Unitary]:
     """Propagators of drives that share one schedule and dimension, such as
     the Gauss-Hermite nodes of a Zeeman average.
 
     When every drive is SU(2)-covariant with the same spin dimension they
-    are built together: the controls are sampled once per grid for all of
-    them, the step is set by the drive with the largest shift, and a halving
-    is accepted only when every drive's d-level propagator moved by less
-    than cfg.tolerance.  Otherwise each drive is propagated on its own.
+    are built together as one drive whose gain and shift are arrays: the
+    controls are sampled once per grid for all of them, the step is set by
+    the largest |gain| and |shift|, and a halving is accepted only when
+    every drive's d-level propagator moved by less than cfg.tolerance.
+    Otherwise each drive is propagated on its own.
     """
     drives = tuple(drives)
     first = drives[0]
     if any(d.schedule != first.schedule or d.dim != first.dim for d in drives):
         raise ScheduleError("propagators needs drives on one schedule and dimension")
-    forms = tuple(d.su2_form() for d in drives)
+    forms = [d.su2_form() for d in drives]
     if any(f is None for f in forms) or len({f.spin_dim for f in forms}) > 1:
         return [propagator(d, cfg) for d in drives]
-    batch = _Su2Batch(drives, forms)
+    batch = replace(first, gain=np.array([f.gain for f in forms], dtype=float),
+                    shift=np.array([f.shift for f in forms], dtype=float))
     mats = _propagator_matrix(
         batch, cfg, lambda grid: _ordered_product(_step_unitaries(batch, grid)), "su2")
     return [Unitary(u) for u in mats]
@@ -575,13 +543,11 @@ def eigen_scan(omega: float, delta_over_omega: Sequence[float], d: int):
         if prev_vecs is not None:
             overlap = np.abs(prev_vecs.T @ v)
             order = np.full(d, -1, dtype=int)
-            taken = np.zeros(d, dtype=bool)
             for _ in range(d):
                 i, jcol = np.unravel_index(np.argmax(overlap), overlap.shape)
                 order[i] = jcol
                 overlap[i, :] = -1
                 overlap[:, jcol] = -1
-                taken[jcol] = True
             w, v = w[order], v[:, order]
         # real gauge with continuous sign
         for k in range(d):

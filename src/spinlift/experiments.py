@@ -2,13 +2,20 @@
 in silico: trajectories, robustness sweeps, the fringe-based fidelity pipeline,
 the dressed-qubit Ramsey test and the qudit amplitude-reversal checks.
 
-Noise model: the two dressing fields can have a fractional Rabi mismatch
-(asymmetric amplitudes), a common amplitude error, a common static per-field
-detuning offset (which breaks the SU(2) symmetry) and a quasi-static Zeeman
-shift +/-z on the |+-1> levels.  The Zeeman shift is Gaussian, constant over
-one transfer operation and drawn independently per operation and per shot;
-averages over it are taken with Gauss-Hermite quadrature, propagating the
-averaged density matrix through per-operation channels.
+Noise model: each field error is a term added to the lifted Hamiltonian
+Lambda(t) . J of the spin-1 block (DressedDrive builds the MultiLevelDrive):
+
+    H = g Omega_half (cos chi Jx + sin chi Jy) + (delta_half + z) Jz
+        - eps g Omega_half (cos chi {Jz, Jx} + sin chi {Jz, Jy}) + e Jz^2
+
+A common amplitude error delta_omega is the gain g = 1 + delta_omega /
+omega0 and a quasi-static Zeeman shift +/-z on the |+-1> levels adds to
+delta_half; both keep the SU(2) symmetry.  The fractional Rabi mismatch eps
+(field amplitudes (1 +/- eps)) and the common static per-field detuning
+offset e break it.  The Zeeman shift is Gaussian, constant over one transfer
+operation and drawn independently per operation and per shot; averages over
+it are taken with Gauss-Hermite quadrature, propagating the averaged density
+matrix through per-operation channels.
 """
 
 from __future__ import annotations
@@ -36,11 +43,10 @@ from .waveforms import (
     adiabatic_method,
     bb1_sequence,
     composite_method,
+    MultiLevelDrive,
     lift_schedule,
     square_pulse,
-    Su2Form,
     TWO_PI,
-    control_peaks,
 )
 from .dynamics import (
     IntegratorConfig,
@@ -122,8 +128,9 @@ class ScenarioError(SpinliftError, ValueError):
 class NoiseParams:
     """Field-error model.
 
-    rabi_mismatch: fractional |Omega_1 - Omega_2| / (Omega_1 + Omega_2)
-    common_rabi_error: signed offset applied to the peak Rabi frequency (rad/s)
+    rabi_mismatch: fractional |Omega_1 - Omega_2| / (Omega_1 + Omega_2), in [0, 1]
+    common_rabi_error: signed offset applied to the peak Rabi frequency
+        (rad/s); DressedDrive needs it smaller in magnitude than that peak
     static_detuning: common per-field detuning offset (rad/s), SU(2)-breaking
     quasi_static_zeeman_sigma: std of the Gaussian +/-z shift on |+-1> (rad/s)
     """
@@ -137,11 +144,9 @@ class NoiseParams:
         for name in ("rabi_mismatch", "static_detuning", "quasi_static_zeeman_sigma"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be >= 0")
-
-    @property
-    def is_zero(self) -> bool:
-        return (self.rabi_mismatch == 0 and self.common_rabi_error == 0
-                and self.static_detuning == 0 and self.quasi_static_zeeman_sigma == 0)
+        if self.rabi_mismatch > 1:
+            raise ScenarioError("rabi_mismatch must be <= 1 (a field amplitude "
+                                "would change sign)")
 
 
 @dataclass(frozen=True)
@@ -173,80 +178,31 @@ def _write_report(report: ScenarioReport, out_dir: str | None) -> ScenarioReport
 # Noisy dressed drive (3- or 4-level V system)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DressedDrive:
-    """Two-field dressing drive built from a two-level schedule plus field
-    errors.  Implements the same sampling protocol as MultiLevelDrive, so the
-    integrator can consume it directly.
+def DressedDrive(schedule: ControlSchedule, noise: NoiseParams = NoiseParams(),
+                 zeeman: float = 0.0, dim: int = 3,
+                 omega0_ref: float | None = None) -> MultiLevelDrive:
+    """The two-field dressing drive of a two-level schedule under the field
+    errors of noise and a Zeeman shift, as a MultiLevelDrive on the spin-1
+    block.  dim = 4 adds the undriven clock level |0'> (index 3).
 
-    With zero errors the Hamiltonian equals the lifted SU(2) one
-    (Omega_half cos chi Jx + Omega_half sin chi Jy + delta_half Jz).  dim = 4
-    embeds the three-level block and leaves the clock level |0'> (index 3)
-    untouched.
+    A common Rabi error delta_omega becomes the gain 1 + delta_omega /
+    omega0_ref, which must stay in (0, 2): a field that is switched off or
+    reversed is not an amplitude error.
     """
-
-    schedule: ControlSchedule
-    noise: NoiseParams = NoiseParams()
-    zeeman: float = 0.0
-    dim: int = 3
-    omega0_ref: float | None = None
-
-    def __post_init__(self):
-        if self.dim not in (3, 4):
-            raise DimensionError(f"DressedDrive supports dim 3 or 4, got {self.dim}")
-
-    @property
-    def total_duration(self) -> float:
-        return self.schedule.total_duration
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        return self.schedule.boundaries
-
-    def _gain(self) -> float:
-        if self.noise.common_rabi_error == 0:
-            return 1.0
-        ref = self.omega0_ref
-        if ref is None:
+    if dim not in (3, 4):
+        raise DimensionError(f"DressedDrive supports dim 3 or 4, got {dim}")
+    gain = 1.0
+    if noise.common_rabi_error != 0:
+        if omega0_ref is None:
             raise ScenarioError("common_rabi_error needs omega0_ref to define the gain")
-        return 1.0 + self.noise.common_rabi_error / ref
-
-    def hamiltonian(self, t):
-        omega_half, chi, delta_half = self.schedule.controls(np.asarray(t, dtype=float))
-        omega_half = np.atleast_1d(np.asarray(omega_half, dtype=float))
-        chi = np.atleast_1d(np.asarray(chi, dtype=float))
-        delta_half = np.atleast_1d(np.asarray(delta_half, dtype=float))
-        eps = self.noise.rabi_mismatch
-        gain = self._gain()
-        omega = np.sqrt(2.0) * omega_half * gain
-        omega1 = omega * (1.0 + eps)   # |0> <-> |-1| field
-        omega2 = omega * (1.0 - eps)   # |0> <-> |+1| field
-        e = self.noise.static_detuning
-        z = self.zeeman
-        n = omega_half.shape[0]
-        h = np.zeros((n, self.dim, self.dim), dtype=complex)
-        phase = np.exp(1j * chi)
-        h[:, 0, 1] = omega1 / 2.0 * phase
-        h[:, 1, 0] = np.conj(h[:, 0, 1])
-        h[:, 1, 2] = omega2 / 2.0 * phase
-        h[:, 2, 1] = np.conj(h[:, 1, 2])
-        h[:, 0, 0] = -delta_half - z + e
-        h[:, 2, 2] = delta_half + z + e
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return h[0]
-        return h
-
-    def control_peaks(self, n_probe: int = 512) -> float:
-        return control_peaks(self.schedule, self._gain(), self.noise.rabi_mismatch,
-                             abs(self.zeeman) + abs(self.noise.static_detuning), n_probe)
-
-    def su2_form(self) -> Su2Form | None:
-        """With no Rabi mismatch and no static detuning the drive is the lifted
-        one with its Rabi frequency scaled by the common gain and delta_half
-        shifted by the Zeeman shift; the clock level of dim = 4 stays put."""
-        if self.noise.rabi_mismatch != 0 or self.noise.static_detuning != 0:
-            return None
-        return Su2Form(gain=self._gain(), shift=self.zeeman, spin_dim=3)
+        gain = 1.0 + noise.common_rabi_error / omega0_ref
+        if abs(noise.common_rabi_error) >= omega0_ref:
+            raise ScenarioError(f"need |delta_omega| < omega0: a common Rabi error of "
+                                f"{noise.common_rabi_error / TWO_PI:.6g} Hz sets the "
+                                f"gain to {gain:.6g}, outside (0, 2)")
+    return MultiLevelDrive(dim=dim, schedule=schedule, gain=gain, shift=zeeman,
+                           rabi_mismatch=noise.rabi_mismatch,
+                           static_detuning=noise.static_detuning, spin_dim=3)
 
 
 def zeeman_quadrature(sigma: float, n_nodes: int = 21):
@@ -365,8 +321,6 @@ def run_tbb1(delta_omega: float = 0.0,
              name: str = "fig3c") -> ScenarioReport:
     """TBB1 composite transfer with all four pulse amplitudes offset by
     delta_omega; emits P(F=1)(t) and the final fidelity to |D>."""
-    if abs(delta_omega) >= omega0:
-        raise ScenarioError("need |delta_omega| < omega0")
     schedule = composite_method(bb1_sequence(), omega0, protect=True,
                                 protect_duration=protect_duration)
     noise = NoiseParams(common_rabi_error=delta_omega)
@@ -475,6 +429,8 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
     count statistics for independently drawn per-shot, per-operation shifts.
     """
     ns = [int(n) for n in ns]
+    if any(n < 0 for n in ns):
+        raise ScenarioError("operation counts must be >= 0")
     if any(n % 2 for n in ns):
         raise ScenarioError("operation counts must be even (forward/reverse pairs)")
     if seed is None:

@@ -14,7 +14,8 @@ plain Hz (value / 2 pi) and seconds, converted at the boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +44,6 @@ __all__ = [
     "TransitionDrive",
     "MultiLevelDrive",
     "Su2Form",
-    "control_peaks",
     "lift_schedule",
     "schedule_to_json",
     "schedule_from_json",
@@ -531,49 +531,46 @@ class TransitionDrive:
 
 @dataclass(frozen=True)
 class MultiLevelDrive:
-    """A schedule lifted to d levels.
+    """A schedule lifted to d levels, with the field errors as added terms.
 
-    hamiltonian(t) returns the rotating-frame Hamiltonian
-    Omega_half cos(chi) Jx + Omega_half sin(chi) Jy + delta_half Jz
-    (vectorized over t: shape (..., d, d)).
+    On the first spin_dim levels (spin_dim defaults to dim; any further
+    levels are undriven, as the clock level of the four-level Ramsey system
+    is) hamiltonian(t) returns the rotating-frame Hamiltonian
 
-    The transitions list reports the physical per-field values.  For d = 3
-    it follows the two-field dressing convention: both fields have Rabi
-    frequency sqrt(2) * Omega_half, phases +/- chi and detunings
-    +/- 2 * delta_half.  For other d the report is the generic ladder one
-    derived from the Jx matrix elements: rabi_k = 2 (Jx)_{k,k+1} Omega_half,
-    phase_k = chi, detuning_k = delta_half (for d = 2 this is exactly the
-    single-field two-level record).
+        g Omega_half (cos chi Jx + sin chi Jy) + (delta_half + shift) Jz
+        - eps g Omega_half (cos chi {Jz, Jx} + sin chi {Jz, Jy}) + e Jz^2
+
+    with g = gain, eps = rabi_mismatch and e = static_detuning (vectorized
+    over t: shape (..., dim, dim)).  The first line is the lifted control
+    vector Lambda . J, so a gain and a (Zeeman) shift keep the SU(2)
+    symmetry; the mismatch and the static detuning break it.  For spin 1
+    they make the two field amplitudes sqrt(2) g Omega_half (1 +/- eps) and
+    shift both outer levels by e.  The operators come from
+    angular_momentum_ops, never from the lift, so the dense propagation of
+    this Hamiltonian is an independent check of the lift.
+
+    gain and shift may be arrays, one entry per drive of a batch that shares
+    the schedule (dynamics.propagators); such a drive is propagated through
+    su2_form() only.
     """
 
     dim: int
     schedule: ControlSchedule
-    transitions: tuple = field(init=False)
+    gain: float | np.ndarray = 1.0
+    shift: float | np.ndarray = 0.0
+    rabi_mismatch: float = 0.0
+    static_detuning: float = 0.0
+    spin_dim: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise DimensionError(f"dimension must be an integer >= 2, got {self.dim!r}")
-        ops = angular_momentum_ops(self.dim)
-        sched = self.schedule
-        trans = []
-        for k in range(self.dim - 1):
-            coupling = 2.0 * float(np.real(ops.jx[k, k + 1]))
-            if self.dim == 3:
-                sign = +1.0 if k == 0 else -1.0
-                trans.append(TransitionDrive(
-                    lower_index=k, upper_index=k + 1,
-                    rabi=_scaled(sched, "omega", coupling),
-                    phase=_scaled(sched, "chi", sign),
-                    detuning=_scaled(sched, "delta", 2.0 * sign),
-                ))
-            else:
-                trans.append(TransitionDrive(
-                    lower_index=k, upper_index=k + 1,
-                    rabi=_scaled(sched, "omega", coupling),
-                    phase=_scaled(sched, "chi", 1.0),
-                    detuning=_scaled(sched, "delta", 1.0),
-                ))
-        object.__setattr__(self, "transitions", tuple(trans))
+        if self.spin_dim is None:
+            object.__setattr__(self, "spin_dim", self.dim)
+        elif (not isinstance(self.spin_dim, (int, np.integer))
+              or not 2 <= self.spin_dim <= self.dim):
+            raise DimensionError(
+                f"spin_dim must be an integer in 2..{self.dim}, got {self.spin_dim!r}")
 
     @property
     def total_duration(self) -> float:
@@ -583,25 +580,77 @@ class MultiLevelDrive:
     def boundaries(self) -> np.ndarray:
         return self.schedule.boundaries
 
+    @property
+    def transitions(self) -> tuple:
+        """Per-field records of the spin block, one per adjacent-m coupling.
+
+        rabi_k = 2 (Jx)_{k,k+1} g (1 - eps (m_k + m_{k+1})) Omega_half, so
+        2 |H[k, k+1]| = |rabi_k|.  For spin_dim = 3 the record follows the
+        two-field dressing convention: Rabi frequencies
+        sqrt(2) g Omega_half (1 +/- eps), phases +/- chi and detunings
+        +/- 2 (delta_half + shift).  For other spin_dim it is the generic
+        ladder one: phase chi and detuning delta_half + shift (for d = 2
+        exactly the single-field two-level record).
+        """
+        ops = angular_momentum_ops(self.spin_dim)
+        m = np.real(np.diag(ops.jz))
+        trans = []
+        for k in range(self.spin_dim - 1):
+            coupling = 2.0 * float(np.real(ops.jx[k, k + 1]))
+            rabi = coupling * self.gain * (1.0 - self.rabi_mismatch * (m[k] + m[k + 1]))
+            if self.spin_dim == 3:
+                phase, detuning = (1.0, 2.0) if k == 0 else (-1.0, -2.0)
+            else:
+                phase, detuning = 1.0, 1.0
+            trans.append(TransitionDrive(
+                lower_index=k, upper_index=k + 1,
+                rabi=_scaled(self.schedule, "omega", rabi),
+                phase=_scaled(self.schedule, "chi", phase),
+                detuning=_scaled(self.schedule, "delta", detuning, self.shift),
+            ))
+        return tuple(trans)
+
     def hamiltonian(self, t):
-        ops = angular_momentum_ops(self.dim)
+        n = self.spin_dim
         omega, chi, delta = self.schedule.controls(np.asarray(t, dtype=float))
-        omega = np.asarray(omega)[..., None, None]
-        chi_a = np.asarray(chi)[..., None, None]
-        delta = np.asarray(delta)[..., None, None]
-        h = (omega * np.cos(chi_a) * ops.jx
-             + omega * np.sin(chi_a) * ops.jy
-             + delta * ops.jz)
-        return h
+        omega = np.asarray(omega) * self.gain
+        coeffs = np.stack(np.broadcast_arrays(omega * np.cos(chi), omega * np.sin(chi),
+                                              delta + self.shift, self.static_detuning),
+                          axis=-1)
+        h = (coeffs @ _operator_basis(n, self.rabi_mismatch)).view(complex)
+        h = h.reshape(h.shape[:-1] + (n, n))
+        if self.dim == n:
+            return h
+        out = np.zeros(h.shape[:-2] + (self.dim, self.dim), dtype=complex)
+        out[..., :n, :n] = h
+        return out
 
     def control_peaks(self, n_probe: int = 512) -> float:
-        """max over t of max(Omega, |delta|) (three-level field units), used
-        for the default integrator step."""
-        return control_peaks(self.schedule, n_probe=n_probe)
+        """max over t of max(Omega, |delta|) in three-level field units, used
+        for the default integrator step.  The per-field Rabi frequency
+        sqrt(2) Omega_half is scaled by |gain| (1 + rabi_mismatch), and the
+        detuning 2 |delta_half| is widened by 2 (|shift| + |static_detuning|);
+        array gains and shifts count with their largest magnitude."""
+        sched = self.schedule
+        total = sched.total_duration
+        if total == 0:
+            return 0.0
+        bounds = sched.boundaries
+        probes = np.unique(np.concatenate([np.linspace(0.0, total, n_probe), bounds,
+                                           np.clip(bounds - 1e-15, 0, total)]))
+        omega_half, _, delta_half = sched.controls(probes)
+        gain = float(np.abs(self.gain).max())
+        level_shift = float(np.abs(self.shift).max()) + abs(self.static_detuning)
+        peak_omega = np.sqrt(2.0) * np.max(np.abs(omega_half)) * ((1.0 + self.rabi_mismatch) * gain)
+        peak_delta = 2.0 * np.max(np.abs(delta_half)) + 2.0 * level_shift
+        return float(max(peak_omega, peak_delta, 0.0))
 
-    def su2_form(self) -> "Su2Form":
-        """A lifted schedule is SU(2)-covariant by construction."""
-        return Su2Form(gain=1.0, shift=0.0, spin_dim=self.dim)
+    def su2_form(self) -> "Su2Form | None":
+        """The drive as a lifted control vector, or None when the Rabi
+        mismatch or the static detuning breaks the SU(2) symmetry."""
+        if self.rabi_mismatch != 0 or self.static_detuning != 0:
+            return None
+        return Su2Form(gain=self.gain, shift=self.shift, spin_dim=self.spin_dim)
 
 
 @dataclass(frozen=True)
@@ -620,30 +669,28 @@ class Su2Form:
     spin_dim: int
 
 
-def control_peaks(schedule: ControlSchedule, gain: float = 1.0, mismatch: float = 0.0,
-                  detuning_bound: float = 0.0, n_probe: int = 512) -> float:
-    """max over t of max(Omega, |delta|) in three-level field units, used for
-    the default integrator step.  The schedule's per-field Rabi frequency
-    sqrt(2) Omega_half is scaled by |gain| (1 + mismatch), and its detuning
-    2 |delta_half| is widened by 2 detuning_bound (a bound on any static
-    level shifts)."""
-    total = schedule.total_duration
-    if total == 0:
-        return 0.0
-    bounds = schedule.boundaries
-    probes = np.unique(np.concatenate([np.linspace(0.0, total, n_probe), bounds,
-                                       np.clip(bounds - 1e-15, 0, total)]))
-    omega_half, _, delta_half = schedule.controls(probes)
-    peak_omega = np.sqrt(2.0) * np.max(np.abs(omega_half)) * ((1.0 + mismatch) * abs(gain))
-    peak_delta = 2.0 * np.max(np.abs(delta_half)) + 2.0 * detuning_bound
-    return float(max(peak_omega, peak_delta, 0.0))
+@lru_cache(maxsize=32)
+def _operator_basis(n: int, eps: float) -> np.ndarray:
+    """The operators Jx - eps {Jz, Jx}, Jy - eps {Jz, Jy}, Jz and Jz^2 of
+    MultiLevelDrive.hamiltonian at spin dimension n, one row each, flattened
+    with real and imaginary parts interleaved.  The Hamiltonian's
+    coefficients times this real matrix are its entries as complex numbers;
+    numpy's complex matmul of this shape is about 10x slower."""
+    ops = angular_momentum_ops(n)
+    jx, jy, jz = ops.jx, ops.jy, ops.jz
+    basis = np.stack([jx - eps * (jz @ jx + jx @ jz), jy - eps * (jz @ jy + jy @ jz),
+                      jz, jz @ jz])
+    out = basis.reshape(4, n * n).view(float)
+    out.flags.writeable = False
+    return out
 
 
-def _scaled(schedule: ControlSchedule, which: str, factor: float) -> Callable:
+def _scaled(schedule: ControlSchedule, which: str, factor: float,
+            offset: float = 0.0) -> Callable:
     idx = {"omega": 0, "chi": 1, "delta": 2}[which]
     def f(t):
         vals = schedule.controls(t)
-        return factor * np.asarray(vals[idx])
+        return factor * (np.asarray(vals[idx]) + offset)
     return f
 
 

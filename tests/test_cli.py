@@ -178,3 +178,28 @@ class TestTbb1AmplitudeErrorSweep:
         for delta_hz in np.linspace(-10e3, 0.0, 41):
             report = run(parse_config("fig3c", {"delta_omega_hz": float(delta_hz)}))
             assert report.outputs["final_fidelity_to_dark"] > 0.99
+
+
+class TestFieldErrorValidation:
+    """Field errors that would switch a field off or reverse it are scenario
+    errors, reported through the CLI's error contract."""
+
+    @pytest.mark.parametrize("common_rabi_hz", ["-80000", "-40000"])
+    def test_fig4b_common_rabi_error_must_keep_the_gain_positive(self, tmp_path, capsys,
+                                                                 common_rabi_hz):
+        err = TestErrorContract.failing_run(tmp_path, "--scenario", "fig4b", "--set",
+                                            f"common_rabi_hz={common_rabi_hz}")
+        assert err["error"] == "ScenarioError"
+        assert "gain" in err["message"]
+        assert not (tmp_path / "fig4b_0.json").exists()
+
+    def test_fig2e_rabi_mismatch_above_one(self, tmp_path, capsys):
+        err = TestErrorContract.failing_run(tmp_path, "--scenario", "fig2e", "--set",
+                                            "rabi_mismatch=2")
+        assert err["error"] == "ScenarioError"
+        assert "rabi_mismatch" in err["message"]
+
+    def test_fig4c_negative_operation_count(self, tmp_path, capsys):
+        err = TestErrorContract.failing_run(tmp_path, "--scenario", "fig4c", "--set",
+                                            "ns=[-2,2]")
+        assert err["error"] == "ScenarioError"

@@ -1,5 +1,6 @@
 """Scenario runners: transfers, robustness sweeps, Ramsey, reversal checks."""
 
+import dataclasses
 import json
 import os
 
@@ -30,7 +31,8 @@ from spinlift.experiments import (
     zeeman_quadrature,
 )
 from spinlift.dynamics import propagator
-from spinlift.waveforms import lift_schedule, TWO_PI
+from spinlift.spin import DimensionError
+from spinlift.waveforms import MultiLevelDrive, lift_schedule, TWO_PI
 
 FAST = IntegratorConfig(tolerance=1e-8)
 
@@ -295,3 +297,150 @@ class TestPipelineConsistency:
         rho = psi.density_matrix()
         _, fit = run_fringe_experiment(rho, m, rng=np.random.default_rng(21))
         assert abs(fit.fidelity_raw - expect) < 1e-4
+
+
+def _two_field_hamiltonian(schedule, noise, zeeman, dim, omega0_ref, t):
+    """Reference: the hand-written two-field matrix that the dressed drive
+    used before it became a MultiLevelDrive."""
+    omega_half, chi, delta_half = schedule.controls(np.asarray(t, dtype=float))
+    omega_half = np.atleast_1d(np.asarray(omega_half, dtype=float))
+    chi = np.atleast_1d(np.asarray(chi, dtype=float))
+    delta_half = np.atleast_1d(np.asarray(delta_half, dtype=float))
+    eps = noise.rabi_mismatch
+    gain = 1.0 + noise.common_rabi_error / omega0_ref
+    omega = np.sqrt(2.0) * omega_half * gain
+    omega1 = omega * (1.0 + eps)   # |0> <-> |-1| field
+    omega2 = omega * (1.0 - eps)   # |0> <-> |+1| field
+    e = noise.static_detuning
+    z = zeeman
+    n = omega_half.shape[0]
+    h = np.zeros((n, dim, dim), dtype=complex)
+    phase = np.exp(1j * chi)
+    h[:, 0, 1] = omega1 / 2.0 * phase
+    h[:, 1, 0] = np.conj(h[:, 0, 1])
+    h[:, 1, 2] = omega2 / 2.0 * phase
+    h[:, 2, 1] = np.conj(h[:, 1, 2])
+    h[:, 0, 0] = -delta_half - z + e
+    h[:, 2, 2] = delta_half + z + e
+    if np.isscalar(t) or np.asarray(t).ndim == 0:
+        return h[0]
+    return h
+
+
+class TestOneDriveModel:
+    """The dressed drive is a MultiLevelDrive whose field errors are
+    operator terms added to the lifted control vector."""
+
+    OMEGA0 = NOMINAL_ADIABATIC.omega0
+    NOISES = [
+        NoiseParams(),
+        NoiseParams(rabi_mismatch=0.02),
+        NoiseParams(common_rabi_error=-TWO_PI * 3e3),
+        NoiseParams(static_detuning=TWO_PI * 40.0),
+        NoiseParams(rabi_mismatch=0.003, common_rabi_error=TWO_PI * 5e3,
+                    static_detuning=TWO_PI * 10.0),
+    ]
+
+    @pytest.mark.parametrize("method", ["adiabatic", "tbb1"])
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_hamiltonian_equals_two_field_matrix(self, method, dim, noise):
+        sched, _, _ = transfer_schedules(method, NOMINAL_ADIABATIC)
+        ts = np.linspace(0.0, sched.total_duration, 101)
+        for z in (0.0, TWO_PI * 700.0):
+            drive = DressedDrive(sched, noise, z, dim, self.OMEGA0)
+            ref = _two_field_hamiltonian(sched, noise, z, dim, self.OMEGA0, ts)
+            assert np.max(np.abs(drive.hamiltonian(ts) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            one = drive.hamiltonian(ts[37])
+            assert one.shape == (dim, dim)
+            assert np.max(np.abs(one - ref[37])) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_dressed_drive_is_a_multilevel_drive(self):
+        sched, _, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        noise = NoiseParams(rabi_mismatch=0.01, common_rabi_error=TWO_PI * 2e3,
+                            static_detuning=TWO_PI * 3.0)
+        drive = DressedDrive(sched, noise, TWO_PI * 50.0, 4, self.OMEGA0)
+        assert not isinstance(DressedDrive, type)
+        assert isinstance(drive, MultiLevelDrive)
+        assert (drive.dim, drive.spin_dim) == (4, 3)
+        assert drive.gain == 1.0 + noise.common_rabi_error / self.OMEGA0
+        assert (drive.shift, drive.rabi_mismatch, drive.static_detuning) == (
+            TWO_PI * 50.0, noise.rabi_mismatch, noise.static_detuning)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_transition_rabi_is_twice_the_coupling_of_lifted_drives(self, d):
+        sched, _, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
+        drive = lift_schedule(sched, d)
+        ts = np.linspace(0.0, sched.total_duration, 23)
+        h = drive.hamiltonian(ts)
+        assert len(drive.transitions) == d - 1
+        for k, tr in enumerate(drive.transitions):
+            np.testing.assert_allclose(tr.rabi(ts), 2.0 * np.abs(h[:, k, k + 1]),
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_transition_rabi_carries_gain_and_mismatch(self, dim):
+        sched, _, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        noise = NoiseParams(rabi_mismatch=0.05, common_rabi_error=-TWO_PI * 4e3)
+        drive = DressedDrive(sched, noise, TWO_PI * 300.0, dim, self.OMEGA0)
+        ts = np.linspace(0.0, sched.total_duration, 23)
+        h = drive.hamiltonian(ts)
+        rabis = [tr.rabi(ts) for tr in drive.transitions]
+        assert len(rabis) == 2  # the spin block only, not the clock level
+        for k, rabi in enumerate(rabis):
+            np.testing.assert_allclose(rabi, 2.0 * np.abs(h[:, k, k + 1]), rtol=1e-12, atol=0.0)
+        # |0> <-> |-1> carries 1 + eps, |0> <-> |+1> carries 1 - eps
+        np.testing.assert_allclose(rabis[0] / rabis[1], 1.05 / 0.95, rtol=1e-12)
+
+    @pytest.mark.parametrize("noise, covariant", [
+        (NoiseParams(), True),
+        (NoiseParams(common_rabi_error=TWO_PI * 1e3), True),
+        (NoiseParams(rabi_mismatch=1e-4), False),
+        (NoiseParams(static_detuning=TWO_PI * 1.0), False),
+    ])
+    def test_su2_form_is_none_exactly_for_symmetry_breaking_terms(self, noise, covariant):
+        sched, _, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        form = DressedDrive(sched, noise, TWO_PI * 20.0, 3, self.OMEGA0).su2_form()
+        assert (form is not None) == covariant
+        if covariant:
+            assert form.gain == 1.0 + noise.common_rabi_error / self.OMEGA0
+            assert form.shift == TWO_PI * 20.0 and form.spin_dim == 3
+
+    @pytest.mark.parametrize("method", ["adiabatic", "tbb1"])
+    def test_batch_peaks_equal_the_widest_node(self, method):
+        # the peaks of a batch take the largest |gain| and |shift|, which is
+        # the largest of its drives' own peaks (the detuning sets them on
+        # the adiabatic schedule, the Rabi frequency on TBB1)
+        sched, _, _ = transfer_schedules(method, NOMINAL_ADIABATIC)
+        shifts, _ = zeeman_quadrature(TWO_PI * 200.0)
+        errors = TWO_PI * np.linspace(-6e3, 2e3, shifts.size)
+        drives = [DressedDrive(sched, NoiseParams(common_rabi_error=err), float(z), 3,
+                               self.OMEGA0) for err, z in zip(errors, shifts)]
+        batch = dataclasses.replace(drives[0], gain=np.array([d.gain for d in drives]),
+                                    shift=np.array(shifts))
+        assert batch.control_peaks() == max(d.control_peaks() for d in drives)
+
+    def test_spin_dim_must_fit_the_dimension(self):
+        sched, _, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        with pytest.raises(DimensionError):
+            MultiLevelDrive(3, sched, spin_dim=4)
+        assert MultiLevelDrive(5, sched).spin_dim == 5
+
+
+class TestNoiseValidation:
+    @pytest.mark.parametrize("delta_hz", [-40e3, -80e3, 40e3])
+    def test_common_rabi_error_must_keep_the_field_on(self, delta_hz):
+        sched, _, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
+        with pytest.raises(ScenarioError, match="omega0"):
+            DressedDrive(sched, NoiseParams(common_rabi_error=TWO_PI * delta_hz), 0.0, 3,
+                         NOMINAL_ADIABATIC.omega0)
+
+    def test_rabi_mismatch_above_one_rejected(self):
+        with pytest.raises(ScenarioError, match="rabi_mismatch"):
+            NoiseParams(rabi_mismatch=1.5)
+        assert NoiseParams(rabi_mismatch=1.0).rabi_mismatch == 1.0
+
+    def test_negative_operation_count_rejected(self):
+        m = MeasurementModel(shots=200, seed=1)
+        with pytest.raises(ScenarioError, match=">= 0"):
+            measure_fidelity_vs_n("tbb1", [-2, 2], m, cfg=FAST)
