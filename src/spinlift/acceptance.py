@@ -26,7 +26,6 @@ from .dynamics import IntegratorConfig, _dense_propagator, eigen_scan, propagato
 from .inference import FringeData, MeasurementModel, detection_map, ml_fit_fringe
 from .experiments import (
     DEFAULT_FRINGE_CHI,
-    DressedDrive,
     NoiseParams,
     NOMINAL_ADIABATIC,
     measure_fidelity_vs_n,
@@ -39,6 +38,7 @@ from .experiments import (
     transfer_schedules,
     verify_reversal,
     zeeman_quadrature,
+    _op_unitaries,
 )
 
 __all__ = ["CheckResult", "CHECKS", "run_all", "run_check", "format_table"]
@@ -259,12 +259,8 @@ def check_closed_loop_eps() -> CheckResult:
 
     def single_op_infidelity(sigma: float) -> float:
         shifts, w = zeeman_quadrature(sigma)
-        total = 0.0
-        for z, wk in zip(shifts, w):
-            u = propagator(DressedDrive(fwd, NoiseParams(), float(z), 3, omega0),
-                           cfg).mat
-            total += wk * (1 - abs(np.vdot(dark, u @ zero)) ** 2)
-        return total
+        units = _op_unitaries(fwd, NoiseParams(), shifts, cfg, 3, omega0)
+        return sum(wk * (1 - abs(np.vdot(dark, u @ zero)) ** 2) for wk, u in zip(w, units))
 
     from .experiments import REFERENCE_INFIDELITY_PER_OP
     target = REFERENCE_INFIDELITY_PER_OP["adiabatic"]

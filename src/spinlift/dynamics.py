@@ -1,18 +1,19 @@
 """Time evolution under lifted drives: SU(2)-first, with fourth-order
 commutator-free Magnus steps and constant segments taken exactly.
 
-Every drive is a waveforms.MultiLevelDrive.  When its su2_form() is not
-None (no Rabi mismatch and no static detuning, so H = Lambda(t) . J) it is
-propagated as the spin-1/2 problem Lambda(t) . S: each step is a
-closed-form 2x2 exponential, the ordered product runs over (a, b) pairs of
-[[a, -b*], [b, a*]], and each build is lifted to d levels once
-(spin.lift_matrices).  Only a drive that breaks the symmetry takes the
-dense path, a batched d x d spectral exponential of drive.hamiltonian per
-factor and a d x d ordered product; that path also serves as the
-independent reference for the lift.  Several covariant drives on one
-schedule (the Gauss-Hermite nodes of a Zeeman average) are built together
-by propagators() as one drive with an array of gains and shifts, sampling
-the controls once per grid for all of them.
+Every drive is a waveforms.MultiLevelDrive, and its gain and shift may be
+arrays: a batch of drives on one schedule (the Gauss-Hermite nodes of a
+Zeeman average, the areas of a pulse-area sweep) is one drive, built once
+per grid on either path, with the batch axes ahead of the d-level ones.
+When su2_form() is not None (no Rabi mismatch and no static detuning, so
+H = Lambda(t) . J) the drive is propagated as the spin-1/2 problem
+Lambda(t) . S: each step is a closed-form 2x2 exponential, the ordered
+product runs over (a, b) pairs of [[a, -b*], [b, a*]], and each build is
+lifted to d levels once (spin.lift_matrices).  Only a drive that breaks the
+symmetry takes the dense path, a batched d x d spectral exponential of
+drive.hamiltonian per factor and a d x d ordered product; that path also
+serves as the independent reference for the lift.  propagate, propagator,
+propagators and _dense_propagator are shells over one core, _propagation.
 
 Step boundaries are forced at segment boundaries and sample times, so no
 step straddles a discontinuity of the controls (composite phases are
@@ -22,15 +23,17 @@ segment (a Blackman sweep) is cut into steps, each taken with the
 two-exponential fourth-order commutator-free Magnus rule (CF4; Blanes,
 Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009); Alvermann & Fehske,
 J. Comput. Phys. 230, 5930 (2011)), which samples the controls at the two
-Gauss nodes of the step.  A result is accepted only once halving the step
-changes every requested d-level amplitude by less than the configured
-tolerance, whichever path built it; a drive whose segments are all constant
-is exact after one build and is not halved.
+Gauss nodes of the step.  The step is set by the batch's largest |gain| and
+|shift|, and a result is accepted only once halving the step changes every
+requested d-level amplitude of every drive in the batch by less than the
+configured tolerance, whichever path built it; a drive whose segments are
+all constant is exact after one build and is not halved.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -62,7 +65,7 @@ __all__ = [
 
 # default step criterion: max(Omega, |delta|) * max_step <= 0.4 rad
 DEFAULT_PHASE_PER_STEP = 0.4
-_EIGH_CHUNK = 131072
+_STEP_CHUNK = 131072
 # CF4 Gauss nodes c = 1/2 -+ sqrt(3)/6 and weights a = (3 -+ 2 sqrt(3))/12
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 _CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0)
@@ -98,26 +101,27 @@ class Trajectory:
     """Sampled states along an evolution; populations are |amplitude|^2 and
     p_f1 = 1 - P(m=0 level) (the bright-manifold probability for d = 3).
 
-    The given states must have unit norm within 1e-9; they are stored
-    projected to unit norm, so accumulated rounding never reaches
+    states has shape (n_times, d), or (n_times, *batch, d) for a drive
+    batch.  Every given state must have unit norm within 1e-9; they are
+    stored projected to unit norm, so accumulated rounding never reaches
     StateVector's tighter check."""
 
     times: np.ndarray
-    states: np.ndarray  # shape (n_times, d)
+    states: np.ndarray
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=complex)
-        norms = np.linalg.norm(states, axis=1)
+        norms = np.linalg.norm(states, axis=-1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise IntegratorError("trajectory state norm deviates by "
                                   f"{np.max(np.abs(norms - 1.0)):.3e}", 0.0)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states / norms[:, None])
+        object.__setattr__(self, "states", states / norms[..., None])
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     @property
     def populations(self) -> np.ndarray:
@@ -125,7 +129,7 @@ class Trajectory:
 
     @property
     def p_f1(self) -> np.ndarray:
-        return 1.0 - self.populations[:, _middle_level(self.dim)]
+        return 1.0 - self.populations[..., _middle_level(self.dim)]
 
     def state(self, k: int) -> StateVector:
         return StateVector(self.states[k])
@@ -193,10 +197,6 @@ def _constant_mask(drive: MultiLevelDrive, left: np.ndarray, right: np.ndarray) 
     return is_constant[np.clip(idx, 0, max(len(segments) - 1, 0))]
 
 
-def _all_constant(drive: MultiLevelDrive) -> bool:
-    return all(s.is_constant for s in drive.schedule.segments)
-
-
 def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float) -> np.ndarray:
     """Time grid with segment boundaries and sample times as forced nodes.
 
@@ -220,8 +220,9 @@ def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float
     return np.concatenate(pieces)
 
 
-def _path(drive) -> str:
-    return "dense" if drive.su2_form() is None else "su2"
+def _batch_shape(drive) -> tuple:
+    """The batch shape of a drive: its gain and shift broadcast together."""
+    return np.broadcast(drive.gain, drive.shift).shape
 
 
 def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray):
@@ -242,32 +243,46 @@ def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray):
 
 
 def _expm_hermitian(h: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """exp(-i dt h) for a batch of Hermitian h, by spectral decomposition."""
+    """exp(-i dt h) for Hermitian h of shape (n, ..., d, d), with one dt per
+    leading index, by spectral decomposition."""
     w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * dts[:, None])
-    return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    phases = np.exp(-1j * w * dts.reshape(dts.shape + (1,) * (w.ndim - 1)))
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _dense_steps(drive, grid: np.ndarray) -> np.ndarray:
-    """d x d CF4 step propagators of the drive's Hamiltonian (see
-    _step_unitaries), each factor by a batched spectral exponential."""
+def _cf4_steps(drive, grid: np.ndarray, generator, expm, compose, shape: tuple) -> np.ndarray:
+    """Step propagators (see _step_unitaries) over each grid interval, shape
+    (n_steps, *batch) + shape, at most _STEP_CHUNK of them per chunk.
+    generator(t) samples the generator at times t, expm(g, dts) exponentiates
+    it over one dt per leading index and compose(u, w) is the product u @ w."""
     starts = grid[:-1]
     dts = np.diff(grid)
     const = _constant_mask(drive, starts, grid[1:])
-    d = drive.dim
-    out = np.empty((dts.size, d, d), dtype=complex)
-    for lo in range(0, dts.size, _EIGH_CHUNK):
-        chunk = np.arange(lo, min(lo + _EIGH_CHUNK, dts.size))
+    batch = _batch_shape(drive)
+    out = np.empty((dts.size,) + batch + shape, dtype=complex)
+    chunk_steps = max(1, _STEP_CHUNK // max(1, math.prod(batch)))
+    for lo in range(0, dts.size, chunk_steps):
+        chunk = np.arange(lo, min(lo + chunk_steps, dts.size))
         c, s = chunk[const[chunk]], chunk[~const[chunk]]
+        # midpoints, then both Gauss nodes, in one call: its fixed cost dominates short grids
+        g = generator(np.concatenate([starts[c] + dts[c] / 2.0,
+                                      starts[s] + _GAUSS_NODES[0] * dts[s],
+                                      starts[s] + _GAUSS_NODES[1] * dts[s]]))
+        g1, g2 = g[c.size : c.size + s.size], g[c.size + s.size :]
         if c.size:
-            out[c] = _expm_hermitian(drive.hamiltonian(starts[c] + dts[c] / 2.0), dts[c])
+            out[c] = expm(g[: c.size], dts[c])
         if s.size:
-            h1 = drive.hamiltonian(starts[s] + _GAUSS_NODES[0] * dts[s])
-            h2 = drive.hamiltonian(starts[s] + _GAUSS_NODES[1] * dts[s])
-            first = _expm_hermitian(_CF4_WEIGHTS[1] * h1 + _CF4_WEIGHTS[0] * h2, dts[s])
-            second = _expm_hermitian(_CF4_WEIGHTS[0] * h1 + _CF4_WEIGHTS[1] * h2, dts[s])
-            out[s] = second @ first
+            first = expm(_CF4_WEIGHTS[1] * g1 + _CF4_WEIGHTS[0] * g2, dts[s])
+            second = expm(_CF4_WEIGHTS[0] * g1 + _CF4_WEIGHTS[1] * g2, dts[s])
+            out[s] = compose(second, first)
     return out
+
+
+def _dense_steps(drive, grid: np.ndarray) -> np.ndarray:
+    """d x d CF4 step propagators of the drive's Hamiltonian, each factor by
+    a batched spectral exponential."""
+    return _cf4_steps(drive, grid, drive.hamiltonian, _expm_hermitian, np.matmul,
+                      (drive.dim, drive.dim))
 
 
 @dataclass(frozen=True)
@@ -292,14 +307,15 @@ class _Su2Steps:
         return out
 
 
-def _su2_exp(v: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """exp(-i dt v . sigma / 2) as (a, b) pairs on the last axis, in closed
-    form: cos(theta) I - i (sin(theta) / |v|) v . sigma, theta = |v| dt / 2.
-    m ascends, so sigma_z = diag(-1, +1) and sigma_y[1, 0] = -i; hence
-    a = cos(theta) + i s v_z and b = -s (v_y + i v_x) with s = sin(theta)/|v|
-    (any finite s serves where v = 0)."""
+def _su2_exp(v: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """exp(-i dt v . sigma / 2) for control vectors v of shape (n, ..., 3),
+    with one dt per leading index, as (a, b) pairs on the last axis, in
+    closed form: cos(theta) I - i (sin(theta) / |v|) v . sigma, theta =
+    |v| dt / 2.  m ascends, so sigma_z = diag(-1, +1) and sigma_y[1, 0] = -i;
+    hence a = cos(theta) + i s v_z and b = -s (v_y + i v_x) with
+    s = sin(theta)/|v| (any finite s serves where v = 0)."""
     norm = np.sqrt(np.sum(v * v, axis=-1))
-    theta = norm * dt / 2.0
+    theta = norm * dts.reshape(dts.shape + (1,) * (norm.ndim - 1)) / 2.0
     s = np.sin(theta) / np.where(norm > 0.0, norm, 1.0)
     out = np.empty(theta.shape + (2,), dtype=complex)
     out[..., 0] = np.cos(theta) + 1j * s * v[..., 2]
@@ -310,41 +326,29 @@ def _su2_exp(v: np.ndarray, dt: np.ndarray) -> np.ndarray:
 def _su2_compose(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The product u @ w of (a, b) pairs on the last axis."""
     a1, b1, a2, b2 = u[..., 0], u[..., 1], w[..., 0], w[..., 1]
-    out = np.empty(np.broadcast_shapes(u.shape, w.shape), dtype=complex)
+    out = np.empty(np.broadcast(a1, a2).shape + (2,), dtype=complex)
     out[..., 0] = a1 * a2 - b1.conj() * b2
     out[..., 1] = b1 * a2 + a1.conj() * b2
     return out
 
 
 def _su2_steps(drive, form: Su2Form, grid: np.ndarray) -> _Su2Steps:
-    """CF4 steps (see _step_unitaries) of Lambda(t) . S, Lambda given by the
-    drive's schedule and Su2Form; the controls are sampled once for every
-    gain and shift of the form."""
-    starts = grid[:-1]
-    dts = np.diff(grid)
-    const = _constant_mask(drive, starts, grid[1:])
-    smooth = ~const
-    omega, chi, delta = drive.schedule.controls(np.concatenate([
-        starts[const] + dts[const] / 2.0,
-        starts[smooth] + _GAUSS_NODES[0] * dts[smooth],
-        starts[smooth] + _GAUSS_NODES[1] * dts[smooth]]))
-    batch = np.shape(form.gain)
-    v = np.empty(omega.shape + batch + (3,))  # control vectors
-    v[..., 0] = np.multiply.outer(omega * np.cos(chi), form.gain)
-    v[..., 1] = np.multiply.outer(omega * np.sin(chi), form.gain)
-    v[..., 2] = np.add.outer(delta, form.shift)
-    dts = dts.reshape(dts.shape + (1,) * len(batch))
-    n_const, n_smooth = int(const.sum()), int(smooth.sum())
-    v1 = v[n_const : n_const + n_smooth]
-    v2 = v[n_const + n_smooth :]
-    ab = np.empty((dts.shape[0],) + batch + (2,), dtype=complex)
-    if n_const:
-        ab[const] = _su2_exp(v[:n_const], dts[const])
-    if n_smooth:
-        first = _su2_exp(_CF4_WEIGHTS[1] * v1 + _CF4_WEIGHTS[0] * v2, dts[smooth])
-        second = _su2_exp(_CF4_WEIGHTS[0] * v1 + _CF4_WEIGHTS[1] * v2, dts[smooth])
-        ab[smooth] = _su2_compose(second, first)
-    return _Su2Steps(ab, form.spin_dim, drive.dim)
+    """CF4 steps of Lambda(t) . S, Lambda given by the drive's schedule and
+    Su2Form; the controls are sampled once for every gain and shift of the
+    form, which broadcast together to the batch."""
+    batch = _batch_shape(drive)
+
+    def control_vectors(t):
+        omega, chi, delta = drive.schedule.controls(t)
+        column = t.shape + (1,) * len(batch)
+        v = np.empty(t.shape + batch + (3,))
+        v[..., 0] = (omega * np.cos(chi)).reshape(column) * form.gain
+        v[..., 1] = (omega * np.sin(chi)).reshape(column) * form.gain
+        v[..., 2] = delta.reshape(column) + form.shift
+        return v
+
+    return _Su2Steps(_cf4_steps(drive, grid, control_vectors, _su2_exp, _su2_compose, (2,)),
+                     form.spin_dim, drive.dim)
 
 
 def _pairwise_product(arr: np.ndarray, compose) -> np.ndarray:
@@ -380,6 +384,8 @@ def _prefix_products(ab: np.ndarray) -> np.ndarray:
 
 def _evolve_on_grid(drive, psi0: np.ndarray, sample_times: np.ndarray,
                     grid: np.ndarray) -> np.ndarray:
+    """psi0 evolved to each sample time on one grid, shape
+    (n_samples, *batch, d)."""
     steps = _step_unitaries(drive, grid)
     sample_idx = np.searchsorted(grid, sample_times)
     if isinstance(steps, _Su2Steps):
@@ -388,12 +394,12 @@ def _evolve_on_grid(drive, psi0: np.ndarray, sample_times: np.ndarray,
         identity[..., 0] = 1.0
         cumulative = np.concatenate([identity, _prefix_products(steps.ab)])
         return steps.lift(cumulative[sample_idx]) @ psi0.astype(complex)
-    out = np.empty((sample_times.size, psi0.size), dtype=complex)
-    psi = psi0.astype(complex)
+    out = np.empty((sample_times.size,) + steps.shape[1:-1], dtype=complex)
+    psi = np.broadcast_to(psi0.astype(complex), steps.shape[1:-1])
     prev = 0
     for k, idx in enumerate(sample_idx):
         if idx > prev:
-            psi = _ordered_product(steps[prev:idx]) @ psi
+            psi = (_ordered_product(steps[prev:idx]) @ psi[..., None])[..., 0]
             prev = idx
         out[k] = psi
     return out
@@ -414,7 +420,7 @@ def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
     once and not halved.
     """
     total = drive.total_duration
-    if _all_constant(drive):
+    if all(s.is_constant for s in drive.schedule.segments):
         grid = _step_grid(drive, sample_times, total)
         logger.debug("%s: path %s, all segments constant, 1 build of %d steps, no halving",
                      caller, path, grid.size - 1)
@@ -443,9 +449,35 @@ def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
         residual)
 
 
+def _propagation(drive, cfg: IntegratorConfig, caller: str, psi0=None, times=None,
+                 dense: bool = False) -> np.ndarray:
+    """The propagation core.  Given psi0 and the sample times, the drive's
+    states, shape (n_times, *batch, d); otherwise its re-unitarized
+    propagators, shape (*batch, d, d), which dense=True builds on the dense
+    path whatever the drive's symmetry."""
+    if psi0 is None:
+        if drive.total_duration == 0:
+            return np.ones(_batch_shape(drive) + (1, 1)) * np.eye(drive.dim, dtype=complex)
+        times = np.array([], dtype=float)
+
+    def on_grid(grid):
+        if psi0 is not None:
+            return _evolve_on_grid(drive, psi0, times, grid)
+        return _ordered_product(_dense_steps(drive, grid) if dense
+                                else _step_unitaries(drive, grid))
+
+    result = _converge(drive, cfg, times, on_grid, caller,
+                       "dense" if dense or drive.su2_form() is None else "su2")
+    if psi0 is not None:
+        return result
+    w, _, vh = np.linalg.svd(result)  # polar projection: removes accumulated rounding
+    return w @ vh
+
+
 def propagate(drive: MultiLevelDrive, psi0: StateVector, cfg: IntegratorConfig,
               sample_times: Sequence[float]) -> Trajectory:
-    """Evolve psi0 under the drive, sampling the state at the given times.
+    """Evolve psi0 under the drive, sampling the state at the given times;
+    a drive batch gives one state per drive at each time.
 
     Accepts the result only when halving the step changes every sampled
     amplitude by less than cfg.tolerance; raises IntegratorError otherwise.
@@ -461,64 +493,40 @@ def propagate(drive: MultiLevelDrive, psi0: StateVector, cfg: IntegratorConfig,
     if times.min() < 0 or times.max() > total * (1 + 1e-12) + 1e-15:
         raise ScheduleError(f"sample_times outside [0, {total}]")
     times = np.clip(times, 0.0, total)
-    states = _converge(drive, cfg, times,
-                       lambda grid: _evolve_on_grid(drive, psi0.amps, times, grid),
-                       "propagate", _path(drive))
-    return Trajectory(times=times, states=states)
+    return Trajectory(times=times,
+                      states=_propagation(drive, cfg, "propagate", psi0.amps, times))
 
 
 def propagator(drive: MultiLevelDrive, cfg: IntegratorConfig) -> Unitary:
-    """Total evolution operator of the drive, the ordered product of its step
+    """Total evolution operator of one drive, the ordered product of its step
     unitaries; accepted like propagate's states, then re-unitarized."""
-    return Unitary(_propagator_matrix(
-        drive, cfg, lambda grid: _ordered_product(_step_unitaries(drive, grid)),
-        _path(drive)))
+    if _batch_shape(drive):
+        raise ScheduleError("propagator takes one drive; pass a drive batch to propagators")
+    return Unitary(_propagation(drive, cfg, "propagator"))
 
 
 def _dense_propagator(drive: MultiLevelDrive, cfg: IntegratorConfig) -> Unitary:
     """propagator on the dense d-level path whatever the drive's symmetry:
     the side of the SU(2) lift that does not use the lift."""
-    return Unitary(_propagator_matrix(
-        drive, cfg, lambda grid: _ordered_product(_dense_steps(drive, grid)), "dense"))
+    return Unitary(_propagation(drive, cfg, "propagator", dense=True))
 
 
-def _propagator_matrix(drive, cfg: IntegratorConfig, build, path: str) -> np.ndarray:
-    if drive.total_duration == 0:
-        return np.eye(drive.dim, dtype=complex)
-    no_samples = np.array([], dtype=float)
-    return _reunitarize(_converge(drive, cfg, no_samples, build, "propagator", path))
-
-
-def propagators(drives: Sequence[MultiLevelDrive], cfg: IntegratorConfig) -> list[Unitary]:
-    """Propagators of drives that share one schedule and dimension, such as
-    the Gauss-Hermite nodes of a Zeeman average.
-
-    When every drive is SU(2)-covariant with the same spin dimension they
-    are built together as one drive whose gain and shift are arrays: the
-    controls are sampled once per grid for all of them, the step is set by
-    the largest |gain| and |shift|, and a halving is accepted only when
-    every drive's d-level propagator moved by less than cfg.tolerance.
-    Otherwise each drive is propagated on its own.
-    """
-    drives = tuple(drives)
-    first = drives[0]
-    if any(d.schedule != first.schedule or d.dim != first.dim for d in drives):
-        raise ScheduleError("propagators needs drives on one schedule and dimension")
-    forms = [d.su2_form() for d in drives]
-    if any(f is None for f in forms) or len({f.spin_dim for f in forms}) > 1:
-        return [propagator(d, cfg) for d in drives]
-    batch = replace(first, gain=np.array([f.gain for f in forms], dtype=float),
-                    shift=np.array([f.shift for f in forms], dtype=float))
-    mats = _propagator_matrix(
-        batch, cfg, lambda grid: _ordered_product(_step_unitaries(batch, grid)), "su2")
-    return [Unitary(u) for u in mats]
-
-
-def _reunitarize(u: np.ndarray) -> np.ndarray:
-    """Polar projection removing accumulated rounding (no-op at working
-    precision); batched over leading axes."""
-    w, s, vh = np.linalg.svd(u)
-    return w @ vh
+def propagators(drives: MultiLevelDrive | Sequence[MultiLevelDrive],
+                cfg: IntegratorConfig) -> list[Unitary]:
+    """Propagators of a drive batch, in C order: one drive whose gain or
+    shift is an array, or drives that differ only in gain and shift (others
+    raise ScheduleError), stacked into one.  The batch is built once per
+    grid, and a halving is accepted only when every drive's propagator moved
+    by less than cfg.tolerance."""
+    batch = drives
+    if not isinstance(drives, MultiLevelDrive):
+        first = drives[0]
+        if any(replace(d, gain=first.gain, shift=first.shift) != first for d in drives):
+            raise ScheduleError("propagators needs drives that differ only in gain and shift")
+        batch = replace(first, gain=np.array([d.gain for d in drives], dtype=float),
+                        shift=np.array([d.shift for d in drives], dtype=float))
+    mats = _propagation(batch, cfg, "propagators")
+    return [Unitary(u) for u in mats.reshape((-1,) + mats.shape[-2:])]
 
 
 def eigen_scan(omega: float, delta_over_omega: Sequence[float], d: int):

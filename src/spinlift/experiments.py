@@ -57,6 +57,7 @@ from .dynamics import (
     write_populations_csv,
 )
 from .inference import (
+    FitSingularError,
     FringeData,
     MeasurementModel,
     detection_map,
@@ -179,11 +180,12 @@ def _write_report(report: ScenarioReport, out_dir: str | None) -> ScenarioReport
 # ---------------------------------------------------------------------------
 
 def DressedDrive(schedule: ControlSchedule, noise: NoiseParams = NoiseParams(),
-                 zeeman: float = 0.0, dim: int = 3,
+                 zeeman: float | np.ndarray = 0.0, dim: int = 3,
                  omega0_ref: float | None = None) -> MultiLevelDrive:
     """The two-field dressing drive of a two-level schedule under the field
     errors of noise and a Zeeman shift, as a MultiLevelDrive on the spin-1
-    block.  dim = 4 adds the undriven clock level |0'> (index 3).
+    block; an array of shifts makes it a batch with one drive per shift.
+    dim = 4 adds the undriven clock level |0'> (index 3).
 
     A common Rabi error delta_omega becomes the gain 1 + delta_omega /
     omega0_ref, which must stay in (0, 2): a field that is switched off or
@@ -238,10 +240,9 @@ def transfer_schedules(method: str, params: AdiabaticParams) -> tuple[ControlSch
 
 def _op_unitaries(schedule: ControlSchedule, noise: NoiseParams, shifts: np.ndarray,
                   cfg: IntegratorConfig, dim: int, omega0_ref: float) -> list[np.ndarray]:
-    """Operation unitaries at each Zeeman node; covariant noise builds all the
-    nodes in one SU(2) propagation, symmetry-breaking noise one at a time."""
-    drives = [DressedDrive(schedule, noise, float(z), dim, omega0_ref) for z in shifts]
-    return [u.mat for u in propagators(drives, cfg)]
+    """Operation unitaries at each Zeeman node, propagated as one batch."""
+    return [u.mat for u in propagators(DressedDrive(schedule, noise, shifts, dim,
+                                                    omega0_ref), cfg)]
 
 
 def _apply_channel(rho: np.ndarray, unitaries: Sequence[np.ndarray],
@@ -274,17 +275,12 @@ def run_adiabatic_transfer(params: AdiabaticParams = NOMINAL_ADIABATIC,
     times = np.unique(np.concatenate(
         [np.arange(0.0, total, sample_step), [t_mid, total]]))
     shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
-    pops = None
-    rho_mid = np.zeros((3, 3), dtype=complex)
-    rho_end = np.zeros((3, 3), dtype=complex)
-    mid_idx = int(np.searchsorted(times, t_mid))
-    for z, w in zip(shifts, weights):
-        drive = DressedDrive(schedule, noise, float(z), 3, params.omega0)
-        traj = propagate(drive, _D3_ZERO, cfg, times)
-        p = traj.populations
-        pops = w * p if pops is None else pops + w * p
-        rho_mid += w * np.outer(traj.states[mid_idx], traj.states[mid_idx].conj())
-        rho_end += w * np.outer(traj.states[-1], traj.states[-1].conj())
+    traj = propagate(DressedDrive(schedule, noise, shifts, 3, params.omega0),
+                     _D3_ZERO, cfg, times)  # states: (time, Zeeman node, level)
+    pops = np.einsum("n,tnk->tk", weights, traj.populations)
+    rho_mid, rho_end = (np.einsum("n,ni,nj->ij", weights, psi, psi.conj())
+                        for psi in (traj.states[np.searchsorted(times, t_mid)],
+                                    traj.states[-1]))
     fid_mid = float(np.real(_D3_DARK.amps.conj() @ rho_mid @ _D3_DARK.amps))
     fid_end = float(np.real(_D3_ZERO.amps.conj() @ rho_end @ _D3_ZERO.amps))
     outputs = {
@@ -352,24 +348,21 @@ def sweep_pulse_area(method: str, areas: Sequence[float],
                      cfg: IntegratorConfig = IntegratorConfig(),
                      omega0: float = NOMINAL_ADIABATIC.omega0) -> dict:
     """Final P(F=1) and fidelity to |D> versus normalized pulse area (area 1 is
-    the nominal pi/2 operation); every pulse duration is scaled by the area."""
+    the nominal pi/2 operation).  Every segment is constant and resonant, so
+    the area acts as a gain on the nominal sequence, which is the same as
+    scaling every pulse duration by it; all areas are propagated as one
+    batch."""
     areas = np.asarray(areas, dtype=float)
     if np.any(areas <= 0):
         raise ScenarioError("areas must be > 0")
-    p_f1 = np.empty(areas.size)
-    fid = np.empty(areas.size)
-    for i, a in enumerate(areas):
-        if method == "single":
-            seq = CompositeSequence([(a * np.pi / 2, np.pi / 2)])
-        elif method == "tbb1":
-            seq = CompositeSequence([(a * th, ph) for th, ph in bb1_sequence().rotations])
-        else:
-            raise ScenarioError(f"unknown sweep method {method!r}")
-        drive = lift_schedule(composite_method(seq, omega0), 3)
-        psi = propagator(drive, cfg) @ _D3_ZERO
-        p_f1[i] = 1.0 - abs(psi.amps[1]) ** 2
-        fid[i] = state_fidelity(psi, _D3_DARK)
-    return {"areas": areas, "p_f1": p_f1, "fidelity_to_dark": fid}
+    sequences = {"single": CompositeSequence([(np.pi / 2, np.pi / 2)]),
+                 "tbb1": bb1_sequence()}
+    if method not in sequences:
+        raise ScenarioError(f"unknown sweep method {method!r}")
+    drive = MultiLevelDrive(3, composite_method(sequences[method], omega0), gain=areas)
+    psis = [u @ _D3_ZERO for u in propagators(drive, cfg)]
+    return {"areas": areas, "p_f1": np.array([1.0 - abs(psi.amps[1]) ** 2 for psi in psis]),
+            "fidelity_to_dark": np.array([state_fidelity(psi, _D3_DARK) for psi in psis])}
 
 
 def static_error_infidelity(rabi_mismatch: float, delta_err: float,
@@ -378,9 +371,7 @@ def static_error_infidelity(rabi_mismatch: float, delta_err: float,
     """Infidelity 1 - |<D|psi>|^2 of a single forward adiabatic transfer with
     asymmetric field amplitudes Omega(1 +/- eps) and a common per-field
     detuning offset."""
-    schedule = adiabatic_method(AdiabaticParams(
-        params.omega0, params.delta0, params.t_omega, params.t_delta,
-        t_hold=0.0, direction="forward"))
+    schedule = transfer_schedules("adiabatic", params)[0]
     noise = NoiseParams(rabi_mismatch=rabi_mismatch, static_detuning=delta_err)
     drive = DressedDrive(schedule, noise, 0.0, 3, params.omega0)
     psi = propagator(drive, cfg) @ _D3_ZERO
@@ -433,6 +424,8 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
         raise ScenarioError("operation counts must be >= 0")
     if any(n % 2 for n in ns):
         raise ScenarioError("operation counts must be even (forward/reverse pairs)")
+    if len(set(ns)) < 2:
+        raise FitSingularError("need at least 2 distinct operation counts")
     if seed is None:
         seed = m.seed
     fwd_s, rev_s, omega0 = transfer_schedules(method, params)
@@ -665,9 +658,7 @@ def run_fig4b(m: MeasurementModel | None = None,
     model, fitted for the dark-state fidelity."""
     if m is None:
         m = MeasurementModel(seed=seed)
-    schedule = adiabatic_method(AdiabaticParams(
-        params.omega0, params.delta0, params.t_omega, params.t_delta,
-        t_hold=0.0, direction="forward"))
+    schedule = transfer_schedules("adiabatic", params)[0]
     shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
     units = _op_unitaries(schedule, noise, shifts, cfg, 3, params.omega0)
     rho = _apply_channel(_D3_ZERO.density_matrix(), units, weights)

@@ -540,8 +540,8 @@ class MultiLevelDrive:
         g Omega_half (cos chi Jx + sin chi Jy) + (delta_half + shift) Jz
         - eps g Omega_half (cos chi {Jz, Jx} + sin chi {Jz, Jy}) + e Jz^2
 
-    with g = gain, eps = rabi_mismatch and e = static_detuning (vectorized
-    over t: shape (..., dim, dim)).  The first line is the lifted control
+    with g = gain, eps = rabi_mismatch and e = static_detuning, of shape
+    t.shape + batch + (dim, dim).  The first line is the lifted control
     vector Lambda . J, so a gain and a (Zeeman) shift keep the SU(2)
     symmetry; the mismatch and the static detuning break it.  For spin 1
     they make the two field amplitudes sqrt(2) g Omega_half (1 +/- eps) and
@@ -549,9 +549,9 @@ class MultiLevelDrive:
     angular_momentum_ops, never from the lift, so the dense propagation of
     this Hamiltonian is an independent check of the lift.
 
-    gain and shift may be arrays, one entry per drive of a batch that shares
-    the schedule (dynamics.propagators); such a drive is propagated through
-    su2_form() only.
+    gain and shift may be arrays, which broadcast together to the batch
+    shape: one drive per entry, all on the schedule and sharing the field
+    errors.  dynamics propagates such a batch as one drive on either path.
     """
 
     dim: int
@@ -613,10 +613,11 @@ class MultiLevelDrive:
     def hamiltonian(self, t):
         n = self.spin_dim
         omega, chi, delta = self.schedule.controls(np.asarray(t, dtype=float))
-        omega = np.asarray(omega) * self.gain
+        column = np.shape(omega) + (1,) * np.broadcast(self.gain, self.shift).ndim
+        omega, chi = np.reshape(omega, column) * self.gain, np.reshape(chi, column)
         coeffs = np.stack(np.broadcast_arrays(omega * np.cos(chi), omega * np.sin(chi),
-                                              delta + self.shift, self.static_detuning),
-                          axis=-1)
+                                              np.reshape(delta, column) + self.shift,
+                                              self.static_detuning), axis=-1)
         h = (coeffs @ _operator_basis(n, self.rabi_mismatch)).view(complex)
         h = h.reshape(h.shape[:-1] + (n, n))
         if self.dim == n:
@@ -660,8 +661,8 @@ class Su2Form:
     H is the spin-j lift, on the first spin_dim levels, of the two-level
     Hamiltonian Lambda . S with Lambda = (gain Omega_half cos chi,
     gain Omega_half sin chi, delta_half + shift); any further levels are
-    left untouched.  gain and shift may be arrays, one entry per drive of a
-    batch that shares the schedule.
+    left untouched.  gain and shift may be arrays, which broadcast together
+    to the shape of a batch of drives on the schedule.
     """
 
     gain: float | np.ndarray

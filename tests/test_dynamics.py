@@ -1,5 +1,7 @@
 """Propagation, propagator assembly and eigenstructure scans."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from spinlift import (
     ControlSchedule,
     IntegratorConfig,
     IntegratorError,
+    MultiLevelDrive,
     ScheduleError,
     adiabatic_method,
     angular_momentum_ops,
@@ -433,6 +436,102 @@ class TestSu2Path:
         propagator(drive, CFG)
         su2, dense = [r.getMessage() for r in caplog.records]
         assert "path su2" in su2 and "path dense" in dense
+
+
+class TestDriveBatch:
+    """A drive whose gain or shift is an array is one batch, built once per
+    grid on either path and equal to its drives propagated one by one."""
+
+    FORWARD = TestIntegrator.FORWARD
+    COMPOSITE = TestSu2Path.COMPOSITE
+
+    @staticmethod
+    def count_batch_builds(monkeypatch):
+        builds = []
+
+        def counted(drive, grid):
+            builds.append((grid.size - 1, dynamics._batch_shape(drive)))
+            return _step_unitaries(drive, grid)
+
+        monkeypatch.setattr(dynamics, "_step_unitaries", counted)
+        return builds
+
+    @pytest.mark.parametrize("field, values", [("gain", [1.0, 1.01, 0.97]),
+                                               ("shift", [0.0, TWO_PI * 900.0, -TWO_PI * 300.0])])
+    def test_array_field_with_scalar_other_matches_single_drives(self, field, values):
+        batch = MultiLevelDrive(3, self.COMPOSITE, **{field: np.array(values)})
+        mats = dynamics.propagators(batch, CFG)
+        assert len(mats) == len(values)
+        for v, u in zip(values, mats):
+            single = propagator(MultiLevelDrive(3, self.COMPOSITE, **{field: v}), CFG)
+            assert np.max(np.abs(u.mat - single.mat)) < 1e-12
+        with pytest.raises(ScheduleError, match="propagators"):
+            propagator(batch, CFG)
+
+    def test_hamiltonian_batch_axes_follow_time_axes(self):
+        gains, shifts = np.array([1.0, 1.02]), np.array([0.0, TWO_PI * 400.0])
+        batch = MultiLevelDrive(4, self.FORWARD, gain=gains, shift=shifts,
+                                rabi_mismatch=0.001, spin_dim=3)
+        ts = np.linspace(0.0, self.FORWARD.total_duration, 5)
+        h = batch.hamiltonian(ts)
+        assert h.shape == (5, 2, 4, 4)
+        for k, (g, z) in enumerate(zip(gains, shifts)):
+            single = replace(batch, gain=g, shift=z)
+            assert np.array_equal(h[:, k], single.hamiltonian(ts))
+            assert np.array_equal(batch.hamiltonian(ts[2])[k], single.hamiltonian(ts[2]))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_dense_batch_matches_per_node_dense(self, dim, tol, monkeypatch):
+        cfg = IntegratorConfig(tolerance=tol)
+        noise = NoiseParams(rabi_mismatch=0.001, quasi_static_zeeman_sigma=TWO_PI * 200.0)
+        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        builds = self.count_batch_builds(monkeypatch)
+        batched = _op_unitaries(self.FORWARD, noise, shifts, cfg, dim, OMEGA0)
+        # one build per halving, each of the whole batch, on the dense path
+        steps = [n for n, _ in builds]
+        assert {b for _, b in builds} == {shifts.shape}
+        assert steps == sorted(set(steps)) and len(steps) <= cfg.max_halvings + 1
+        per_node = [dynamics._dense_propagator(DressedDrive(self.FORWARD, noise, float(z), dim,
+                                                            OMEGA0), cfg).mat
+                    for z in shifts]
+        assert max(np.max(np.abs(u - v)) for u, v in zip(batched, per_node)) < 2 * tol
+
+    @pytest.mark.parametrize("noise", [NoiseParams(common_rabi_error=TWO_PI * 2e3),
+                                       NoiseParams(rabi_mismatch=0.001)])
+    def test_batched_propagate_matches_per_node_propagate(self, noise, monkeypatch):
+        shifts = TWO_PI * np.array([-500.0, 0.0, 250.0, 800.0])
+        times = np.linspace(0.0, self.FORWARD.total_duration, 6)
+        psi0 = named_state(3, "0")
+        builds = self.count_batch_builds(monkeypatch)
+        traj = propagate(DressedDrive(self.FORWARD, noise, shifts, 3, OMEGA0), psi0, CFG, times)
+        assert traj.states.shape == (times.size, shifts.size, 3)
+        assert {b for _, b in builds} == {shifts.shape}
+        for k, z in enumerate(shifts):
+            single = propagate(DressedDrive(self.FORWARD, noise, float(z), 3, OMEGA0),
+                               psi0, CFG, times)
+            assert np.max(np.abs(traj.states[:, k] - single.states)) < 2 * CFG.tolerance
+            assert np.max(np.abs(traj.p_f1[:, k] - single.p_f1)) < 4 * CFG.tolerance
+
+    def test_trajectory_norm_check_covers_every_node(self):
+        psi = named_state(3, "D").amps
+        traj = Trajectory(times=[0.0], states=[[psi, psi * (1 + 1e-11)]])
+        assert np.max(np.abs(np.linalg.norm(traj.states, axis=-1) - 1)) < 1e-15
+        assert traj.dim == 3 and traj.p_f1.shape == (1, 2)
+        with pytest.raises(IntegratorError):
+            Trajectory(times=[0.0], states=[[psi, psi * (1 + 1e-8)]])
+
+    @pytest.mark.parametrize("other", [
+        DressedDrive(COMPOSITE, NoiseParams(rabi_mismatch=0.001), 0.0, 3, OMEGA0),
+        DressedDrive(COMPOSITE, NoiseParams(static_detuning=TWO_PI * 5.0), 0.0, 3, OMEGA0),
+        DressedDrive(COMPOSITE, NoiseParams(), 0.0, 4, OMEGA0),
+        DressedDrive(square_pulse(np.pi, 0.0, OMEGA0), NoiseParams(), 0.0, 3, OMEGA0),
+        MultiLevelDrive(3, COMPOSITE, spin_dim=2),
+    ])
+    def test_propagators_rejects_drives_that_differ_beyond_gain_and_shift(self, other):
+        first = DressedDrive(self.COMPOSITE, NoiseParams(), TWO_PI * 100.0, 3, OMEGA0)
+        with pytest.raises(ScheduleError):
+            dynamics.propagators([first, other], CFG)
 
 
 class TestEigenScan:

@@ -9,16 +9,22 @@ import pytest
 
 from spinlift import (
     AdiabaticParams,
+    CompositeSequence,
+    FitSingularError,
     IntegratorConfig,
     MeasurementModel,
     NoiseParams,
     NOMINAL_ADIABATIC,
+    adiabatic_method,
+    bb1_sequence,
+    composite_method,
     named_state,
     run_adiabatic_transfer,
     run_ramsey_dressed_qubit,
     run_scenario,
     run_tbb1,
     rotation_cycle_check,
+    state_fidelity,
     static_error_infidelity,
     sweep_pulse_area,
     verify_reversal,
@@ -30,7 +36,8 @@ from spinlift.experiments import (
     transfer_schedules,
     zeeman_quadrature,
 )
-from spinlift.dynamics import propagator
+from spinlift import acceptance, dynamics
+from spinlift.dynamics import propagate, propagator
 from spinlift.spin import DimensionError
 from spinlift.waveforms import MultiLevelDrive, lift_schedule, TWO_PI
 
@@ -444,3 +451,103 @@ class TestNoiseValidation:
         m = MeasurementModel(shots=200, seed=1)
         with pytest.raises(ScenarioError, match=">= 0"):
             measure_fidelity_vs_n("tbb1", [-2, 2], m, cfg=FAST)
+
+
+class TestBatchedScenarios:
+    """fig2e, the pulse-area sweep and criterion 10 propagate their Zeeman
+    nodes or areas as one batch, and agree with the per-node loops they
+    replaced (copied here as references)."""
+
+    @staticmethod
+    def count_builds(monkeypatch, schedules=None):
+        """(steps, batch shape) of each build, of the given schedules only."""
+        builds = []
+        real = dynamics._step_unitaries
+
+        def counted(drive, grid):
+            if schedules is None or drive.schedule in schedules:
+                builds.append((grid.size - 1, dynamics._batch_shape(drive)))
+            return real(drive, grid)
+
+        monkeypatch.setattr(dynamics, "_step_unitaries", counted)
+        return builds
+
+    @staticmethod
+    def calls(builds):
+        """Split builds into propagation calls: each call starts from its
+        coarsest grid, so the step count drops where a new call begins."""
+        runs = []
+        for steps, batch in builds:
+            if not runs or steps <= runs[-1][-1][0]:
+                runs.append([])
+            runs[-1].append((steps, batch))
+        return runs
+
+    def test_fig2e_zeeman_nodes_match_per_node_loop(self, monkeypatch, tmp_path):
+        noise = NoiseParams(quasi_static_zeeman_sigma=TWO_PI * 200.0)
+        params = NOMINAL_ADIABATIC
+        builds = self.count_builds(monkeypatch)
+        rep = run_adiabatic_transfer(params, noise, cfg=FAST, sample_step=25e-6,
+                                     out_dir=str(tmp_path))
+        pops = np.genfromtxt(tmp_path / "fig2e_0.csv", delimiter=",", skip_header=1)[:, 1:4]
+        shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        [call] = self.calls(builds)
+        assert {b for _, b in call} == {shifts.shape}
+        # the per-node loop of the previous implementation
+        schedule = adiabatic_method(params)  # the nominal parameters are a round trip
+        total = schedule.total_duration
+        times = np.unique(np.concatenate([np.arange(0.0, total, 25e-6),
+                                          [params.t_delta, total]]))
+        loop_pops = np.zeros((times.size, 3))
+        rho_mid = np.zeros((3, 3), dtype=complex)
+        rho_end = np.zeros((3, 3), dtype=complex)
+        mid_idx = int(np.searchsorted(times, params.t_delta))
+        zero, dark = named_state(3, "0"), named_state(3, "D").amps
+        for z, w in zip(shifts, weights):
+            traj = propagate(DressedDrive(schedule, noise, float(z), 3, params.omega0),
+                             zero, FAST, times)
+            loop_pops += w * traj.populations
+            rho_mid += w * np.outer(traj.states[mid_idx], traj.states[mid_idx].conj())
+            rho_end += w * np.outer(traj.states[-1], traj.states[-1].conj())
+        fid_mid = float(np.real(dark.conj() @ rho_mid @ dark))
+        fid_end = float(np.real(zero.amps.conj() @ rho_end @ zero.amps))
+        assert abs(rep.outputs["mid_fidelity_to_dark"] - fid_mid) < 4 * FAST.tolerance
+        assert abs(rep.outputs["final_fidelity_to_zero"] - fid_end) < 4 * FAST.tolerance
+        # the CSV holds 12 significant digits
+        assert np.max(np.abs(pops - loop_pops)) < 4 * FAST.tolerance
+
+    @pytest.mark.parametrize("method", ["single", "tbb1"])
+    def test_pulse_area_sweep_matches_duration_scaled_loop(self, method, monkeypatch):
+        areas = np.linspace(0.7, 1.3, 13)
+        builds = self.count_builds(monkeypatch)
+        out = sweep_pulse_area(method, areas, cfg=FAST)
+        assert builds == [(builds[0][0], areas.shape)]
+        omega0 = NOMINAL_ADIABATIC.omega0
+        for i, a in enumerate(areas):
+            if method == "single":
+                seq = CompositeSequence([(a * np.pi / 2, np.pi / 2)])
+            else:
+                seq = CompositeSequence([(a * th, ph) for th, ph in bb1_sequence().rotations])
+            psi = propagator(lift_schedule(composite_method(seq, omega0), 3), FAST) \
+                @ named_state(3, "0")
+            assert abs(out["p_f1"][i] - (1.0 - abs(psi.amps[1]) ** 2)) < 1e-12
+            assert abs(out["fidelity_to_dark"][i]
+                       - state_fidelity(psi, named_state(3, "D"))) < 1e-12
+
+    def test_criterion_10_builds_each_batch_once_per_halving(self, monkeypatch):
+        # the fringe fits' analysis pulses are propagated too; count only
+        # the transfer operations
+        fwd, rev, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
+        builds = self.count_builds(monkeypatch, (fwd, rev))
+        assert acceptance.check_closed_loop_eps().passed
+        # the floor (one node), the 300 Hz probe and the forward and reverse
+        # operations of the fringe pipeline (21 nodes each)
+        calls = self.calls(builds)
+        assert [{b for _, b in call} for call in calls] == [{(1,)}, {(21,)}, {(21,)}, {(21,)}]
+
+    @pytest.mark.parametrize("ns", [[4, 4], [], [0], [8]])
+    def test_too_few_distinct_counts_fail_before_propagating(self, ns, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        with pytest.raises(FitSingularError, match="2 distinct operation counts"):
+            measure_fidelity_vs_n("tbb1", ns, MeasurementModel(shots=200, seed=1), cfg=FAST)
+        assert builds == []
