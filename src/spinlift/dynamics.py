@@ -66,6 +66,10 @@ __all__ = [
 # default step criterion: max(Omega, |delta|) * max_step <= 0.4 rad
 DEFAULT_PHASE_PER_STEP = 0.4
 _STEP_CHUNK = 131072
+# Most steps one build may take: 14x the largest build that the scenarios,
+# demos and tests make (18,096).  A dense d = 4 propagator whose last build
+# is at the limit peaks at about 0.4 GB of resident memory.
+_MAX_BUILD_STEPS = 2**18
 # CF4 Gauss nodes c = 1/2 -+ sqrt(3)/6 and weights a = (3 -+ 2 sqrt(3))/12
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 _CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0)
@@ -205,14 +209,21 @@ def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float
     one exponential is exact there.  Forced nodes are emitted exactly (no
     a + (b-a)*k/n endpoint rounding), so sample times can be located in the
     grid by exact match and steps never straddle a segment boundary.
+    Raises IntegratorError, before allocating, for a grid of more than
+    _MAX_BUILD_STEPS steps.
     """
     total = drive.total_duration
     forced = np.unique(np.concatenate([drive.boundaries, sample_times, [0.0, total]]))
     forced = forced[(forced >= 0.0) & (forced <= total)]
     const = _constant_mask(drive, forced[:-1], forced[1:])
+    counts = np.where(const, 1.0, np.maximum(1.0, np.ceil(np.diff(forced) / max_step - 1e-12)))
+    n_steps = float(np.sum(counts))
+    if n_steps > _MAX_BUILD_STEPS:
+        raise IntegratorError(
+            f"a step of {max_step:.3e} s needs {n_steps:.3e} steps per build, more than "
+            f"the limit of {_MAX_BUILD_STEPS}", float("nan"))
     pieces = [forced[:1]]
-    for a, b, whole in zip(forced[:-1], forced[1:], const):
-        n = 1 if whole else max(1, int(np.ceil((b - a) / max_step - 1e-12)))
+    for a, b, n in zip(forced[:-1], forced[1:], counts.astype(int).tolist()):
         if n > 1:
             interior = a + (b - a) * np.arange(1, n) / n
             pieces.append(interior[(interior > a) & (interior < b)])

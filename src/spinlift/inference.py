@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from .spin import DimensionError, SpinliftError
 from .waveforms import lift_schedule, square_pulse
@@ -172,7 +170,7 @@ def _make_log_likelihood(chi, counts, shots, m: MeasurementModel):
         excess = np.maximum(model - 2.0, 0.0) + np.maximum(-1.0 - model, 0.0)
         penalty = 1e6 * shots * float(np.sum(excess**2))
         p_b = np.clip(p0 + dp * model, 1e-12, 1.0 - 1e-12)
-        return float(np.sum(xlogy(counts, p_b) + xlogy(n_minus_k, 1.0 - p_b))) - penalty
+        return float(np.sum(counts * np.log(p_b) + n_minus_k * np.log(1.0 - p_b))) - penalty
 
     return ll
 
@@ -196,6 +194,86 @@ def _observed_information(ll, params, step=1e-6):
 _NM_OPTIONS = {"xatol": 1e-12, "fatol": 1e-13, "maxiter": 6000, "maxfev": 8000}
 
 
+class _BudgetSpent(Exception):
+    """The evaluation budget ran out inside a Nelder-Mead iteration."""
+
+
+@dataclass(frozen=True)
+class _Minimum:
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+
+
+def minimize(fun, x0) -> _Minimum:
+    """Nelder-Mead minimum of fun from x0 under the limits in _NM_OPTIONS.
+
+    Step for step this is scipy's Nelder-Mead: reflection 1, expansion 2,
+    contraction and shrink 1/2; the initial simplex scales each coordinate
+    by 1.05 (a zero one becomes 0.00025); it stops when the simplex lies
+    within xatol of its best vertex and its values within fatol of the
+    best value, or after maxiter iterations or maxfev evaluations.
+    """
+    opts = _NM_OPTIONS
+    maxfev, maxiter = opts["maxfev"], opts["maxiter"]
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    nfev, nit = 0, 1
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x)
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    sim = np.tile(x0, (n + 1, 1))
+    np.fill_diagonal(sim[1:], np.where(x0 != 0, 1.05 * x0, 0.00025))
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+        sim, fsim = by_value(sim, fsim)
+        while nfev < maxfev and nit < maxiter:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= opts["xatol"]
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= opts["fatol"]):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2.0 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3.0 * xbar - 2.0 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            nit += 1
+            sim, fsim = by_value(sim, fsim)
+    except _BudgetSpent:
+        sim, fsim = by_value(sim, fsim)
+    return _Minimum(x=sim[0], fun=float(np.min(fsim)), nfev=nfev, nit=nit)
+
+
 def ml_fit_fringe(data: FringeData, m: MeasurementModel) -> FitResult:
     """Maximum-likelihood fit of A0 + A cos(2 chi + phi0) to fringe counts.
 
@@ -209,8 +287,6 @@ def ml_fit_fringe(data: FringeData, m: MeasurementModel) -> FitResult:
     if np.ptp(chi) < np.pi / 2 - 1e-12:
         raise FitSingularError(
             f"chi must span at least half a fringe period (pi/2), got {np.ptp(chi):.4f}")
-    if np.allclose(chi, chi[0]):
-        raise FitSingularError("all fringe points at identical chi")
 
     ll = _make_log_likelihood(chi, counts, shots, m)
     nll = lambda p: -ll(p)
@@ -226,12 +302,9 @@ def ml_fit_fringe(data: FringeData, m: MeasurementModel) -> FitResult:
     # refine from the projection start and the best phase-grid start; fall
     # back to the remaining grid starts only if those two disagree
     starts = [(a0_start, min(abs(z), 0.5), float(np.angle(z))), grid_starts[0]]
-    results = [minimize(nll, x0=np.asarray(p0, dtype=float),
-                        method="Nelder-Mead", options=_NM_OPTIONS) for p0 in starts]
+    results = [minimize(nll, p0) for p0 in starts]
     if abs(results[0].fun - results[1].fun) > 1e-6:
-        results += [minimize(nll, x0=np.asarray(p0, dtype=float),
-                             method="Nelder-Mead", options=_NM_OPTIONS)
-                    for p0 in grid_starts[1:]]
+        results += [minimize(nll, p0) for p0 in grid_starts[1:]]
     best = min(results, key=lambda r: r.fun)
     a0, a, phi0 = best.x
     if a < 0:  # fold the sign into the phase

@@ -350,23 +350,22 @@ class ControlSchedule:
 
     controls(t) samples (Omega_half, chi, delta_half) for any t in
     [0, total_duration]; a time exactly on a boundary belongs to the later
-    segment (the final boundary belongs to the last segment).
+    segment (the final boundary belongs to the last segment).  The schedule
+    is frozen, so total_duration and boundaries (the cumulative segment
+    boundaries including 0 and total_duration, a read-only array) are
+    computed once.
     """
 
     segments: tuple
 
     def __init__(self, segments: Sequence):
-        object.__setattr__(self, "segments", tuple(segments))
-
-    @property
-    def total_duration(self) -> float:
-        return float(sum(s.duration for s in self.segments))
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        """Cumulative segment boundaries including 0 and total_duration."""
-        durs = np.array([s.duration for s in self.segments], dtype=float)
-        return np.concatenate([[0.0], np.cumsum(durs)])
+        segments = tuple(segments)
+        durs = [s.duration for s in segments]
+        boundaries = np.concatenate([[0.0], np.cumsum(np.array(durs, dtype=float))])
+        boundaries.setflags(write=False)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "total_duration", float(sum(durs)))
+        object.__setattr__(self, "boundaries", boundaries)
 
     def controls(self, t):
         """Sample (Omega_half(t), chi(t), delta_half(t)) at scalar or array t."""

@@ -163,6 +163,12 @@ class TestErrorContract:
         assert err["error"] == "IntegratorError"
         assert "no convergence" in err["message"]
 
+    def test_step_grid_too_fine(self, tmp_path, capsys):
+        err = self.failing_run(tmp_path, "--scenario", "fig2e", "--set", "max_step_us=1e-9",
+                               "--set", "t_hold_us=0")
+        assert err["error"] == "IntegratorError"
+        assert "steps per build" in err["message"]
+
     @pytest.mark.parametrize("error", [
         ConfigError, spinlift.ScheduleError, spinlift.IntegratorError,
         spinlift.FitSingularError, experiments.ScenarioError, spinlift.DimensionError,

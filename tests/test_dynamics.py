@@ -261,6 +261,17 @@ class TestIntegrator:
         # fourth order predicts a 16x cut; a second-order rule gives 4x
         assert error(5e-6) > 10 * error(2.5e-6)
 
+    def test_step_grid_limit(self, monkeypatch):
+        drive = lift_schedule(self.FORWARD, 3)
+        at_cap = _step_grid(drive, np.array([]), 1e-6).size - 1
+        monkeypatch.setattr(dynamics, "_MAX_BUILD_STEPS", at_cap)
+        assert _step_grid(drive, np.array([]), 1e-6).size - 1 == at_cap
+        with pytest.raises(IntegratorError, match="steps per build") as err:
+            _step_grid(drive, np.array([]), 0.5e-6)
+        assert np.isnan(err.value.residual)
+        with pytest.raises(IntegratorError, match="steps per build"):
+            propagator(drive, IntegratorConfig(max_step=0.5e-6))
+
     def test_constant_segments_exact_in_one_build(self, monkeypatch):
         rng = np.random.default_rng(5)
         sched = random_schedule(rng)

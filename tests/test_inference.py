@@ -1,8 +1,15 @@
 """Detection model, binomial sampling, ML estimation and the fringe fit."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
+import spinlift
+from spinlift import inference
 from spinlift import (
     FitSingularError,
     FringeData,
@@ -143,6 +150,77 @@ class TestMlFitFringe:
                 errs.append((fit.a0 - true[0]) ** 2 + (fit.a - true[1]) ** 2)
             rms.append(np.sqrt(np.mean(errs)))
         assert rms[0] > rms[1] > rms[2]
+
+
+def random_fringe_nll(seed):
+    """The fit's negative log-likelihood on a random default-grid fringe,
+    and a start point with a zero coordinate now and then."""
+    rng = np.random.default_rng(seed)
+    chi = DEFAULT_FRINGE_CHI
+    a0, a, phi0 = rng.uniform(0.1, 0.9), rng.uniform(0.0, 0.5), rng.uniform(0, 2 * np.pi)
+    p = np.clip(a0 + a * np.cos(2 * chi + phi0), 0.0, 1.0)
+    counts = rng.binomial(M_DEFAULT.shots, detection_map(p, M_DEFAULT)).astype(float)
+    ll = inference._make_log_likelihood(chi, counts, M_DEFAULT.shots, M_DEFAULT)
+    x0 = np.array([rng.uniform(0, 1), rng.uniform(0, 0.5), rng.uniform(0, 2 * np.pi)])
+    if seed % 3 == 0:
+        x0[seed % 2 + 1] = 0.0
+    return (lambda q: -ll(q)), x0
+
+
+class TestNelderMead:
+    """inference.minimize takes scipy's Nelder-Mead steps exactly."""
+
+    @staticmethod
+    def assert_same_as_scipy(nll, x0):
+        ours = inference.minimize(nll, x0)
+        ref = scipy_minimize(nll, x0, method="Nelder-Mead", options=inference._NM_OPTIONS)
+        assert np.array_equal(ours.x, ref.x)
+        assert ours.fun == ref.fun
+        assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
+        return ours
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scipy(self, seed):
+        self.assert_same_as_scipy(*random_fringe_nll(seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("maxfev", [2, 4, 41])
+    def test_maxfev_stop_matches_scipy(self, monkeypatch, seed, maxfev):
+        monkeypatch.setattr(inference, "_NM_OPTIONS",
+                            {**inference._NM_OPTIONS, "maxfev": maxfev})
+        assert self.assert_same_as_scipy(*random_fringe_nll(seed)).nfev == maxfev
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_maxiter_stop_matches_scipy(self, monkeypatch, seed):
+        monkeypatch.setattr(inference, "_NM_OPTIONS",
+                            {**inference._NM_OPTIONS, "maxiter": 17})
+        assert self.assert_same_as_scipy(*random_fringe_nll(seed)).nit == 17
+
+    def test_fit_matches_scipy_fit(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        chi = DEFAULT_FRINGE_CHI
+        datasets = [FringeData(chi, rng.binomial(200, detection_map(
+            np.clip(0.5 + a * np.cos(2 * chi + 0.7), 0, 1), M_DEFAULT)).astype(float), 200)
+            for a in (0.0, 0.2, 0.5)]
+        ours = [ml_fit_fringe(d, M_DEFAULT) for d in datasets]
+        monkeypatch.setattr(inference, "minimize", lambda fun, x0: scipy_minimize(
+            fun, x0, method="Nelder-Mead", options=inference._NM_OPTIONS))
+        assert ours == [ml_fit_fringe(d, M_DEFAULT) for d in datasets]
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, numpy as np, spinlift, spinlift.cli, spinlift.acceptance\n"
+            "chi = np.linspace(0.0, np.pi, 9)\n"
+            "counts = np.round(100 + 80 * np.cos(2 * chi + 1.0))\n"
+            "m = spinlift.MeasurementModel()\n"
+            "spinlift.ml_fit_fringe(spinlift.FringeData(chi, counts, m.shots), m)\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(spinlift.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 class TestDarkStateFidelity:

@@ -313,6 +313,18 @@ class TestScheduleSampling:
         with pytest.raises(ScheduleError):
             sched.controls(2e-6)
 
+    def test_boundaries_computed_once_and_read_only(self):
+        sched = composite_method(bb1_sequence(np.pi / 2, 0.3), OMEGA0)
+        durations = [s.duration for s in sched.segments]
+        assert np.array_equal(sched.boundaries, np.concatenate([[0.0], np.cumsum(durations)]))
+        assert sched.total_duration == sched.boundaries[-1] == sum(durations)
+        assert sched.boundaries is sched.boundaries
+        with pytest.raises(ValueError):
+            sched.boundaries[1] = 0.0
+        with pytest.raises(AttributeError):
+            sched.total_duration = 1.0
+        assert np.array_equal(sched.boundaries, np.concatenate([[0.0], np.cumsum(durations)]))
+
 
 class TestGainCurveHook:
     def test_identity_curve_is_noop(self):
