@@ -103,16 +103,16 @@ def _convert(key: str, spec: KeySpec, value):
             v = float(value)
         except (TypeError, ValueError):
             fail("expected a number")
+        if kind.startswith("freq"):
+            v *= TWO_PI
+        elif kind.startswith("time"):
+            v *= 1e-6
         if not np.isfinite(v):
-            fail("expected a finite number")
+            fail("expected a number that is finite in rad/s and seconds")
         if kind in ("freq", "time", "nonneg") and v < 0:
             fail("must be >= 0")
         if kind in ("freq_pos", "time_pos", "pos") and v <= 0:
             fail("must be > 0")
-        if kind.startswith("freq"):
-            return v * TWO_PI
-        if kind.startswith("time"):
-            return v * 1e-6
         return v
     if kind in ("int", "int0"):
         try:

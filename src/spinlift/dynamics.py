@@ -163,17 +163,29 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns atomically under one header line; integers
+    whole, other values as %.12g."""
+    def cell(v) -> str:
+        return str(v) if isinstance(v, int) else "%.12g" % v
+
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    _write_atomic(path, "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n")
+
+
+def _population_columns(times: np.ndarray, populations: np.ndarray) -> tuple[str, list]:
+    """Header and columns of a populations CSV: time_us, p_0 .. p_{d-1}
+    (basis index order), p_f1 = 1 - P(m=0 level)."""
+    pops = np.asarray(populations)
+    d = pops.shape[1]
+    header = "time_us," + ",".join(f"p_{k}" for k in range(d)) + ",p_f1"
+    return header, [np.asarray(times) * 1e6, *pops.T, 1.0 - pops[:, _middle_level(d)]]
+
+
 def write_populations_csv(path, times: np.ndarray, populations: np.ndarray) -> None:
     """Write populations over time atomically.  Columns: time_us, p_0 ..
     p_{d-1} (basis index order), p_f1 = 1 - P(m=0 level); values as %.12g."""
-    pops = np.asarray(populations)
-    d = pops.shape[1]
-    mid = _middle_level(d)
-    lines = ["time_us," + ",".join(f"p_{k}" for k in range(d)) + ",p_f1"]
-    for t, row in zip(times, pops):
-        lines.append(",".join([f"{t * 1e6:.12g}", *(f"{p:.12g}" for p in row),
-                               f"{1.0 - row[mid]:.12g}"]))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(path, *_population_columns(times, populations))
 
 
 def hamiltonian(drive: MultiLevelDrive, t) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,14 +49,18 @@ from .waveforms import (
     TWO_PI,
 )
 from .dynamics import (
+    _MAX_BUILD_STEPS,
     IntegratorConfig,
+    IntegratorError,
+    _population_columns,
     _write_atomic,
+    _write_csv,
     propagate,
     propagator,
     propagators,
-    write_populations_csv,
 )
 from .inference import (
+    FitResult,
     FitSingularError,
     FringeData,
     MeasurementModel,
@@ -65,6 +69,7 @@ from .inference import (
     infidelity_per_op,
     ml_estimate_single,
     ml_fit_fringe,
+    sample_counts,
 )
 
 __all__ = [
@@ -167,11 +172,20 @@ class ScenarioReport:
             indent=2, sort_keys=True)
 
 
-def _write_report(report: ScenarioReport, out_dir: str | None) -> ScenarioReport:
-    if out_dir is None:
-        return report
-    path = os.path.join(out_dir, f"{report.name}_{report.seed}.json")
-    _write_atomic(path, report.to_json())
+def _report(name: str, seed: int, inputs: dict, outputs: dict, out_dir: str | None,
+            **csvs) -> ScenarioReport:
+    """The scenario's report.  With out_dir, each CSV artifact
+    (key=(file name, header, columns)) is written there, then the report
+    JSON, which names the artifacts by key."""
+    artifacts = {}
+    if out_dir is not None:
+        for key, (file_name, header, columns) in csvs.items():
+            _write_csv(os.path.join(out_dir, file_name), header, columns)
+            artifacts[key] = file_name
+    report = ScenarioReport(name=name, seed=seed, inputs=inputs, outputs=outputs,
+                            artifacts=artifacts)
+    if out_dir is not None:
+        _write_atomic(os.path.join(out_dir, f"{name}_{seed}.json"), report.to_json())
     return report
 
 
@@ -223,12 +237,8 @@ def zeeman_quadrature(sigma: float, n_nodes: int = 21):
 def transfer_schedules(method: str, params: AdiabaticParams) -> tuple[ControlSchedule, ControlSchedule, float]:
     """(forward, reverse, omega0) op schedules for 'adiabatic' or 'tbb1'."""
     if method == "adiabatic":
-        fwd = adiabatic_method(AdiabaticParams(
-            params.omega0, params.delta0, params.t_omega, params.t_delta,
-            t_hold=0.0, direction="forward"))
-        rev = adiabatic_method(AdiabaticParams(
-            params.omega0, params.delta0, params.t_omega, params.t_delta,
-            t_hold=0.0, direction="reverse"))
+        fwd, rev = (adiabatic_method(replace(params, t_hold=0.0, direction=direction))
+                    for direction in ("forward", "reverse"))
         return fwd, rev, params.omega0
     if method == "tbb1":
         seq = bb1_sequence()
@@ -253,6 +263,25 @@ def _apply_channel(rho: np.ndarray, unitaries: Sequence[np.ndarray],
     return out
 
 
+def _transfers(rho: np.ndarray, ops: range, fwd_u, rev_u, weights: np.ndarray) -> np.ndarray:
+    """rho after the transfer operations numbered ops, each a channel over
+    the Zeeman nodes: forward for an even number, reverse for an odd one."""
+    for k in ops:
+        rho = _apply_channel(rho, fwd_u if k % 2 == 0 else rev_u, weights)
+    return rho
+
+
+def _sample_times(total: float, step: float, *nodes: float) -> np.ndarray:
+    """Every step from 0 up to total, plus the given nodes and total.  Each
+    sample time is a forced node of every build, so more than
+    _MAX_BUILD_STEPS of them are refused before they are allocated."""
+    if total / step > _MAX_BUILD_STEPS:
+        raise IntegratorError(
+            f"sampling {total:.3e} s every {step:.3e} s needs {total / step:.3e} steps per "
+            f"build, more than the limit of {_MAX_BUILD_STEPS}", float("nan"))
+    return np.unique(np.concatenate([np.arange(0.0, total, step), [*nodes, total]]))
+
+
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
@@ -267,13 +296,10 @@ def run_adiabatic_transfer(params: AdiabaticParams = NOMINAL_ADIABATIC,
     """Round-trip adiabatic transfer |0> -> |D> -> (hold) -> |0>: emits the
     P(F=1) trajectory, the mid-point fidelity to |D> and the final fidelity
     to |0>."""
-    schedule = adiabatic_method(AdiabaticParams(
-        params.omega0, params.delta0, params.t_omega, params.t_delta,
-        params.t_hold, direction="round-trip"))
+    schedule = adiabatic_method(replace(params, direction="round-trip"))
     total = schedule.total_duration
     t_mid = params.t_delta
-    times = np.unique(np.concatenate(
-        [np.arange(0.0, total, sample_step), [t_mid, total]]))
+    times = _sample_times(total, sample_step, t_mid)
     shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
     traj = propagate(DressedDrive(schedule, noise, shifts, 3, params.omega0),
                      _D3_ZERO, cfg, times)  # states: (time, Zeeman node, level)
@@ -290,16 +316,9 @@ def run_adiabatic_transfer(params: AdiabaticParams = NOMINAL_ADIABATIC,
         "per_op_infidelity": (1.0 - fid_end) / 2.0,
         "total_duration_s": total,
     }
-    artifacts = {}
-    if out_dir is not None:
-        csv_path = os.path.join(out_dir, f"{name}_{seed}.csv")
-        write_populations_csv(csv_path, times, pops)
-        artifacts["trajectory_csv"] = os.path.basename(csv_path)
-    report = ScenarioReport(
-        name=name, seed=seed,
-        inputs={"params": _adiabatic_dict(params), "noise": asdict(noise)},
-        outputs=outputs, artifacts=artifacts)
-    return _write_report(report, out_dir)
+    return _report(name, seed, {"params": _adiabatic_dict(params), "noise": asdict(noise)},
+                   outputs, out_dir,
+                   trajectory_csv=(f"{name}_{seed}.csv", *_population_columns(times, pops)))
 
 
 def _adiabatic_dict(p: AdiabaticParams) -> dict:
@@ -322,7 +341,7 @@ def run_tbb1(delta_omega: float = 0.0,
     noise = NoiseParams(common_rabi_error=delta_omega)
     drive = DressedDrive(schedule, noise, 0.0, 3, omega0)
     total = schedule.total_duration
-    times = np.unique(np.concatenate([np.arange(0.0, total, 0.25e-6), [total]]))
+    times = _sample_times(total, 0.25e-6)
     traj = propagate(drive, _D3_ZERO, cfg, times)
     psi_end = traj.state(len(times) - 1)
     fid = state_fidelity(psi_end, _D3_DARK)
@@ -332,16 +351,11 @@ def run_tbb1(delta_omega: float = 0.0,
         "final_p_f1": float(traj.p_f1[-1]),
         "sequence_duration_us": (total - protect_duration) * 1e6,
     }
-    artifacts = {}
-    if out_dir is not None:
-        csv_path = os.path.join(out_dir, f"{name}_{seed}.csv")
-        traj.to_csv(csv_path)
-        artifacts["trajectory_csv"] = os.path.basename(csv_path)
-    report = ScenarioReport(
-        name=name, seed=seed,
-        inputs={"delta_omega_hz": delta_omega / TWO_PI, "omega0_hz": omega0 / TWO_PI},
-        outputs=outputs, artifacts=artifacts)
-    return _write_report(report, out_dir)
+    return _report(name, seed,
+                   {"delta_omega_hz": delta_omega / TWO_PI, "omega0_hz": omega0 / TWO_PI},
+                   outputs, out_dir,
+                   trajectory_csv=(f"{name}_{seed}.csv",
+                                   *_population_columns(traj.times, traj.populations)))
 
 
 def sweep_pulse_area(method: str, areas: Sequence[float],
@@ -384,21 +398,23 @@ DEFAULT_FRINGE_CHI = np.linspace(0.0, np.pi, 20, endpoint=False)
 def run_fringe_experiment(rho: np.ndarray, m: MeasurementModel,
                           chi_grid: np.ndarray = DEFAULT_FRINGE_CHI,
                           rng: np.random.Generator | None = None,
-                          exact: bool = False) -> tuple[FringeData, "FitResult"]:
+                          exact: bool = False) -> tuple[FringeData, FitResult]:
     """Fringe protocol on a prepared qutrit state: sweep the analysis-pulse
     phase, map the |0> population through the detection model, draw binomial
     counts (or use exact expected counts) and run the ML fit."""
-    p0 = np.array([fringe_prediction(rho, chi) for chi in chi_grid])
-    q = np.clip([detection_map(p, m) for p in p0], 0.0, 1.0)
-    if exact:
-        counts = m.shots * q
-    else:
-        if rng is None:
-            rng = m.rng()
-        counts = rng.binomial(m.shots, q).astype(float)
-    data = FringeData(chi=chi_grid, counts=counts, shots=m.shots)
-    fit = ml_fit_fringe(data, m)
-    return data, fit
+    return _measured_fringe(fringe_prediction(rho, chi_grid), chi_grid, m, rng, exact)
+
+
+def _measured_fringe(p: np.ndarray, chi: np.ndarray, m: MeasurementModel,
+                     rng: np.random.Generator | None = None,
+                     exact: bool = False) -> tuple[FringeData, FitResult]:
+    """The fringe of probabilities p at phases chi as measured under m: the
+    detection map, binomial counts (the expected counts when exact; m's own
+    generator when rng is None) and the ML fit."""
+    q = np.clip(detection_map(np.clip(p, 0.0, 1.0), m), 0.0, 1.0)
+    counts = m.shots * q if exact else sample_counts(q, m, rng).astype(float)
+    data = FringeData(chi=chi, counts=counts, shots=m.shots)
+    return data, ml_fit_fringe(data, m)
 
 
 def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
@@ -438,10 +454,8 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
     xs, fids_raw, fid_errs, fids_exact = [], [], [], []
     fits = []
     for i, n_ops in enumerate(sorted(ns)):
-        rho = rho0
-        for k in range(n_ops):
-            rho = _apply_channel(rho, fwd_u if k % 2 == 0 else rev_u, weights)
-        rho = _apply_channel(rho, fwd_u, weights)  # final forward: read out |D>
+        # n_ops is even, so the last operation is a forward one: read out |D>
+        rho = _transfers(rho0, range(n_ops + 1), fwd_u, rev_u, weights)
         x = n_ops + 1
         rng = np.random.default_rng([seed, i])
         _, fit = run_fringe_experiment(rho, m, chi_grid, rng=rng)
@@ -464,20 +478,13 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
         "fidelity_err": fid_errs,
         "fidelity_exact": fids_exact,
     }
-    artifacts = {}
-    if out_dir is not None:
-        csv_path = os.path.join(out_dir, f"{name}_{seed}.csv")
-        lines = ["n_ops,maps,fidelity,fidelity_err,fidelity_exact"]
-        for n_ops, x, f, e, fe in zip(sorted(ns), xs, fids_raw, fid_errs, fids_exact):
-            lines.append(f"{n_ops},{x},{f:.12g},{e:.12g},{fe:.12g}")
-        _write_atomic(csv_path, "\n".join(lines) + "\n")
-        artifacts["fidelity_csv"] = os.path.basename(csv_path)
-    report = ScenarioReport(
-        name=name, seed=seed,
-        inputs={"method": method, "ns": ns, "noise": asdict(noise),
-                "shots": m.shots, "params": _adiabatic_dict(params)},
-        outputs=outputs, artifacts=artifacts)
-    return _write_report(report, out_dir)
+    return _report(name, seed,
+                   {"method": method, "ns": ns, "noise": asdict(noise),
+                    "shots": m.shots, "params": _adiabatic_dict(params)},
+                   outputs, out_dir,
+                   fidelity_csv=(f"{name}_{seed}.csv",
+                                 "n_ops,maps,fidelity,fidelity_err,fidelity_exact",
+                                 [sorted(ns), xs, fids_raw, fid_errs, fids_exact]))
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +531,7 @@ def run_ramsey_dressed_qubit(n_transfers: int,
 
     fwd_s, rev_s, omega0 = transfer_schedules("adiabatic", params)
     shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+    fwd_u = rev_u = None
     if n_transfers > 0:
         fwd_u = _op_unitaries(fwd_s, noise, shifts, cfg, 4, omega0)
         rev_u = _op_unitaries(rev_s, noise, shifts, cfg, 4, omega0)
@@ -533,14 +541,10 @@ def run_ramsey_dressed_qubit(n_transfers: int,
     pi2 = _clock_unitary(np.pi / 2, 0.0)
     echo = _clock_unitary(np.pi, 0.0)
     rho = pi2 @ rho @ pi2.conj().T
-    k = 0
-    for _ in range(n_transfers // 2):
-        rho = _apply_channel(rho, fwd_u if k % 2 == 0 else rev_u, weights)
-        k += 1
+    half = n_transfers // 2
+    rho = _transfers(rho, range(half), fwd_u, rev_u, weights)
     rho = echo @ rho @ echo.conj().T
-    for _ in range(n_transfers // 2):
-        rho = _apply_channel(rho, fwd_u if k % 2 == 0 else rev_u, weights)
-        k += 1
+    rho = _transfers(rho, range(half, n_transfers), fwd_u, rev_u, weights)
 
     p_f1 = np.empty(phases.size)
     for i, ph in enumerate(phases):
@@ -556,11 +560,8 @@ def run_ramsey_dressed_qubit(n_transfers: int,
         contrast = 2.0 * amp
         contrast_err = 0.0
     else:
-        rng = np.random.default_rng([seed, n_transfers])
-        q = np.clip([detection_map(p, m) for p in np.clip(p_f1, 0.0, 1.0)], 0.0, 1.0)
-        counts = rng.binomial(m.shots, q).astype(float)
-        fit = ml_fit_fringe(FringeData(chi=phases / 2.0, counts=counts,
-                                       shots=m.shots), m)
+        _, fit = _measured_fringe(p_f1, phases / 2.0, m,
+                                  np.random.default_rng([seed, n_transfers]))
         a0, amp = fit.a0, fit.a
         contrast = 2.0 * fit.a
         contrast_err = 2.0 * fit.a_err
@@ -572,21 +573,12 @@ def run_ramsey_dressed_qubit(n_transfers: int,
         "qubit_map_fidelity": map_fidelity,
         "qubit_map_infidelity": 1.0 - map_fidelity,
     }
-    artifacts = {}
-    if out_dir is not None:
-        csv_path = os.path.join(out_dir, f"{name}_{seed}.csv")
-        lines = ["phase_rad,p_f1"]
-        for ph, p in zip(phases, p_f1):
-            lines.append(f"{ph:.12g},{p:.12g}")
-        _write_atomic(csv_path, "\n".join(lines) + "\n")
-        artifacts["fringe_csv"] = os.path.basename(csv_path)
-    report = ScenarioReport(
-        name=name, seed=seed,
-        inputs={"n_transfers": n_transfers, "noise": asdict(noise),
-                "params": _adiabatic_dict(params),
-                "shots": None if m is None else m.shots},
-        outputs=outputs, artifacts=artifacts)
-    return _write_report(report, out_dir)
+    return _report(name, seed,
+                   {"n_transfers": n_transfers, "noise": asdict(noise),
+                    "params": _adiabatic_dict(params),
+                    "shots": None if m is None else m.shots},
+                   outputs, out_dir,
+                   fringe_csv=(f"{name}_{seed}.csv", "phase_rad,p_f1", [phases, p_f1]))
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +605,7 @@ def verify_reversal(d: int, cfg: IntegratorConfig = IntegratorConfig(),
     max_dev = max(devs.values())
     outputs = {"max_dev": max_dev, "pass": bool(max_dev < 1e-10),
                **{f"dev_{k}": v for k, v in devs.items()}}
-    report = ScenarioReport(name=name, seed=seed, inputs={"d": d},
-                            outputs=outputs)
-    return _write_report(report, out_dir)
+    return _report(name, seed, {"d": d}, outputs, out_dir)
 
 
 def rotation_cycle_check(seed: int = 0, out_dir: str | None = None,
@@ -639,8 +629,7 @@ def rotation_cycle_check(seed: int = 0, out_dir: str | None = None,
             max_dev = max(max_dev, dev)
             details[f"dev_{label}_step{step + 1}_{target_name}"] = dev
     outputs = {"max_dev": max_dev, "pass": bool(max_dev < 1e-10), **details}
-    report = ScenarioReport(name=name, seed=seed, inputs={}, outputs=outputs)
-    return _write_report(report, out_dir)
+    return _report(name, seed, {}, outputs, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -668,21 +657,14 @@ def run_fig4b(m: MeasurementModel | None = None,
                "dark_state_fidelity": fit.fidelity,
                "exact_fidelity": float(np.real(
                    _D3_DARK.amps.conj() @ rho @ _D3_DARK.amps))}
-    artifacts = {}
-    if out_dir is not None:
-        csv_path = os.path.join(out_dir, f"{name}_{seed}.csv")
-        lines = ["chi_rad,k,n,p0_corrected"]
-        for chi, k in zip(data.chi, data.counts):
-            lines.append(f"{chi:.12g},{int(k)},{m.shots},"
-                         f"{ml_estimate_single(k, m):.12g}")
-        _write_atomic(csv_path, "\n".join(lines) + "\n")
-        artifacts["fringe_csv"] = os.path.basename(csv_path)
-    report = ScenarioReport(
-        name=name, seed=seed,
-        inputs={"shots": m.shots, "noise": asdict(noise),
-                "params": _adiabatic_dict(params)},
-        outputs=outputs, artifacts=artifacts)
-    return _write_report(report, out_dir)
+    return _report(name, seed,
+                   {"shots": m.shots, "noise": asdict(noise),
+                    "params": _adiabatic_dict(params)},
+                   outputs, out_dir,
+                   fringe_csv=(f"{name}_{seed}.csv", "chi_rad,k,n,p0_corrected",
+                               [data.chi, data.counts.astype(int),
+                                np.full(data.chi.size, m.shots),
+                                [ml_estimate_single(k, m) for k in data.counts]]))
 
 
 def run_fig3d(areas: np.ndarray | None = None,
@@ -703,20 +685,12 @@ def run_fig3d(areas: np.ndarray | None = None,
         out[f"max_infidelity_{method}_092_108"] = float(np.max(infid[band]))
     out["flatness_ratio"] = (out["max_infidelity_tbb1_092_108"]
                              / out["max_infidelity_single_092_108"])
-    artifacts = {}
-    if out_dir is not None:
-        for method, res in results.items():
-            csv_path = os.path.join(out_dir, f"{name}_{seed}_{method}.csv")
-            lines = ["area,p_f1"]
-            for a, p in zip(res["areas"], res["p_f1"]):
-                lines.append(f"{a:.12g},{p:.12g}")
-            _write_atomic(csv_path, "\n".join(lines) + "\n")
-            artifacts[f"sweep_csv_{method}"] = os.path.basename(csv_path)
-    report = ScenarioReport(
-        name=name, seed=seed,
-        inputs={"areas": [float(a) for a in areas], "omega0_hz": omega0 / TWO_PI},
-        outputs=out, artifacts=artifacts)
-    return _write_report(report, out_dir)
+    return _report(name, seed,
+                   {"areas": [float(a) for a in areas], "omega0_hz": omega0 / TWO_PI},
+                   out, out_dir,
+                   **{f"sweep_csv_{method}": (f"{name}_{seed}_{method}.csv", "area,p_f1",
+                                              [res["areas"], res["p_f1"]])
+                      for method, res in results.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -798,12 +772,10 @@ def _scn_static_error(p: dict, seed: int, out_dir) -> ScenarioReport:
         cfg=_cfg_from_params(p),
         params=AdiabaticParams(p["omega0"], p["delta0"], p["t_omega"],
                                p["t_delta"], 0.0))
-    report = ScenarioReport(
-        name="static-error", seed=seed,
-        inputs={"rabi_mismatch": p["rabi_mismatch"],
-                "static_detuning_hz": p["static_detuning"] / TWO_PI},
-        outputs={"infidelity": infid, "pass_1e-4": bool(infid < 1e-4)})
-    return _write_report(report, out_dir)
+    return _report("static-error", seed,
+                   {"rabi_mismatch": p["rabi_mismatch"],
+                    "static_detuning_hz": p["static_detuning"] / TWO_PI},
+                   {"infidelity": infid, "pass_1e-4": bool(infid < 1e-4)}, out_dir)
 
 
 SCENARIOS: dict[str, tuple[str, Callable]] = {

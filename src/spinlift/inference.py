@@ -17,11 +17,12 @@ the ~97% fluorescence-detection fidelity of the modeled apparatus).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .spin import DimensionError, SpinliftError
+from .spin import DimensionError, SpinliftError, angular_momentum_ops
 from .waveforms import lift_schedule, square_pulse
 from .dynamics import IntegratorConfig, propagator
 
@@ -346,22 +347,31 @@ def dark_state_fidelity(fit: FitResult) -> float:
 
 
 _ANALYSIS_OMEGA0 = TWO_PI * 40e3
-_analysis_cache: dict = {}
 
 
-def analysis_pulse_unitary(chi: float, omega0: float = _ANALYSIS_OMEGA0) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _analysis_pulse_at_zero(omega0: float) -> np.ndarray:
+    """The analysis pulse at phase 0, propagated once per omega0; read-only,
+    since every caller shares it."""
+    drive = lift_schedule(square_pulse(np.pi / 2, 0.0, omega0), 3)
+    u = propagator(drive, IntegratorConfig()).mat.copy()
+    u.setflags(write=False)
+    return u
+
+
+def analysis_pulse_unitary(chi, omega0: float = _ANALYSIS_OMEGA0) -> np.ndarray:
     """Exact qutrit propagator of the resonant pi/2 analysis pulse at phase chi
-    (duration pi / (2 Omega_half)), computed by propagation of the lifted drive."""
-    key = (round(float(chi), 15), float(omega0))
-    if key not in _analysis_cache:
-        drive = lift_schedule(square_pulse(np.pi / 2, float(chi), omega0), 3)
-        _analysis_cache[key] = propagator(drive, IntegratorConfig()).mat
-    return _analysis_cache[key]
+    (duration pi / (2 Omega_half)); an array of chi gives shape chi.shape +
+    (3, 3).  The phase is a turn about z, so the pulse at chi is
+    exp(-i chi Jz) U0 exp(i chi Jz), U0 the propagated pulse at chi = 0."""
+    m = np.diag(angular_momentum_ops(3).jz).real
+    turn = np.exp(-1j * np.multiply.outer(np.asarray(chi, dtype=float), m))
+    return turn[..., :, None] * _analysis_pulse_at_zero(float(omega0)) * turn.conj()[..., None, :]
 
 
-def fringe_prediction(rho: np.ndarray, chi: float, omega0: float = _ANALYSIS_OMEGA0) -> float:
+def fringe_prediction(rho: np.ndarray, chi, omega0: float = _ANALYSIS_OMEGA0):
     """Population in |0> after the analysis pulse at phase chi, for a qutrit
-    density matrix rho (computed by exact propagation, not a closed form)."""
+    density matrix rho; an array of chi gives an array of populations."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise DimensionError(f"expected a 3x3 density matrix, got shape {rho.shape}")
@@ -371,9 +381,11 @@ def fringe_prediction(rho: np.ndarray, chi: float, omega0: float = _ANALYSIS_OME
         raise ValueError("density matrix trace differs from 1")
     if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -1e-9:
         raise ValueError("density matrix is not positive")
-    u = analysis_pulse_unitary(chi, omega0)
-    row = u[1]  # <0| U
-    return float(np.clip(np.real(row @ rho @ row.conj()), 0.0, 1.0))
+    row = analysis_pulse_unitary(chi, omega0)[..., 1, :]  # <0| U
+    # elementwise, so each chi gets the same arithmetic whatever the shape
+    p = np.clip(np.sum(row[..., :, None] * rho * row.conj()[..., None, :],
+                       axis=(-2, -1)).real, 0.0, 1.0)
+    return p if p.ndim else float(p)
 
 
 def infidelity_per_op(points: Sequence[tuple]) -> tuple[float, float]:

@@ -396,12 +396,6 @@ class ControlSchedule:
             return tuple(float(x[0]) for x in out)
         return out
 
-    def scaled_amplitude(self, factor: float) -> "ControlSchedule":
-        """Same schedule with every Rabi amplitude multiplied by factor."""
-        from dataclasses import replace
-        return ControlSchedule(
-            [replace(s, amplitude_scale=s.amplitude_scale * factor) for s in self.segments])
-
     def __eq__(self, other):
         return isinstance(other, ControlSchedule) and self.segments == other.segments
 

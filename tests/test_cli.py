@@ -169,6 +169,22 @@ class TestErrorContract:
         assert err["error"] == "IntegratorError"
         assert "steps per build" in err["message"]
 
+    @pytest.mark.parametrize("scenario", ["fig3d", "verify-reversal"])
+    def test_frequency_infinite_in_rad_per_s(self, tmp_path, capsys, scenario):
+        # 1e308 Hz is finite, but 2 pi 1e308 rad/s is not
+        err = self.failing_run(tmp_path, "--scenario", scenario, "--set", "omega0_hz=1e308")
+        assert err["error"] == "ConfigError"
+        assert "omega0_hz" in err["message"]
+
+    @pytest.mark.parametrize("args", [
+        ["--scenario", "fig2e", "--set", "t_hold_us=1e308"],
+        ["--scenario", "fig2e", "--set", "t_hold_us=1e8"],
+        ["--scenario", "fig3c", "--set", "omega0_hz=1", "--set", "delta_omega_hz=0"]])
+    def test_sample_grid_too_large(self, tmp_path, capsys, args):
+        err = self.failing_run(tmp_path, *args)
+        assert err["error"] == "IntegratorError"
+        assert "steps per build" in err["message"]
+
     @pytest.mark.parametrize("error", [
         ConfigError, spinlift.ScheduleError, spinlift.IntegratorError,
         spinlift.FitSingularError, experiments.ScenarioError, spinlift.DimensionError,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -36,7 +37,9 @@ from spinlift.experiments import (
     transfer_schedules,
     zeeman_quadrature,
 )
-from spinlift import acceptance, dynamics
+from spinlift import acceptance, dynamics, experiments
+from spinlift.dynamics import IntegratorError
+from spinlift.inference import ml_estimate_single
 from spinlift.dynamics import propagate, propagator
 from spinlift.spin import DimensionError
 from spinlift.waveforms import MultiLevelDrive, lift_schedule, TWO_PI
@@ -247,6 +250,13 @@ class TestRamsey:
         rep = run_ramsey_dressed_qubit(4, m=m, cfg=FAST, params=NOMINAL_ADIABATIC)
         assert rep.outputs["contrast"] == pytest.approx(1.0, abs=0.05)
         assert rep.outputs["qubit_map_infidelity"] < 0.05
+
+    def test_zero_transfers_build_no_transfer_unitaries(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("transfer unitaries built for n_transfers = 0")
+
+        monkeypatch.setattr(experiments, "_op_unitaries", refuse)
+        assert run_ramsey_dressed_qubit(0).outputs["contrast"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestReversalChecks:
@@ -551,3 +561,88 @@ class TestBatchedScenarios:
         with pytest.raises(FitSingularError, match="2 distinct operation counts"):
             measure_fidelity_vs_n("tbb1", ns, MeasurementModel(shots=200, seed=1), cfg=FAST)
         assert builds == []
+
+
+class TestSampleGrid:
+    """Every sample time is a forced node of every build, so a sample grid
+    over the build limit is refused before it is allocated."""
+
+    def test_limit(self):
+        limit = dynamics._MAX_BUILD_STEPS
+        assert experiments._sample_times(float(limit), 1.0).size == limit + 1
+        with pytest.raises(IntegratorError, match="steps per build") as exc:
+            experiments._sample_times(limit + 1.0, 1.0)
+        assert math.isnan(exc.value.residual)
+
+    def test_long_hold_refused_before_propagating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("propagated an oversized sample grid")
+
+        monkeypatch.setattr(experiments, "propagate", refuse)
+        with pytest.raises(IntegratorError, match="steps per build"):
+            run_adiabatic_transfer(dataclasses.replace(NOMINAL_ADIABATIC, t_hold=1.0))
+
+
+class TestScenarioCsvs:
+    """The scenario CSVs, written by one column writer, equal byte for byte
+    what the per-runner line builders it replaced wrote (copied here as
+    references)."""
+
+    @staticmethod
+    def lines(*rows) -> bytes:
+        return ("\n".join(rows) + "\n").encode()
+
+    @pytest.mark.parametrize("shots", [200, 10**15])  # %.12g would round the second
+    def test_fig4b(self, tmp_path, monkeypatch, shots):
+        fringes = []
+        real = experiments.run_fringe_experiment
+
+        def recorded(*args, **kwargs):
+            fringes.append(real(*args, **kwargs))
+            return fringes[-1]
+
+        monkeypatch.setattr(experiments, "run_fringe_experiment", recorded)
+        m = MeasurementModel(shots=shots, seed=7)
+        experiments.run_fig4b(m, cfg=FAST, seed=7, out_dir=str(tmp_path))
+        [(data, _)] = fringes
+        assert (tmp_path / "fig4b_7.csv").read_bytes() == self.lines(
+            "chi_rad,k,n,p0_corrected",
+            *(f"{chi:.12g},{int(k)},{m.shots},{ml_estimate_single(k, m):.12g}"
+              for chi, k in zip(data.chi, data.counts)))
+
+    def test_fig4c(self, tmp_path):
+        rep = measure_fidelity_vs_n(
+            "tbb1", [4, 2], MeasurementModel(shots=500, seed=3),
+            noise=NoiseParams(quasi_static_zeeman_sigma=TWO_PI * 200.0), cfg=FAST,
+            out_dir=str(tmp_path))
+        o = rep.outputs
+        xs = [int(x) for x in o["map_counts"]]
+        assert (tmp_path / "fig4c_3.csv").read_bytes() == self.lines(
+            "n_ops,maps,fidelity,fidelity_err,fidelity_exact",
+            *(f"{n_ops},{x},{f:.12g},{e:.12g},{fe:.12g}"
+              for n_ops, x, f, e, fe in zip([2, 4], xs, o["fidelity_raw"],
+                                            o["fidelity_err"], o["fidelity_exact"])))
+
+    def test_ramsey_measured(self, tmp_path, monkeypatch):
+        fringes = []
+        real = experiments._measured_fringe
+
+        def recorded(p, *args):
+            fringes.append(p)
+            return real(p, *args)
+
+        monkeypatch.setattr(experiments, "_measured_fringe", recorded)
+        run_ramsey_dressed_qubit(4, m=MeasurementModel(shots=500, seed=9), cfg=FAST,
+                                 params=NOMINAL_ADIABATIC, seed=9, out_dir=str(tmp_path))
+        [p_f1] = fringes
+        phases = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
+        assert (tmp_path / "ramsey_9.csv").read_bytes() == self.lines(
+            "phase_rad,p_f1", *(f"{ph:.12g},{p:.12g}" for ph, p in zip(phases, p_f1)))
+
+    def test_fig3d(self, tmp_path):
+        areas = np.linspace(0.7, 1.3, 13)
+        experiments.run_fig3d(areas, cfg=FAST, seed=1, out_dir=str(tmp_path))
+        for method in ("single", "tbb1"):
+            res = sweep_pulse_area(method, areas, FAST)
+            assert (tmp_path / f"fig3d_1_{method}.csv").read_bytes() == self.lines(
+                "area,p_f1", *(f"{a:.12g},{p:.12g}" for a, p in zip(res["areas"], res["p_f1"])))

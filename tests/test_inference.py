@@ -290,6 +290,35 @@ class TestFringePrediction:
             expect = state_fidelity(StateVector(v), dark)
             assert fit.fidelity_raw == pytest.approx(expect, abs=1e-6)
 
+    def test_array_of_chi_equals_the_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+        chi = rng.uniform(-2 * np.pi, 2 * np.pi, 40)
+        p0 = fringe_prediction(rho, chi)
+        assert p0.shape == chi.shape
+        assert np.array_equal(p0, [fringe_prediction(rho, c) for c in chi])
+        assert isinstance(fringe_prediction(rho, chi[0]), float)
+
+    @pytest.mark.parametrize("omega0", [2 * np.pi * 40e3, 2 * np.pi * 7e3])
+    def test_analysis_pulse_is_the_z_turned_zero_phase_pulse(self, omega0):
+        rng = np.random.default_rng(6)
+        for chi in rng.uniform(-2 * np.pi, 2 * np.pi, 50):
+            drive = spinlift.lift_schedule(spinlift.square_pulse(np.pi / 2, chi, omega0), 3)
+            propagated = spinlift.propagator(drive, spinlift.IntegratorConfig()).mat
+            assert np.max(np.abs(inference.analysis_pulse_unitary(chi, omega0)
+                                 - propagated)) < 1e-12
+
+    def test_pulse_cache_holds_one_entry_per_omega0(self):
+        inference._analysis_pulse_at_zero.cache_clear()
+        rho = named_state(3, "D").density_matrix()
+        omegas = (2 * np.pi * 40e3, 2 * np.pi * 7e3)
+        for omega0 in omegas:
+            for chi in np.linspace(0.0, np.pi, 1000, endpoint=False):
+                fringe_prediction(rho, chi, omega0)
+        assert inference._analysis_pulse_at_zero.cache_info().currsize == len(omegas)
+        assert not inference._analysis_pulse_at_zero(omegas[0]).flags.writeable
+
     def test_invalid_density_matrix(self):
         with pytest.raises(ValueError):
             fringe_prediction(np.eye(3), 0.0)  # trace 3
