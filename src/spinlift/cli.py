@@ -89,6 +89,17 @@ class RunConfig:
     out_dir: str | None = None
 
 
+def _integer(value, fail) -> int:
+    """value as an int; a boolean or a number with a fractional part (or
+    not finite) fails rather than being truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        fail("expected an integer")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        fail("expected an integer")
+
+
 def _convert(key: str, spec: KeySpec, value):
     kind = spec.kind
     def fail(msg):
@@ -99,6 +110,8 @@ def _convert(key: str, spec: KeySpec, value):
         kind = "time_pos"
     if kind in ("freq", "freq_pos", "freq_signed", "time", "time_pos",
                 "float", "nonneg", "pos"):
+        if isinstance(value, bool):
+            fail("expected a number")
         try:
             v = float(value)
         except (TypeError, ValueError):
@@ -115,10 +128,7 @@ def _convert(key: str, spec: KeySpec, value):
             fail("must be > 0")
         return v
     if kind in ("int", "int0"):
-        try:
-            v = int(value)
-        except (TypeError, ValueError):
-            fail("expected an integer")
+        v = _integer(value, fail)
         if kind == "int" and v < 1:
             fail("must be >= 1")
         if kind == "int0" and v < 0:
@@ -129,10 +139,7 @@ def _convert(key: str, spec: KeySpec, value):
     if kind == "intlist":
         if not isinstance(value, (list, tuple)):
             fail("expected a list of integers")
-        try:
-            return [int(x) for x in value]
-        except (TypeError, ValueError):
-            fail("expected a list of integers")
+        return [_integer(x, fail) for x in value]
     raise AssertionError(f"unhandled key kind {kind}")
 
 

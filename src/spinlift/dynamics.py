@@ -46,6 +46,7 @@ from .spin import (
     SpinliftError,
     StateVector,
     Unitary,
+    _expm_hermitian,
     angular_momentum_ops,
     lift_matrices,
 )
@@ -263,14 +264,6 @@ def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray):
     if form is None:
         return _dense_steps(drive, grid)
     return _su2_steps(drive, form, grid)
-
-
-def _expm_hermitian(h: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """exp(-i dt h) for Hermitian h of shape (n, ..., d, d), with one dt per
-    leading index, by spectral decomposition."""
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * dts.reshape(dts.shape + (1,) * (w.ndim - 1)))
-    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _cf4_steps(drive, grid: np.ndarray, generator, expm, compose, shape: tuple) -> np.ndarray:

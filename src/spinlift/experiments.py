@@ -38,6 +38,7 @@ from .spin import (
 )
 from .waveforms import (
     AdiabaticParams,
+    DEFAULT_PROTECT_DURATION,
     CompositeSequence,
     ControlSchedule,
     adiabatic_method,
@@ -221,12 +222,12 @@ def DressedDrive(schedule: ControlSchedule, noise: NoiseParams = NoiseParams(),
                            static_detuning=noise.static_detuning, spin_dim=3)
 
 
-def zeeman_quadrature(sigma: float, n_nodes: int = 21):
-    """(shift, weight) pairs for Gauss-Hermite averaging over the Gaussian
-    Zeeman shift; a single zero node when sigma = 0."""
+def zeeman_quadrature(sigma: float):
+    """(shift, weight) pairs for 21-node Gauss-Hermite averaging over the
+    Gaussian Zeeman shift; a single zero node when sigma = 0."""
     if sigma == 0:
         return np.array([0.0]), np.array([1.0])
-    x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
+    x, w = np.polynomial.hermite_e.hermegauss(21)
     return sigma * x, w / np.sqrt(2.0 * np.pi)
 
 
@@ -291,11 +292,10 @@ def run_adiabatic_transfer(params: AdiabaticParams = NOMINAL_ADIABATIC,
                            cfg: IntegratorConfig = IntegratorConfig(),
                            seed: int = 0,
                            out_dir: str | None = None,
-                           sample_step: float = 2.5e-6,
-                           name: str = "fig2e") -> ScenarioReport:
+                           sample_step: float = 2.5e-6) -> ScenarioReport:
     """Round-trip adiabatic transfer |0> -> |D> -> (hold) -> |0>: emits the
     P(F=1) trajectory, the mid-point fidelity to |D> and the final fidelity
-    to |0>."""
+    to |0> (report fig2e)."""
     schedule = adiabatic_method(replace(params, direction="round-trip"))
     total = schedule.total_duration
     t_mid = params.t_delta
@@ -316,9 +316,9 @@ def run_adiabatic_transfer(params: AdiabaticParams = NOMINAL_ADIABATIC,
         "per_op_infidelity": (1.0 - fid_end) / 2.0,
         "total_duration_s": total,
     }
-    return _report(name, seed, {"params": _adiabatic_dict(params), "noise": asdict(noise)},
+    return _report("fig2e", seed, {"params": _adiabatic_dict(params), "noise": asdict(noise)},
                    outputs, out_dir,
-                   trajectory_csv=(f"{name}_{seed}.csv", *_population_columns(times, pops)))
+                   trajectory_csv=(f"fig2e_{seed}.csv", *_population_columns(times, pops)))
 
 
 def _adiabatic_dict(p: AdiabaticParams) -> dict:
@@ -331,13 +331,11 @@ def run_tbb1(delta_omega: float = 0.0,
              cfg: IntegratorConfig = IntegratorConfig(),
              omega0: float = NOMINAL_ADIABATIC.omega0,
              seed: int = 0,
-             out_dir: str | None = None,
-             protect_duration: float = 20e-6,
-             name: str = "fig3c") -> ScenarioReport:
+             out_dir: str | None = None) -> ScenarioReport:
     """TBB1 composite transfer with all four pulse amplitudes offset by
-    delta_omega; emits P(F=1)(t) and the final fidelity to |D>."""
-    schedule = composite_method(bb1_sequence(), omega0, protect=True,
-                                protect_duration=protect_duration)
+    delta_omega, then the DEFAULT_PROTECT_DURATION hold; emits P(F=1)(t)
+    and the final fidelity to |D> (report fig3c)."""
+    schedule = composite_method(bb1_sequence(), omega0, protect=True)
     noise = NoiseParams(common_rabi_error=delta_omega)
     drive = DressedDrive(schedule, noise, 0.0, 3, omega0)
     total = schedule.total_duration
@@ -349,12 +347,12 @@ def run_tbb1(delta_omega: float = 0.0,
         "final_fidelity_to_dark": fid,
         "final_infidelity": 1.0 - fid,
         "final_p_f1": float(traj.p_f1[-1]),
-        "sequence_duration_us": (total - protect_duration) * 1e6,
+        "sequence_duration_us": (total - DEFAULT_PROTECT_DURATION) * 1e6,
     }
-    return _report(name, seed,
+    return _report("fig3c", seed,
                    {"delta_omega_hz": delta_omega / TWO_PI, "omega0_hz": omega0 / TWO_PI},
                    outputs, out_dir,
-                   trajectory_csv=(f"{name}_{seed}.csv",
+                   trajectory_csv=(f"fig3c_{seed}.csv",
                                    *_population_columns(traj.times, traj.populations)))
 
 
@@ -396,13 +394,14 @@ DEFAULT_FRINGE_CHI = np.linspace(0.0, np.pi, 20, endpoint=False)
 
 
 def run_fringe_experiment(rho: np.ndarray, m: MeasurementModel,
-                          chi_grid: np.ndarray = DEFAULT_FRINGE_CHI,
                           rng: np.random.Generator | None = None,
                           exact: bool = False) -> tuple[FringeData, FitResult]:
     """Fringe protocol on a prepared qutrit state: sweep the analysis-pulse
-    phase, map the |0> population through the detection model, draw binomial
-    counts (or use exact expected counts) and run the ML fit."""
-    return _measured_fringe(fringe_prediction(rho, chi_grid), chi_grid, m, rng, exact)
+    phase over DEFAULT_FRINGE_CHI, map the |0> population through the
+    detection model, draw binomial counts (or use exact expected counts) and
+    run the ML fit."""
+    return _measured_fringe(fringe_prediction(rho, DEFAULT_FRINGE_CHI), DEFAULT_FRINGE_CHI,
+                            m, rng, exact)
 
 
 def _measured_fringe(p: np.ndarray, chi: np.ndarray, m: MeasurementModel,
@@ -421,12 +420,10 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
                           noise: NoiseParams = NoiseParams(),
                           cfg: IntegratorConfig = IntegratorConfig(),
                           params: AdiabaticParams = NOMINAL_ADIABATIC,
-                          chi_grid: np.ndarray = DEFAULT_FRINGE_CHI,
                           seed: int | None = None,
-                          out_dir: str | None = None,
-                          name: str = "fig4c") -> ScenarioReport:
+                          out_dir: str | None = None) -> ScenarioReport:
     """Dark-state fidelity versus operation count and the per-operation
-    infidelity.
+    infidelity (report fig4c).
 
     For each even N, N alternating transfers (forward, reverse, ...) are
     applied followed by one final forward transfer so the fringe protocol
@@ -434,6 +431,7 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
     x = N + 1.  Zeeman noise is averaged per operation with Gauss-Hermite
     quadrature (density-matrix channels), which reproduces the exact binomial
     count statistics for independently drawn per-shot, per-operation shifts.
+    Each fringe is read at DEFAULT_FRINGE_CHI.
     """
     ns = [int(n) for n in ns]
     if any(n < 0 for n in ns):
@@ -458,7 +456,7 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
         rho = _transfers(rho0, range(n_ops + 1), fwd_u, rev_u, weights)
         x = n_ops + 1
         rng = np.random.default_rng([seed, i])
-        _, fit = run_fringe_experiment(rho, m, chi_grid, rng=rng)
+        _, fit = run_fringe_experiment(rho, m, rng=rng)
         xs.append(x)
         fids_raw.append(fit.fidelity_raw)
         fid_errs.append(fit.fidelity_err)
@@ -478,11 +476,11 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
         "fidelity_err": fid_errs,
         "fidelity_exact": fids_exact,
     }
-    return _report(name, seed,
+    return _report("fig4c", seed,
                    {"method": method, "ns": ns, "noise": asdict(noise),
                     "shots": m.shots, "params": _adiabatic_dict(params)},
                    outputs, out_dir,
-                   fidelity_csv=(f"{name}_{seed}.csv",
+                   fidelity_csv=(f"fig4c_{seed}.csv",
                                  "n_ops,maps,fidelity,fidelity_err,fidelity_exact",
                                  [sorted(ns), xs, fids_raw, fid_errs, fids_exact]))
 
@@ -504,19 +502,19 @@ def _clock_unitary(theta: float, phi: float) -> np.ndarray:
 
 
 def run_ramsey_dressed_qubit(n_transfers: int,
-                             phases: np.ndarray | None = None,
                              m: MeasurementModel | None = None,
                              noise: NoiseParams = NoiseParams(),
                              cfg: IntegratorConfig = IntegratorConfig(),
                              params: AdiabaticParams = RAMSEY_ADIABATIC,
                              seed: int = 0,
-                             out_dir: str | None = None,
-                             name: str = "ramsey") -> ScenarioReport:
-    """Ramsey test of clock-qubit coherence through adiabatic transfers.
+                             out_dir: str | None = None) -> ScenarioReport:
+    """Ramsey test of clock-qubit coherence through adiabatic transfers
+    (report ramsey).
 
     pi/2 clock pulse, N/2 alternating transfers, spin-echo pi, N/2 transfers,
-    analysis pi/2 with swept phase; the P(F=1) fringe contrast (2A for the
-    fit A0 + A cos(phi + phi0)) gives the qubit map fidelity (1 + C)/2.
+    analysis pi/2 at 32 phases evenly spaced over [0, 2 pi); the P(F=1)
+    fringe contrast (2A for the fit A0 + A cos(phi + phi0)) gives the qubit
+    map fidelity (1 + C)/2.
     N must be a multiple of 4 so each echo arm is a whole number of
     round trips (otherwise one interferometer branch is scrambled by a
     transfer applied to the state it is not designed for).
@@ -525,9 +523,7 @@ def run_ramsey_dressed_qubit(n_transfers: int,
     if n_transfers % 4 != 0:
         raise ScenarioError("n_transfers must be a multiple of 4 (whole round "
                             "trips per echo arm)")
-    if phases is None:
-        phases = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
-    phases = np.asarray(phases, dtype=float)
+    phases = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
 
     fwd_s, rev_s, omega0 = transfer_schedules("adiabatic", params)
     shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
@@ -573,12 +569,12 @@ def run_ramsey_dressed_qubit(n_transfers: int,
         "qubit_map_fidelity": map_fidelity,
         "qubit_map_infidelity": 1.0 - map_fidelity,
     }
-    return _report(name, seed,
+    return _report("ramsey", seed,
                    {"n_transfers": n_transfers, "noise": asdict(noise),
                     "params": _adiabatic_dict(params),
                     "shots": None if m is None else m.shots},
                    outputs, out_dir,
-                   fringe_csv=(f"{name}_{seed}.csv", "phase_rad,p_f1", [phases, p_f1]))
+                   fringe_csv=(f"ramsey_{seed}.csv", "phase_rad,p_f1", [phases, p_f1]))
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +583,11 @@ def run_ramsey_dressed_qubit(n_transfers: int,
 
 def verify_reversal(d: int, cfg: IntegratorConfig = IntegratorConfig(),
                     omega0: float = NOMINAL_ADIABATIC.omega0,
-                    seed: int = 0, out_dir: str | None = None,
-                    name: str = "verify-reversal") -> ScenarioReport:
+                    seed: int = 0, out_dir: str | None = None) -> ScenarioReport:
     """Builds the amplitude-reversing pi rotation three ways (direct lift of
     (a=0, b=i), rotation about x by pi, and the propagator of a lifted
     resonant pi pulse) and checks all of them against the anti-diagonal
-    i^(d+1) delta_{d+1, r+s} up to global phase."""
+    i^(d+1) delta_{d+1, r+s} up to global phase (report verify-reversal)."""
     if not 2 <= d <= 8:
         raise ScenarioError(f"d must be in 2..8, got {d}")
     target = (1j ** (d + 1)) * np.fliplr(np.eye(d)).astype(complex)
@@ -605,14 +600,13 @@ def verify_reversal(d: int, cfg: IntegratorConfig = IntegratorConfig(),
     max_dev = max(devs.values())
     outputs = {"max_dev": max_dev, "pass": bool(max_dev < 1e-10),
                **{f"dev_{k}": v for k, v in devs.items()}}
-    return _report(name, seed, {"d": d}, outputs, out_dir)
+    return _report("verify-reversal", seed, {"d": d}, outputs, out_dir)
 
 
-def rotation_cycle_check(seed: int = 0, out_dir: str | None = None,
-                         name: str = "rotation-cycle") -> ScenarioReport:
+def rotation_cycle_check(seed: int = 0, out_dir: str | None = None) -> ScenarioReport:
     """Four consecutive pi/2 rotations about y from |0> and from |+1| must
     walk the cycles (|D>, |0>, |D>, |0>) and (|u>, |-1>, |d>, |+1>) up to
-    global phases."""
+    global phases (report rotation-cycle)."""
     r = rotation_unitary(3, (0.0, 1.0, 0.0), np.pi / 2)
     cycles = {
         "0": ("0", ["D", "0", "D", "0"]),
@@ -629,7 +623,7 @@ def rotation_cycle_check(seed: int = 0, out_dir: str | None = None,
             max_dev = max(max_dev, dev)
             details[f"dev_{label}_step{step + 1}_{target_name}"] = dev
     outputs = {"max_dev": max_dev, "pass": bool(max_dev < 1e-10), **details}
-    return _report(name, seed, {}, outputs, out_dir)
+    return _report("rotation-cycle", seed, {}, outputs, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +634,10 @@ def run_fig4b(m: MeasurementModel | None = None,
               params: AdiabaticParams = NOMINAL_ADIABATIC,
               noise: NoiseParams = NoiseParams(),
               cfg: IntegratorConfig = IntegratorConfig(),
-              chi_grid: np.ndarray = DEFAULT_FRINGE_CHI,
-              seed: int = 0, out_dir: str | None = None,
-              name: str = "fig4b") -> ScenarioReport:
-    """Fringe after a single forward adiabatic transfer, with the measurement
-    model, fitted for the dark-state fidelity."""
+              seed: int = 0, out_dir: str | None = None) -> ScenarioReport:
+    """Fringe at DEFAULT_FRINGE_CHI after a single forward adiabatic
+    transfer, with the measurement model, fitted for the dark-state
+    fidelity (report fig4b)."""
     if m is None:
         m = MeasurementModel(seed=seed)
     schedule = transfer_schedules("adiabatic", params)[0]
@@ -652,16 +645,16 @@ def run_fig4b(m: MeasurementModel | None = None,
     units = _op_unitaries(schedule, noise, shifts, cfg, 3, params.omega0)
     rho = _apply_channel(_D3_ZERO.density_matrix(), units, weights)
     rng = np.random.default_rng([seed, 0])
-    data, fit = run_fringe_experiment(rho, m, chi_grid, rng=rng)
+    data, fit = run_fringe_experiment(rho, m, rng=rng)
     outputs = {"fit": fit.to_json_dict(),
                "dark_state_fidelity": fit.fidelity,
                "exact_fidelity": float(np.real(
                    _D3_DARK.amps.conj() @ rho @ _D3_DARK.amps))}
-    return _report(name, seed,
+    return _report("fig4b", seed,
                    {"shots": m.shots, "noise": asdict(noise),
                     "params": _adiabatic_dict(params)},
                    outputs, out_dir,
-                   fringe_csv=(f"{name}_{seed}.csv", "chi_rad,k,n,p0_corrected",
+                   fringe_csv=(f"fig4b_{seed}.csv", "chi_rad,k,n,p0_corrected",
                                [data.chi, data.counts.astype(int),
                                 np.full(data.chi.size, m.shots),
                                 [ml_estimate_single(k, m) for k in data.counts]]))
@@ -670,10 +663,9 @@ def run_fig4b(m: MeasurementModel | None = None,
 def run_fig3d(areas: np.ndarray | None = None,
               cfg: IntegratorConfig = IntegratorConfig(),
               omega0: float = NOMINAL_ADIABATIC.omega0,
-              seed: int = 0, out_dir: str | None = None,
-              name: str = "fig3d") -> ScenarioReport:
+              seed: int = 0, out_dir: str | None = None) -> ScenarioReport:
     """Population in F=1 versus normalized pulse area for the single pulse and
-    the TBB1 sequence."""
+    the TBB1 sequence (report fig3d, one sweep CSV per method)."""
     if areas is None:
         areas = np.linspace(0.7, 1.3, 61)
     results = {method: sweep_pulse_area(method, areas, cfg, omega0)
@@ -685,10 +677,10 @@ def run_fig3d(areas: np.ndarray | None = None,
         out[f"max_infidelity_{method}_092_108"] = float(np.max(infid[band]))
     out["flatness_ratio"] = (out["max_infidelity_tbb1_092_108"]
                              / out["max_infidelity_single_092_108"])
-    return _report(name, seed,
+    return _report("fig3d", seed,
                    {"areas": [float(a) for a in areas], "omega0_hz": omega0 / TWO_PI},
                    out, out_dir,
-                   **{f"sweep_csv_{method}": (f"{name}_{seed}_{method}.csv", "area,p_f1",
+                   **{f"sweep_csv_{method}": (f"fig3d_{seed}_{method}.csv", "area,p_f1",
                                               [res["areas"], res["p_f1"]])
                       for method, res in results.items()})
 

@@ -17,14 +17,12 @@ the ~97% fluorescence-detection fidelity of the modeled apparatus).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .spin import DimensionError, SpinliftError, angular_momentum_ops
-from .waveforms import lift_schedule, square_pulse
-from .dynamics import IntegratorConfig, propagator
+from .spin import (DimensionError, SpinliftError, _as_readonly, angular_momentum_ops,
+                   lift_matrices)
 
 __all__ = [
     "FitSingularError",
@@ -346,30 +344,23 @@ def dark_state_fidelity(fit: FitResult) -> float:
     return float(np.clip(fit.a0 - fit.a * np.cos(fit.phi0), 0.0, 1.0))
 
 
-_ANALYSIS_OMEGA0 = TWO_PI * 40e3
+# The resonant pi/2 analysis pulse at phase 0 is the rotation
+# exp(-i (pi/2) Jx) at any Rabi frequency: the spin-1 lift of
+# [[a, -b*], [b, a*]] with a = cos(pi/4), b = -i sin(pi/4).
+_ANALYSIS_PULSE = _as_readonly(lift_matrices(np.sqrt(0.5), -1j * np.sqrt(0.5), 3))
+_JZ_DIAGONAL = _as_readonly(np.diag(angular_momentum_ops(3).jz).real)
 
 
-@lru_cache(maxsize=16)
-def _analysis_pulse_at_zero(omega0: float) -> np.ndarray:
-    """The analysis pulse at phase 0, propagated once per omega0; read-only,
-    since every caller shares it."""
-    drive = lift_schedule(square_pulse(np.pi / 2, 0.0, omega0), 3)
-    u = propagator(drive, IntegratorConfig()).mat.copy()
-    u.setflags(write=False)
-    return u
+def analysis_pulse_unitary(chi) -> np.ndarray:
+    """Qutrit propagator of the resonant pi/2 analysis pulse at phase chi; an
+    array of chi gives shape chi.shape + (3, 3).  The phase is a turn about
+    z, so the pulse at chi is exp(-i chi Jz) U0 exp(i chi Jz), with U0 the
+    spin-1 lift of the pi/2 rotation about x."""
+    turn = np.exp(-1j * np.multiply.outer(np.asarray(chi, dtype=float), _JZ_DIAGONAL))
+    return turn[..., :, None] * _ANALYSIS_PULSE * turn.conj()[..., None, :]
 
 
-def analysis_pulse_unitary(chi, omega0: float = _ANALYSIS_OMEGA0) -> np.ndarray:
-    """Exact qutrit propagator of the resonant pi/2 analysis pulse at phase chi
-    (duration pi / (2 Omega_half)); an array of chi gives shape chi.shape +
-    (3, 3).  The phase is a turn about z, so the pulse at chi is
-    exp(-i chi Jz) U0 exp(i chi Jz), U0 the propagated pulse at chi = 0."""
-    m = np.diag(angular_momentum_ops(3).jz).real
-    turn = np.exp(-1j * np.multiply.outer(np.asarray(chi, dtype=float), m))
-    return turn[..., :, None] * _analysis_pulse_at_zero(float(omega0)) * turn.conj()[..., None, :]
-
-
-def fringe_prediction(rho: np.ndarray, chi, omega0: float = _ANALYSIS_OMEGA0):
+def fringe_prediction(rho: np.ndarray, chi):
     """Population in |0> after the analysis pulse at phase chi, for a qutrit
     density matrix rho; an array of chi gives an array of populations."""
     rho = np.asarray(rho, dtype=complex)
@@ -381,7 +372,7 @@ def fringe_prediction(rho: np.ndarray, chi, omega0: float = _ANALYSIS_OMEGA0):
         raise ValueError("density matrix trace differs from 1")
     if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -1e-9:
         raise ValueError("density matrix is not positive")
-    row = analysis_pulse_unitary(chi, omega0)[..., 1, :]  # <0| U
+    row = analysis_pulse_unitary(chi)[..., 1, :]  # <0| U
     # elementwise, so each chi gets the same arithmetic whatever the shape
     p = np.clip(np.sum(row[..., :, None] * rho * row.conj()[..., None, :],
                        axis=(-2, -1)).real, 0.0, 1.0)

@@ -163,10 +163,14 @@ def angular_momentum_ops(d: int) -> SpinOperators:
     return SpinOperators(dim=int(d), jx=jx, jy=jy, jz=jz)
 
 
-def _expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i t H) for Hermitian H via spectral decomposition (exactly unitary)."""
+def _expm_hermitian(h: np.ndarray, t) -> np.ndarray:
+    """exp(-i t h) for Hermitian h of shape (..., d, d) by spectral
+    decomposition (exactly unitary); t is a scalar or has one entry per
+    leading index of h."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(-1j * w * t.reshape(t.shape + (1,) * (w.ndim - t.ndim)))
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def rotation_unitary(d: int, axis: Iterable[float], angle: float) -> Unitary:

@@ -128,7 +128,6 @@ class RotationSegment:
     theta: float
     phi: float
     omega0: float
-    amplitude_scale: float = 1.0
 
     kind = "rotation"
     is_constant = True
@@ -145,7 +144,7 @@ class RotationSegment:
 
     def controls(self, t):
         t = np.asarray(t, dtype=float)
-        omega_half = np.full(t.shape, self.amplitude_scale * self.omega0 / np.sqrt(2.0))
+        omega_half = np.full(t.shape, self.omega0 / np.sqrt(2.0))
         chi = np.full(t.shape, self.phi)
         delta_half = np.zeros(t.shape)
         return omega_half, chi, delta_half
@@ -155,13 +154,11 @@ class RotationSegment:
             "theta_rad": self.theta,
             "phi_rad": self.phi,
             "omega0_hz": self.omega0 / TWO_PI,
-            "amplitude_scale": self.amplitude_scale,
         }
 
     @classmethod
     def from_params(cls, p: dict) -> "RotationSegment":
-        return cls(p["theta_rad"], p["phi_rad"], p["omega0_hz"] * TWO_PI,
-                   p.get("amplitude_scale", 1.0))
+        return cls(p["theta_rad"], p["phi_rad"], p["omega0_hz"] * TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,6 @@ class HoldSegment:
     duration: float
     omega0: float
     chi: float = 0.0
-    amplitude_scale: float = 1.0
 
     kind = "hold"
     is_constant = True
@@ -182,7 +178,7 @@ class HoldSegment:
 
     def controls(self, t):
         t = np.asarray(t, dtype=float)
-        omega_half = np.full(t.shape, self.amplitude_scale * self.omega0 / np.sqrt(2.0))
+        omega_half = np.full(t.shape, self.omega0 / np.sqrt(2.0))
         chi = np.full(t.shape, self.chi)
         delta_half = np.zeros(t.shape)
         return omega_half, chi, delta_half
@@ -192,13 +188,11 @@ class HoldSegment:
             "duration_s": self.duration,
             "omega0_hz": self.omega0 / TWO_PI,
             "chi_rad": self.chi,
-            "amplitude_scale": self.amplitude_scale,
         }
 
     @classmethod
     def from_params(cls, p: dict) -> "HoldSegment":
-        return cls(p["duration_s"], p["omega0_hz"] * TWO_PI, p.get("chi_rad", 0.0),
-                   p.get("amplitude_scale", 1.0))
+        return cls(p["duration_s"], p["omega0_hz"] * TWO_PI, p.get("chi_rad", 0.0))
 
 
 @dataclass(frozen=True)
@@ -209,7 +203,6 @@ class ConstantSegment:
     omega_half: float
     chi: float = 0.0
     delta_half: float = 0.0
-    amplitude_scale: float = 1.0
 
     kind = "constant"
     is_constant = True
@@ -222,7 +215,7 @@ class ConstantSegment:
 
     def controls(self, t):
         t = np.asarray(t, dtype=float)
-        return (np.full(t.shape, self.amplitude_scale * self.omega_half),
+        return (np.full(t.shape, self.omega_half),
                 np.full(t.shape, self.chi),
                 np.full(t.shape, self.delta_half))
 
@@ -232,13 +225,12 @@ class ConstantSegment:
             "omega_half_hz": self.omega_half / TWO_PI,
             "chi_rad": self.chi,
             "delta_half_hz": self.delta_half / TWO_PI,
-            "amplitude_scale": self.amplitude_scale,
         }
 
     @classmethod
     def from_params(cls, p: dict) -> "ConstantSegment":
         return cls(p["duration_s"], p["omega_half_hz"] * TWO_PI, p.get("chi_rad", 0.0),
-                   p.get("delta_half_hz", 0.0) * TWO_PI, p.get("amplitude_scale", 1.0))
+                   p.get("delta_half_hz", 0.0) * TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -251,7 +243,6 @@ class BlackmanTransferSegment:
     t_omega: float
     t_delta: float
     reverse: bool = False
-    amplitude_scale: float = 1.0
 
     kind = "blackman_transfer"
     is_constant = False
@@ -271,7 +262,7 @@ class BlackmanTransferSegment:
         t = np.asarray(t, dtype=float)
         tt = self.t_delta - t if self.reverse else t
         tt = np.clip(tt, 0.0, self.t_delta)  # guard rounding at the edges
-        omega_half = self.amplitude_scale * blackman_rabi(tt, self.omega0, self.t_omega) / np.sqrt(2.0)
+        omega_half = blackman_rabi(tt, self.omega0, self.t_omega) / np.sqrt(2.0)
         chi = np.zeros(t.shape)
         delta_half = blackman_detuning(tt, self.delta0, self.t_delta) / 2.0
         return omega_half, chi, delta_half
@@ -283,14 +274,12 @@ class BlackmanTransferSegment:
             "t_omega_s": self.t_omega,
             "t_delta_s": self.t_delta,
             "reverse": self.reverse,
-            "amplitude_scale": self.amplitude_scale,
         }
 
     @classmethod
     def from_params(cls, p: dict) -> "BlackmanTransferSegment":
         return cls(p["omega0_hz"] * TWO_PI, p["delta0_hz"] * TWO_PI,
-                   p["t_omega_s"], p["t_delta_s"], p["reverse"],
-                   p.get("amplitude_scale", 1.0))
+                   p["t_omega_s"], p["t_delta_s"], p["reverse"])
 
 
 @dataclass(frozen=True)
@@ -619,9 +608,10 @@ class MultiLevelDrive:
         out[..., :n, :n] = h
         return out
 
-    def control_peaks(self, n_probe: int = 512) -> float:
-        """max over t of max(Omega, |delta|) in three-level field units, used
-        for the default integrator step.  The per-field Rabi frequency
+    def control_peaks(self) -> float:
+        """max of max(Omega, |delta|) in three-level field units over 512
+        evenly spaced times and the segment boundaries, used for the default
+        integrator step.  The per-field Rabi frequency
         sqrt(2) Omega_half is scaled by |gain| (1 + rabi_mismatch), and the
         detuning 2 |delta_half| is widened by 2 (|shift| + |static_detuning|);
         array gains and shifts count with their largest magnitude."""
@@ -630,7 +620,7 @@ class MultiLevelDrive:
         if total == 0:
             return 0.0
         bounds = sched.boundaries
-        probes = np.unique(np.concatenate([np.linspace(0.0, total, n_probe), bounds,
+        probes = np.unique(np.concatenate([np.linspace(0.0, total, 512), bounds,
                                            np.clip(bounds - 1e-15, 0, total)]))
         omega_half, _, delta_half = sched.controls(probes)
         gain = float(np.abs(self.gain).max())
@@ -710,6 +700,11 @@ def schedule_from_json(text: str) -> ControlSchedule:
         kind = rec.get("kind")
         if kind not in _SEGMENT_KINDS:
             raise ScheduleError(f"unknown segment kind {kind!r}")
+        # older files carry an amplitude_scale key; a scale other than 1
+        # would be silently dropped, so it is refused (scale with the gain)
+        if rec.get("amplitude_scale", 1.0) != 1.0:
+            raise ScheduleError(f"'amplitude_scale' {rec['amplitude_scale']!r} is not "
+                                "supported; scale a drive with MultiLevelDrive.gain")
         segs.append(_SEGMENT_KINDS[kind].from_params(rec))
     return ControlSchedule(segs)
 

@@ -185,6 +185,23 @@ class TestErrorContract:
         assert err["error"] == "IntegratorError"
         assert "steps per build" in err["message"]
 
+    @pytest.mark.parametrize("scenario,setting", [
+        ("verify-reversal", "d=4.7"), ("verify-reversal", "d=true"),
+        ("fig4b", "shots=200.9"), ("ramsey", "shots=false"), ("ramsey", "n_transfers=1e999"),
+        ("fig4c", "ns=[8.5,16]"), ("fig4c", "ns=[8,true]"),
+        ("fig3c", "omega0_hz=true"), ("fig3d", "tolerance=true")])
+    def test_non_integral_or_boolean_value(self, tmp_path, capsys, scenario, setting):
+        # such values used to be truncated (d=4.7 ran d=4) or read as 0 / 1
+        err = self.failing_run(tmp_path, "--scenario", scenario, "--set", setting)
+        assert err["error"] == "ConfigError"
+        assert repr(setting.partition("=")[0]) in err["message"]
+        assert not (tmp_path / f"{scenario}_0_config.json").exists()
+
+    def test_integral_float_is_an_integer(self):
+        cfg = parse_config("fig4c", {"shots": 300.0, "ns": [8.0, 16]})
+        assert cfg.params["shots"] == 300 and isinstance(cfg.params["shots"], int)
+        assert cfg.params["ns"] == [8, 16]
+
     @pytest.mark.parametrize("error", [
         ConfigError, spinlift.ScheduleError, spinlift.IntegratorError,
         spinlift.FitSingularError, experiments.ScenarioError, spinlift.DimensionError,

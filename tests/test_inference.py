@@ -300,24 +300,29 @@ class TestFringePrediction:
         assert np.array_equal(p0, [fringe_prediction(rho, c) for c in chi])
         assert isinstance(fringe_prediction(rho, chi[0]), float)
 
-    @pytest.mark.parametrize("omega0", [2 * np.pi * 40e3, 2 * np.pi * 7e3])
+    @pytest.mark.parametrize("omega0", [2 * np.pi * 40e3, 2 * np.pi * 7e3,
+                                        2 * np.pi * 1.0, 2 * np.pi * 10e6])
     def test_analysis_pulse_is_the_z_turned_zero_phase_pulse(self, omega0):
+        # the pulse is the same pi/2 rotation at any Rabi frequency
         rng = np.random.default_rng(6)
         for chi in rng.uniform(-2 * np.pi, 2 * np.pi, 50):
             drive = spinlift.lift_schedule(spinlift.square_pulse(np.pi / 2, chi, omega0), 3)
             propagated = spinlift.propagator(drive, spinlift.IntegratorConfig()).mat
-            assert np.max(np.abs(inference.analysis_pulse_unitary(chi, omega0)
+            assert np.max(np.abs(inference.analysis_pulse_unitary(chi)
                                  - propagated)) < 1e-12
 
-    def test_pulse_cache_holds_one_entry_per_omega0(self):
-        inference._analysis_pulse_at_zero.cache_clear()
-        rho = named_state(3, "D").density_matrix()
-        omegas = (2 * np.pi * 40e3, 2 * np.pi * 7e3)
-        for omega0 in omegas:
-            for chi in np.linspace(0.0, np.pi, 1000, endpoint=False):
-                fringe_prediction(rho, chi, omega0)
-        assert inference._analysis_pulse_at_zero.cache_info().currsize == len(omegas)
-        assert not inference._analysis_pulse_at_zero(omegas[0]).flags.writeable
+    def test_inference_imports_no_propagation(self):
+        import ast
+        tree = ast.parse(open(inference.__file__).read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert not {"dynamics", "waveforms"} & set(name.split(".")), name
 
     def test_invalid_density_matrix(self):
         with pytest.raises(ValueError):

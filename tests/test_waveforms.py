@@ -298,6 +298,23 @@ class TestScheduleSerialization:
         with pytest.raises(ScheduleError):
             schedule_from_json('{"segments": [{"kind": "wobble", "duration_s": 1}]}')
 
+    @pytest.mark.parametrize("sched", [
+        square_pulse(np.pi / 2, 0.3, OMEGA0),
+        composite_method(bb1_sequence(), OMEGA0, protect=True),
+        ControlSchedule([ConstantSegment(3e-6, TWO_PI * 12e3, 0.3, -TWO_PI * 4e3)]),
+        adiabatic_method(AdiabaticParams(OMEGA0, DELTA0, 200e-6, 300e-6, 0.0, "forward"))])
+    def test_amplitude_scale_other_than_one_is_refused_by_name(self, sched):
+        import json
+        doc = json.loads(schedule_to_json(sched))
+        assert all("amplitude_scale" not in rec for rec in doc["segments"])
+        # a file written before the key was dropped carries it as 1.0
+        for rec in doc["segments"]:
+            rec["amplitude_scale"] = 1.0
+        assert schedule_from_json(json.dumps(doc)) == sched
+        doc["segments"][-1]["amplitude_scale"] = 0.5
+        with pytest.raises(ScheduleError, match="amplitude_scale"):
+            schedule_from_json(json.dumps(doc))
+
 
 class TestScheduleSampling:
     def test_boundary_belongs_to_later_segment(self):
