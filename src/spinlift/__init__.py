@@ -17,7 +17,6 @@ from .spin import (
     named_state,
     basis_state,
     state_fidelity,
-    unitary_phase_distance,
     states_equal_up_to_phase,
     phase_aligned_deviation,
 )
@@ -26,9 +25,6 @@ from .waveforms import (
     blackman_detuning,
     blackman_rabi,
     lab_frame_chirp,
-    lab_frame_chirp_initial,
-    RotationSegment,
-    HoldSegment,
     ConstantSegment,
     BlackmanTransferSegment,
     ControlSchedule,
@@ -38,19 +34,15 @@ from .waveforms import (
     adiabatic_method,
     composite_method,
     square_pulse,
-    with_gain_curve,
     MultiLevelDrive,
     lift_schedule,
     schedule_to_json,
     schedule_from_json,
-    save_schedule,
-    load_schedule,
 )
 from .dynamics import (
     IntegratorError,
     IntegratorConfig,
     Trajectory,
-    hamiltonian,
     propagate,
     propagator,
     propagators,

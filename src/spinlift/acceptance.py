@@ -253,13 +253,13 @@ def check_closed_loop_eps() -> CheckResult:
     1.4e-4; the full fringe pipeline over N in {8..64} recovers the exact
     decay slope within 3 sigma_eps."""
     cfg = IntegratorConfig(tolerance=1e-8)
-    fwd, _, omega0 = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
+    fwd, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
     dark = named_state(3, "D").amps
     zero = named_state(3, "0").amps
 
     def single_op_infidelity(sigma: float) -> float:
         shifts, w = zeeman_quadrature(sigma)
-        units = _op_unitaries(fwd, NoiseParams(), shifts, cfg, 3, omega0)
+        units = _op_unitaries(fwd, NoiseParams(), shifts, cfg, 3, NOMINAL_ADIABATIC.omega0)
         return sum(wk * (1 - abs(np.vdot(dark, u @ zero)) ** 2) for wk, u in zip(w, units))
 
     from .experiments import REFERENCE_INFIDELITY_PER_OP

@@ -89,15 +89,24 @@ class RunConfig:
     out_dir: str | None = None
 
 
-def _integer(value, fail) -> int:
-    """value as an int; a boolean or a number with a fractional part (or
-    not finite) fails rather than being truncated."""
+# the largest integer numpy's samplers take (int64)
+_INT_MAX = 2**63 - 1
+
+
+def _integer(value, fail, low: int | None = None) -> int:
+    """value as an int in [low, 2**63 - 1]; a boolean or a number with a
+    fractional part (or not finite) fails rather than being truncated."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         fail("expected an integer")
     try:
-        return int(value)
+        v = int(value)
     except (TypeError, ValueError):
         fail("expected an integer")
+    if low is not None and v < low:
+        fail(f"must be >= {low}")
+    if v > _INT_MAX:
+        fail("must be <= 2**63 - 1")
+    return v
 
 
 def _convert(key: str, spec: KeySpec, value):
@@ -128,12 +137,7 @@ def _convert(key: str, spec: KeySpec, value):
             fail("must be > 0")
         return v
     if kind in ("int", "int0"):
-        v = _integer(value, fail)
-        if kind == "int" and v < 1:
-            fail("must be >= 1")
-        if kind == "int0" and v < 0:
-            fail("must be >= 0")
-        return v
+        return _integer(value, fail, 1 if kind == "int" else 0)
     if kind == "str":
         return str(value)
     if kind == "intlist":
@@ -146,7 +150,8 @@ def _convert(key: str, spec: KeySpec, value):
 def parse_config(scenario: str, overrides: dict, seed: int = 0,
                  out_dir: str | None = None) -> RunConfig:
     """Validate user-unit overrides against the scenario's key table and
-    convert to internal units; unknown keys are rejected by name."""
+    convert to internal units; unknown keys are rejected by name.  The seed
+    is an integer >= 0."""
     if scenario not in SCENARIO_KEYS:
         raise ConfigError(f"unknown scenario {scenario!r}; "
                           f"known: {', '.join(sorted(SCENARIO_KEYS))}")
@@ -161,8 +166,10 @@ def parse_config(scenario: str, overrides: dict, seed: int = 0,
         value = overrides.get(key, spec.default)
         params[spec.internal] = _convert(key, spec, value)
         user[key] = value
+    def bad_seed(msg):
+        raise ConfigError(f"invalid seed: {msg} (got {seed!r})")
     return RunConfig(scenario=scenario, params=params, user_config=user,
-                     seed=int(seed), out_dir=out_dir)
+                     seed=_integer(seed, bad_seed, 0), out_dir=out_dir)
 
 
 def run(config: RunConfig):
@@ -246,7 +253,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", help="JSON config file")
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", default=None, help="integer >= 0 (default 0)")
     p_run.add_argument("--out", help="output directory for report and artifacts")
     p_run.set_defaults(func=_cmd_run)
 

@@ -5,11 +5,12 @@ Every drive is a waveforms.MultiLevelDrive, and its gain and shift may be
 arrays: a batch of drives on one schedule (the Gauss-Hermite nodes of a
 Zeeman average, the areas of a pulse-area sweep) is one drive, built once
 per grid on either path, with the batch axes ahead of the d-level ones.
-When su2_form() is not None (no Rabi mismatch and no static detuning, so
+When drive.su2_covariant (no Rabi mismatch and no static detuning, so
 H = Lambda(t) . J) the drive is propagated as the spin-1/2 problem
-Lambda(t) . S: each step is a closed-form 2x2 exponential, the ordered
-product runs over (a, b) pairs of [[a, -b*], [b, a*]], and each build is
-lifted to d levels once (spin.lift_matrices).  Only a drive that breaks the
+Lambda(t) . S, with Lambda read from its schedule, gain and shift: each
+step is a closed-form 2x2 exponential, the ordered product runs over
+(a, b) pairs of [[a, -b*], [b, a*]], and each build is lifted to its
+spin_dim levels once (spin.lift_matrices).  Only a drive that breaks the
 symmetry takes the dense path, a batched d x d spectral exponential of
 drive.hamiltonian per factor and a d x d ordered product; that path also
 serves as the independent reference for the lift.  propagate, propagator,
@@ -50,18 +51,16 @@ from .spin import (
     angular_momentum_ops,
     lift_matrices,
 )
-from .waveforms import MultiLevelDrive, ScheduleError, Su2Form
+from .waveforms import MultiLevelDrive, ScheduleError
 
 __all__ = [
     "IntegratorError",
     "IntegratorConfig",
     "Trajectory",
-    "hamiltonian",
     "propagate",
     "propagator",
     "propagators",
     "eigen_scan",
-    "write_populations_csv",
 ]
 
 # default step criterion: max(Omega, |delta|) * max_step <= 0.4 rad
@@ -140,8 +139,9 @@ class Trajectory:
         return StateVector(self.states[k])
 
     def to_csv(self, path) -> None:
-        """Columns: time_us, p_0 .. p_{d-1} (basis index order), p_f1."""
-        write_populations_csv(path, self.times, self.populations)
+        """Write the populations atomically.  Columns: time_us, p_0 ..
+        p_{d-1} (basis index order), p_f1; values as %.12g."""
+        _write_csv(path, *_population_columns(self.times, self.populations))
 
 
 def _middle_level(d: int) -> int:
@@ -181,21 +181,6 @@ def _population_columns(times: np.ndarray, populations: np.ndarray) -> tuple[str
     d = pops.shape[1]
     header = "time_us," + ",".join(f"p_{k}" for k in range(d)) + ",p_f1"
     return header, [np.asarray(times) * 1e6, *pops.T, 1.0 - pops[:, _middle_level(d)]]
-
-
-def write_populations_csv(path, times: np.ndarray, populations: np.ndarray) -> None:
-    """Write populations over time atomically.  Columns: time_us, p_0 ..
-    p_{d-1} (basis index order), p_f1 = 1 - P(m=0 level); values as %.12g."""
-    _write_csv(path, *_population_columns(times, populations))
-
-
-def hamiltonian(drive: MultiLevelDrive, t) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the lifted drive at time t (rad/s)."""
-    total = drive.total_duration
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0) or np.any(t_arr > total * (1 + 1e-12) + 1e-15):
-        raise ScheduleError(f"time outside schedule domain [0, {total}]")
-    return drive.hamiltonian(t)
 
 
 def _auto_max_step(drive: MultiLevelDrive) -> float:
@@ -260,10 +245,9 @@ def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray):
     its steps as two-level (a, b) pairs (_Su2Steps), any other drive as
     d x d matrices; _ordered_product takes either.
     """
-    form = drive.su2_form()
-    if form is None:
-        return _dense_steps(drive, grid)
-    return _su2_steps(drive, form, grid)
+    if drive.su2_covariant:
+        return _su2_steps(drive, grid)
+    return _dense_steps(drive, grid)
 
 
 def _cf4_steps(drive, grid: np.ndarray, generator, expm, compose, shape: tuple) -> np.ndarray:
@@ -348,23 +332,24 @@ def _su2_compose(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _su2_steps(drive, form: Su2Form, grid: np.ndarray) -> _Su2Steps:
-    """CF4 steps of Lambda(t) . S, Lambda given by the drive's schedule and
-    Su2Form; the controls are sampled once for every gain and shift of the
-    form, which broadcast together to the batch."""
+def _su2_steps(drive, grid: np.ndarray) -> _Su2Steps:
+    """CF4 steps of Lambda(t) . S, Lambda = (gain Omega_half cos chi,
+    gain Omega_half sin chi, delta_half + shift) of an SU(2)-covariant drive;
+    the controls are sampled once for every gain and shift of the drive,
+    which broadcast together to the batch."""
     batch = _batch_shape(drive)
 
     def control_vectors(t):
         omega, chi, delta = drive.schedule.controls(t)
         column = t.shape + (1,) * len(batch)
         v = np.empty(t.shape + batch + (3,))
-        v[..., 0] = (omega * np.cos(chi)).reshape(column) * form.gain
-        v[..., 1] = (omega * np.sin(chi)).reshape(column) * form.gain
-        v[..., 2] = delta.reshape(column) + form.shift
+        v[..., 0] = (omega * np.cos(chi)).reshape(column) * drive.gain
+        v[..., 1] = (omega * np.sin(chi)).reshape(column) * drive.gain
+        v[..., 2] = delta.reshape(column) + drive.shift
         return v
 
     return _Su2Steps(_cf4_steps(drive, grid, control_vectors, _su2_exp, _su2_compose, (2,)),
-                     form.spin_dim, drive.dim)
+                     drive.spin_dim, drive.dim)
 
 
 def _pairwise_product(arr: np.ndarray, compose) -> np.ndarray:
@@ -419,12 +404,6 @@ def _evolve_on_grid(drive, psi0: np.ndarray, sample_times: np.ndarray,
             prev = idx
         out[k] = psi
     return out
-
-
-def _evolve_states(drive, psi0: np.ndarray, sample_times: np.ndarray,
-                   max_step: float) -> np.ndarray:
-    return _evolve_on_grid(drive, psi0, sample_times,
-                           _step_grid(drive, sample_times, max_step))
 
 
 def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
@@ -483,7 +462,7 @@ def _propagation(drive, cfg: IntegratorConfig, caller: str, psi0=None, times=Non
                                 else _step_unitaries(drive, grid))
 
     result = _converge(drive, cfg, times, on_grid, caller,
-                       "dense" if dense or drive.su2_form() is None else "su2")
+                       "su2" if drive.su2_covariant and not dense else "dense")
     if psi0 is not None:
         return result
     w, _, vh = np.linalg.svd(result)  # polar projection: removes accumulated rounding

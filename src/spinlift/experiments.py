@@ -235,17 +235,16 @@ def zeeman_quadrature(sigma: float):
 # Transfer operations
 # ---------------------------------------------------------------------------
 
-def transfer_schedules(method: str, params: AdiabaticParams) -> tuple[ControlSchedule, ControlSchedule, float]:
-    """(forward, reverse, omega0) op schedules for 'adiabatic' or 'tbb1'."""
+def transfer_schedules(method: str, params: AdiabaticParams) -> tuple[ControlSchedule, ControlSchedule]:
+    """(forward, reverse) op schedules for 'adiabatic' or 'tbb1', both at
+    the peak Rabi frequency params.omega0."""
     if method == "adiabatic":
         fwd, rev = (adiabatic_method(replace(params, t_hold=0.0, direction=direction))
                     for direction in ("forward", "reverse"))
-        return fwd, rev, params.omega0
+        return fwd, rev
     if method == "tbb1":
         seq = bb1_sequence()
-        fwd = composite_method(seq, params.omega0)
-        rev = composite_method(seq.inverse(), params.omega0)
-        return fwd, rev, params.omega0
+        return composite_method(seq, params.omega0), composite_method(seq.inverse(), params.omega0)
     raise ScenarioError(f"unknown transfer method {method!r}")
 
 
@@ -383,7 +382,7 @@ def static_error_infidelity(rabi_mismatch: float, delta_err: float,
     """Infidelity 1 - |<D|psi>|^2 of a single forward adiabatic transfer with
     asymmetric field amplitudes Omega(1 +/- eps) and a common per-field
     detuning offset."""
-    schedule = transfer_schedules("adiabatic", params)[0]
+    schedule, _ = transfer_schedules("adiabatic", params)
     noise = NoiseParams(rabi_mismatch=rabi_mismatch, static_detuning=delta_err)
     drive = DressedDrive(schedule, noise, 0.0, 3, params.omega0)
     psi = propagator(drive, cfg) @ _D3_ZERO
@@ -442,10 +441,10 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
         raise FitSingularError("need at least 2 distinct operation counts")
     if seed is None:
         seed = m.seed
-    fwd_s, rev_s, omega0 = transfer_schedules(method, params)
+    fwd_s, rev_s = transfer_schedules(method, params)
     shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
-    fwd_u = _op_unitaries(fwd_s, noise, shifts, cfg, 3, omega0)
-    rev_u = _op_unitaries(rev_s, noise, shifts, cfg, 3, omega0)
+    fwd_u = _op_unitaries(fwd_s, noise, shifts, cfg, 3, params.omega0)
+    rev_u = _op_unitaries(rev_s, noise, shifts, cfg, 3, params.omega0)
 
     rho0 = _D3_ZERO.density_matrix()
     dark = _D3_DARK.amps
@@ -525,12 +524,12 @@ def run_ramsey_dressed_qubit(n_transfers: int,
                             "trips per echo arm)")
     phases = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
 
-    fwd_s, rev_s, omega0 = transfer_schedules("adiabatic", params)
+    fwd_s, rev_s = transfer_schedules("adiabatic", params)
     shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
     fwd_u = rev_u = None
     if n_transfers > 0:
-        fwd_u = _op_unitaries(fwd_s, noise, shifts, cfg, 4, omega0)
-        rev_u = _op_unitaries(rev_s, noise, shifts, cfg, 4, omega0)
+        fwd_u = _op_unitaries(fwd_s, noise, shifts, cfg, 4, params.omega0)
+        rev_u = _op_unitaries(rev_s, noise, shifts, cfg, 4, params.omega0)
 
     psi0 = np.array([0, 1, 0, 0], dtype=complex)
     rho = np.outer(psi0, psi0.conj())
@@ -640,7 +639,7 @@ def run_fig4b(m: MeasurementModel | None = None,
     fidelity (report fig4b)."""
     if m is None:
         m = MeasurementModel(seed=seed)
-    schedule = transfer_schedules("adiabatic", params)[0]
+    schedule, _ = transfer_schedules("adiabatic", params)
     shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
     units = _op_unitaries(schedule, noise, shifts, cfg, 3, params.omega0)
     rho = _apply_channel(_D3_ZERO.density_matrix(), units, weights)

@@ -37,7 +37,6 @@ __all__ = [
     "named_state",
     "basis_state",
     "state_fidelity",
-    "unitary_phase_distance",
     "states_equal_up_to_phase",
     "phase_aligned_deviation",
 ]
@@ -283,16 +282,6 @@ def named_state(d: int, name: str) -> StateVector:
 def state_fidelity(psi: StateVector, phi: StateVector) -> float:
     """|<phi|psi>|^2; symmetric, in [0, 1]."""
     return min(1.0, abs(psi.overlap(phi)) ** 2)
-
-
-def unitary_phase_distance(a: Unitary | np.ndarray, b: Unitary | np.ndarray) -> float:
-    """Global-phase-insensitive deviation 1 - |tr(A^dag B)| / d between unitaries."""
-    am = a.mat if isinstance(a, Unitary) else np.asarray(a)
-    bm = b.mat if isinstance(b, Unitary) else np.asarray(b)
-    if am.shape != bm.shape:
-        raise DimensionError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    d = am.shape[0]
-    return float(1.0 - abs(np.trace(am.conj().T @ bm)) / d)
 
 
 def states_equal_up_to_phase(psi: StateVector, phi: StateVector, tol: float = 1e-10) -> bool:

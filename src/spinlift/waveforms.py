@@ -1,14 +1,21 @@
-"""Two-level control schedules and their lift to d-level drive specifications.
+"""Two-level control schedules and their lift to d-level drives.
 
 A schedule is a continuous-time description of the effective two-level
 control vector (Omega_half(t), chi(t), delta_half(t)); no sample grid is
-baked in, the integrator picks its own.  Physical three-level field values
-follow the dressing convention: per-field Rabi frequency
+baked in, the integrator picks its own.  It is a sequence of two segment
+kinds: ConstantSegment (a resonant rotation, a protection or dark-state
+hold, or any fixed control vector) and BlackmanTransferSegment (one leg of
+the adiabatic transfer).  MultiLevelDrive lifts a schedule to d levels and
+adds the field errors; its su2_covariant says whether the result is still
+a lifted control vector.  Physical three-level field values follow the
+dressing convention: per-field Rabi frequency
 Omega(t) = sqrt(2) * Omega_half(t), field phases +/- chi(t), and the
 field-detuning bookkeeping value delta(t) = 2 * delta_half(t).
 
 All frequencies are angular (rad/s) in memory; the JSON serialization uses
-plain Hz (value / 2 pi) and seconds, converted at the boundary.
+plain Hz (value / 2 pi) and seconds, converted at the boundary.  It writes
+the two segment kinds and also reads the "rotation" and "hold" records of
+earlier versions, as the constant segments that are built now.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,13 +34,8 @@ __all__ = [
     "blackman_detuning",
     "blackman_rabi",
     "lab_frame_chirp",
-    "lab_frame_chirp_initial",
-    "RotationSegment",
-    "HoldSegment",
     "ConstantSegment",
     "BlackmanTransferSegment",
-    "GainWrappedSegment",
-    "with_gain_curve",
     "ControlSchedule",
     "AdiabaticParams",
     "CompositeSequence",
@@ -41,14 +43,10 @@ __all__ = [
     "adiabatic_method",
     "composite_method",
     "square_pulse",
-    "TransitionDrive",
     "MultiLevelDrive",
-    "Su2Form",
     "lift_schedule",
     "schedule_to_json",
     "schedule_from_json",
-    "save_schedule",
-    "load_schedule",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -94,8 +92,8 @@ def lab_frame_chirp(t, delta0: float, t_delta: float):
     """Lab-frame frequency offset profile whose instantaneous detuning is the
     Blackman chirp: Delta(t) = (1/t) * integral_0^t delta(tau) dtau.
 
-    Defined for 0 < t <= t_delta; the t -> 0+ limit is delta0 (see
-    lab_frame_chirp_initial).  Satisfies d(Delta(t) * t)/dt = delta(t).
+    Defined for 0 < t <= t_delta, with t -> 0+ limit delta0.  Satisfies
+    d(Delta(t) * t)/dt = delta(t).
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0) or np.any(t > t_delta):
@@ -107,97 +105,14 @@ def lab_frame_chirp(t, delta0: float, t_delta: float):
     return out if out.ndim else float(out)
 
 
-def lab_frame_chirp_initial(delta0: float) -> float:
-    """The t -> 0+ limit of lab_frame_chirp, equal to delta0."""
-    return float(delta0)
-
-
 # ---------------------------------------------------------------------------
 # Schedule segments
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RotationSegment:
-    """Resonant constant-phase pulse driving a rotation R(theta, phi).
-
-    omega0 is the per-field three-level Rabi frequency, so the effective
-    two-level amplitude is omega0/sqrt(2) and the duration satisfies
-    omega0 * duration / sqrt(2) = theta.
-    """
-
-    theta: float
-    phi: float
-    omega0: float
-
-    kind = "rotation"
-    is_constant = True
-
-    def __post_init__(self):
-        if self.theta < 0:
-            raise ScheduleError(f"rotation angle must be >= 0, got {self.theta}")
-        if self.omega0 <= 0:
-            raise ScheduleError(f"omega0 must be > 0, got {self.omega0}")
-
-    @property
-    def duration(self) -> float:
-        return np.sqrt(2.0) * self.theta / self.omega0
-
-    def controls(self, t):
-        t = np.asarray(t, dtype=float)
-        omega_half = np.full(t.shape, self.omega0 / np.sqrt(2.0))
-        chi = np.full(t.shape, self.phi)
-        delta_half = np.zeros(t.shape)
-        return omega_half, chi, delta_half
-
-    def params(self) -> dict:
-        return {
-            "theta_rad": self.theta,
-            "phi_rad": self.phi,
-            "omega0_hz": self.omega0 / TWO_PI,
-        }
-
-    @classmethod
-    def from_params(cls, p: dict) -> "RotationSegment":
-        return cls(p["theta_rad"], p["phi_rad"], p["omega0_hz"] * TWO_PI)
-
-
-@dataclass(frozen=True)
-class HoldSegment:
-    """Resonant constant field left on to protect the dark state (chi = 0 by default)."""
-
-    duration: float
-    omega0: float
-    chi: float = 0.0
-
-    kind = "hold"
-    is_constant = True
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ScheduleError(f"hold duration must be >= 0, got {self.duration}")
-
-    def controls(self, t):
-        t = np.asarray(t, dtype=float)
-        omega_half = np.full(t.shape, self.omega0 / np.sqrt(2.0))
-        chi = np.full(t.shape, self.chi)
-        delta_half = np.zeros(t.shape)
-        return omega_half, chi, delta_half
-
-    def params(self) -> dict:
-        return {
-            "duration_s": self.duration,
-            "omega0_hz": self.omega0 / TWO_PI,
-            "chi_rad": self.chi,
-        }
-
-    @classmethod
-    def from_params(cls, p: dict) -> "HoldSegment":
-        return cls(p["duration_s"], p["omega0_hz"] * TWO_PI, p.get("chi_rad", 0.0))
-
-
-@dataclass(frozen=True)
 class ConstantSegment:
-    """Generic constant-control segment (Omega_half, chi, delta_half fixed)."""
+    """Constant-control segment (Omega_half, chi, delta_half fixed): a
+    resonant rotation, a hold, or any other fixed control vector."""
 
     duration: float
     omega_half: float
@@ -280,53 +195,6 @@ class BlackmanTransferSegment:
     def from_params(cls, p: dict) -> "BlackmanTransferSegment":
         return cls(p["omega0_hz"] * TWO_PI, p["delta0_hz"] * TWO_PI,
                    p["t_omega_s"], p["t_delta_s"], p["reverse"])
-
-
-@dataclass(frozen=True)
-class GainWrappedSegment:
-    """Segment with a monotone gain curve applied to its Rabi amplitude.
-
-    Models amplifier compression as an optional transform on Omega(t)
-    (off by default everywhere); the curve maps the per-field amplitude
-    sqrt(2) * Omega_half to the delivered amplitude.  In-memory only: gain
-    curves are arbitrary callables and are not serialized.
-    """
-
-    segment: object
-    gain_curve: Callable
-
-    @property
-    def kind(self):
-        return f"gain_wrapped({self.segment.kind})"
-
-    @property
-    def is_constant(self):
-        return self.segment.is_constant
-
-    @property
-    def duration(self) -> float:
-        return self.segment.duration
-
-    def controls(self, t):
-        omega_half, chi, delta_half = self.segment.controls(t)
-        omega = np.asarray(self.gain_curve(np.sqrt(2.0) * np.asarray(omega_half)))
-        return omega / np.sqrt(2.0), chi, delta_half
-
-    def params(self):
-        raise ScheduleError("gain-wrapped schedules are not serializable")
-
-
-def with_gain_curve(s: ControlSchedule, gain_curve: Callable) -> ControlSchedule:
-    """Apply a monotone amplifier gain curve to every segment's amplitude."""
-    return ControlSchedule([GainWrappedSegment(seg, gain_curve) for seg in s.segments])
-
-
-_SEGMENT_KINDS = {
-    "rotation": RotationSegment,
-    "hold": HoldSegment,
-    "constant": ConstantSegment,
-    "blackman_transfer": BlackmanTransferSegment,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +294,11 @@ class AdiabaticParams:
 def adiabatic_method(p: AdiabaticParams) -> ControlSchedule:
     """Chirped-Blackman transfer schedule: forward leg ramps the field on
     while chirping the detuning to zero (|0> -> |D>); the reverse leg is the
-    time mirror; round-trip is forward + hold + reverse."""
+    time mirror; round-trip is forward + hold + reverse.  The hold is the
+    resonant field at the peak Rabi frequency, chi = 0."""
     fwd = BlackmanTransferSegment(p.omega0, p.delta0, p.t_omega, p.t_delta)
     rev = BlackmanTransferSegment(p.omega0, p.delta0, p.t_omega, p.t_delta, reverse=True)
-    hold = HoldSegment(p.t_hold, p.omega0)
+    hold = ConstantSegment(p.t_hold, p.omega0 / np.sqrt(2.0))
     if p.direction == "forward":
         segs = [fwd] if p.t_hold == 0 else [fwd, hold]
     elif p.direction == "reverse":
@@ -480,15 +349,22 @@ DEFAULT_PROTECT_DURATION = 20e-6
 
 def composite_method(seq: CompositeSequence, omega0: float, protect: bool = False,
                      protect_duration: float = DEFAULT_PROTECT_DURATION) -> ControlSchedule:
-    """One resonant segment per rotation: duration sqrt(2) * theta / omega0,
-    chi = phi_R, delta = 0.  With protect=True a chi = 0 hold (the R(*, 0)
-    protection field) is appended."""
+    """One resonant constant segment per rotation: Omega_half = omega0 /
+    sqrt(2) for sqrt(2) * theta / omega0, chi = phi_R, delta = 0.  omega0 is
+    the per-field three-level Rabi frequency.  With protect=True a chi = 0
+    hold at the same amplitude (the R(*, 0) protection field) is appended."""
     if omega0 <= 0:
         raise ScheduleError(f"omega0 must be > 0, got {omega0}")
-    segs = [RotationSegment(th, ph, omega0) for th, ph in seq.rotations]
+    segs = [_rotation(th, ph, omega0) for th, ph in seq.rotations]
     if protect:
-        segs.append(HoldSegment(protect_duration, omega0))
+        segs.append(ConstantSegment(protect_duration, omega0 / np.sqrt(2.0)))
     return ControlSchedule(segs)
+
+
+def _rotation(theta: float, phi: float, omega0: float) -> ConstantSegment:
+    """The resonant segment driving R(theta, phi) at per-field Rabi frequency
+    omega0 > 0."""
+    return ConstantSegment(np.sqrt(2.0) * theta / omega0, omega0 / np.sqrt(2.0), phi)
 
 
 def square_pulse(theta: float, phi: float, omega0: float) -> ControlSchedule:
@@ -499,17 +375,6 @@ def square_pulse(theta: float, phi: float, omega0: float) -> ControlSchedule:
 # ---------------------------------------------------------------------------
 # Lift to d levels
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransitionDrive:
-    """Per-transition field record for one adjacent-m coupling."""
-
-    lower_index: int
-    upper_index: int
-    rabi: Callable
-    phase: Callable
-    detuning: Callable
-
 
 @dataclass(frozen=True)
 class MultiLevelDrive:
@@ -563,34 +428,12 @@ class MultiLevelDrive:
         return self.schedule.boundaries
 
     @property
-    def transitions(self) -> tuple:
-        """Per-field records of the spin block, one per adjacent-m coupling.
-
-        rabi_k = 2 (Jx)_{k,k+1} g (1 - eps (m_k + m_{k+1})) Omega_half, so
-        2 |H[k, k+1]| = |rabi_k|.  For spin_dim = 3 the record follows the
-        two-field dressing convention: Rabi frequencies
-        sqrt(2) g Omega_half (1 +/- eps), phases +/- chi and detunings
-        +/- 2 (delta_half + shift).  For other spin_dim it is the generic
-        ladder one: phase chi and detuning delta_half + shift (for d = 2
-        exactly the single-field two-level record).
-        """
-        ops = angular_momentum_ops(self.spin_dim)
-        m = np.real(np.diag(ops.jz))
-        trans = []
-        for k in range(self.spin_dim - 1):
-            coupling = 2.0 * float(np.real(ops.jx[k, k + 1]))
-            rabi = coupling * self.gain * (1.0 - self.rabi_mismatch * (m[k] + m[k + 1]))
-            if self.spin_dim == 3:
-                phase, detuning = (1.0, 2.0) if k == 0 else (-1.0, -2.0)
-            else:
-                phase, detuning = 1.0, 1.0
-            trans.append(TransitionDrive(
-                lower_index=k, upper_index=k + 1,
-                rabi=_scaled(self.schedule, "omega", rabi),
-                phase=_scaled(self.schedule, "chi", phase),
-                detuning=_scaled(self.schedule, "delta", detuning, self.shift),
-            ))
-        return tuple(trans)
+    def su2_covariant(self) -> bool:
+        """Whether H is the spin-j lift, on the first spin_dim levels, of the
+        two-level Lambda . S with Lambda = (gain Omega_half cos chi,
+        gain Omega_half sin chi, delta_half + shift): true unless the Rabi
+        mismatch or the static detuning breaks the SU(2) symmetry."""
+        return bool(self.rabi_mismatch == 0 and self.static_detuning == 0)
 
     def hamiltonian(self, t):
         n = self.spin_dim
@@ -629,30 +472,6 @@ class MultiLevelDrive:
         peak_delta = 2.0 * np.max(np.abs(delta_half)) + 2.0 * level_shift
         return float(max(peak_omega, peak_delta, 0.0))
 
-    def su2_form(self) -> "Su2Form | None":
-        """The drive as a lifted control vector, or None when the Rabi
-        mismatch or the static detuning breaks the SU(2) symmetry."""
-        if self.rabi_mismatch != 0 or self.static_detuning != 0:
-            return None
-        return Su2Form(gain=self.gain, shift=self.shift, spin_dim=self.spin_dim)
-
-
-@dataclass(frozen=True)
-class Su2Form:
-    """How an SU(2)-covariant drive's Hamiltonian follows from its schedule.
-
-    H is the spin-j lift, on the first spin_dim levels, of the two-level
-    Hamiltonian Lambda . S with Lambda = (gain Omega_half cos chi,
-    gain Omega_half sin chi, delta_half + shift); any further levels are
-    left untouched.  gain and shift may be arrays, which broadcast together
-    to the shape of a batch of drives on the schedule.
-    """
-
-    gain: float | np.ndarray
-    shift: float | np.ndarray
-    spin_dim: int
-
-
 @lru_cache(maxsize=32)
 def _operator_basis(n: int, eps: float) -> np.ndarray:
     """The operators Jx - eps {Jz, Jx}, Jy - eps {Jz, Jy}, Jz and Jz^2 of
@@ -669,15 +488,6 @@ def _operator_basis(n: int, eps: float) -> np.ndarray:
     return out
 
 
-def _scaled(schedule: ControlSchedule, which: str, factor: float,
-            offset: float = 0.0) -> Callable:
-    idx = {"omega": 0, "chi": 1, "delta": 2}[which]
-    def f(t):
-        vals = schedule.controls(t)
-        return factor * (np.asarray(vals[idx]) + offset)
-    return f
-
-
 def lift_schedule(s: ControlSchedule, d: int) -> MultiLevelDrive:
     """Lift a two-level control schedule to a d-level drive (same control vector)."""
     return MultiLevelDrive(dim=int(d), schedule=s)
@@ -686,6 +496,28 @@ def lift_schedule(s: ControlSchedule, d: int) -> MultiLevelDrive:
 # ---------------------------------------------------------------------------
 # JSON serialization (Hz / seconds at the boundary)
 # ---------------------------------------------------------------------------
+
+def _rotation_record(p: dict) -> ConstantSegment:
+    omega0 = p["omega0_hz"] * TWO_PI
+    if not omega0 > 0:
+        raise ScheduleError(f"omega0 must be > 0, got {omega0}")
+    return _rotation(p["theta_rad"], p["phi_rad"], omega0)
+
+
+def _hold_record(p: dict) -> ConstantSegment:
+    return ConstantSegment(p["duration_s"], p["omega0_hz"] * TWO_PI / np.sqrt(2.0),
+                           p.get("chi_rad", 0.0))
+
+
+# "rotation" and "hold" are records of earlier versions, read as the same
+# constant segments that composite_method and adiabatic_method build now
+_SEGMENT_READERS = {
+    "constant": ConstantSegment.from_params,
+    "blackman_transfer": BlackmanTransferSegment.from_params,
+    "rotation": _rotation_record,
+    "hold": _hold_record,
+}
+
 
 def schedule_to_json(s: ControlSchedule) -> str:
     records = [{"kind": seg.kind, "duration_s": seg.duration, **seg.params()}
@@ -698,22 +530,12 @@ def schedule_from_json(text: str) -> ControlSchedule:
     segs = []
     for rec in doc["segments"]:
         kind = rec.get("kind")
-        if kind not in _SEGMENT_KINDS:
+        if kind not in _SEGMENT_READERS:
             raise ScheduleError(f"unknown segment kind {kind!r}")
         # older files carry an amplitude_scale key; a scale other than 1
         # would be silently dropped, so it is refused (scale with the gain)
         if rec.get("amplitude_scale", 1.0) != 1.0:
             raise ScheduleError(f"'amplitude_scale' {rec['amplitude_scale']!r} is not "
                                 "supported; scale a drive with MultiLevelDrive.gain")
-        segs.append(_SEGMENT_KINDS[kind].from_params(rec))
+        segs.append(_SEGMENT_READERS[kind](rec))
     return ControlSchedule(segs)
-
-
-def save_schedule(s: ControlSchedule, path) -> None:
-    with open(path, "w") as f:
-        f.write(schedule_to_json(s))
-
-
-def load_schedule(path) -> ControlSchedule:
-    with open(path) as f:
-        return schedule_from_json(f.read())

@@ -197,6 +197,36 @@ class TestErrorContract:
         assert repr(setting.partition("=")[0]) in err["message"]
         assert not (tmp_path / f"{scenario}_0_config.json").exists()
 
+    @pytest.mark.parametrize("scenario,setting", [
+        ("fig4b", "shots=1e20"), ("fig4c", "shots=1e20"), ("ramsey", "shots=1e20"),
+        ("verify-reversal", "d=9223372036854775808"), ("fig4c", "ns=[8,1e19]")])
+    def test_integer_above_int64_refused(self, tmp_path, capsys, scenario, setting):
+        # shots=1e20 used to reach Generator.binomial and fail with an OverflowError
+        err = self.failing_run(tmp_path, "--scenario", scenario, "--set", setting)
+        assert err["error"] == "ConfigError"
+        assert repr(setting.partition("=")[0]) in err["message"]
+        assert "2**63 - 1" in err["message"]
+
+    def test_largest_int64_is_an_integer(self):
+        assert parse_config("fig4b", {"shots": 2**63 - 1}).params["shots"] == 2**63 - 1
+
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--seed", "abc"]])
+    def test_bad_command_line_seed(self, tmp_path, capsys, args):
+        # --seed -1 used to fail with a raw ValueError from default_rng
+        err = self.failing_run(tmp_path, "--scenario", "fig4b", *args)
+        assert err["error"] == "ConfigError"
+        assert "seed" in err["message"]
+
+    @pytest.mark.parametrize("seed", ["abc", 1.5, True, -1])
+    def test_bad_config_file_seed(self, tmp_path, capsys, seed):
+        # "abc" used to fail with a raw traceback; 1.5 and true ran as seed 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "fig3c", "seed": seed}))
+        err = self.failing_run(tmp_path, "--config", str(path))
+        assert err["error"] == "ConfigError"
+        assert "seed" in err["message"]
+        assert not list(tmp_path.glob("fig3c_*"))
+
     def test_integral_float_is_an_integer(self):
         cfg = parse_config("fig4c", {"shots": 300.0, "ns": [8.0, 16]})
         assert cfg.params["shots"] == 300 and isinstance(cfg.params["shots"], int)

@@ -21,7 +21,6 @@ from spinlift import (
     bb1_sequence,
     composite_method,
     eigen_scan,
-    hamiltonian,
     lift_schedule,
     lift_unitary,
     named_state,
@@ -36,7 +35,7 @@ from spinlift.experiments import DressedDrive, NoiseParams, _op_unitaries, zeema
 from spinlift.dynamics import (
     Trajectory,
     _auto_max_step,
-    _evolve_states,
+    _evolve_on_grid,
     _ordered_product,
     _step_grid,
     _step_unitaries,
@@ -56,6 +55,11 @@ def random_schedule(rng, max_segments=8):
             chi=float(rng.uniform(0, TWO_PI)),
             delta_half=float(rng.uniform(-TWO_PI * 100e3, TWO_PI * 100e3)))
         for _ in range(n)])
+
+
+def evolve_states(drive, psi0, sample_times, max_step):
+    """psi0 evolved to the sample times on one grid of the given step."""
+    return _evolve_on_grid(drive, psi0, sample_times, _step_grid(drive, sample_times, max_step))
 
 
 def two_level_rotation(theta, phi):
@@ -88,19 +92,19 @@ def two_level_oracle(schedule):
 class TestHamiltonian:
     def test_zero_controls(self):
         drive = lift_schedule(ControlSchedule([ConstantSegment(1e-6, 0.0)]), 3)
-        assert np.max(np.abs(hamiltonian(drive, 0.5e-6))) == 0.0
+        assert np.max(np.abs(drive.hamiltonian(0.5e-6))) == 0.0
 
     def test_d2_matrix(self):
         seg = ConstantSegment(1e-6, TWO_PI * 10e3, chi=0.0, delta_half=TWO_PI * 2e3)
         drive = lift_schedule(ControlSchedule([seg]), 2)
-        h = hamiltonian(drive, 0.5e-6)
+        h = drive.hamiltonian(0.5e-6)
         assert h[0, 1] == pytest.approx(seg.omega_half / 2)
         assert h[0, 0] == pytest.approx(-seg.delta_half / 2)
 
     def test_chi_half_pi_imaginary_offdiag(self):
         seg = ConstantSegment(1e-6, TWO_PI * 10e3, chi=np.pi / 2)
         drive = lift_schedule(ControlSchedule([seg]), 3)
-        h = hamiltonian(drive, 0.5e-6)
+        h = drive.hamiltonian(0.5e-6)
         omega = np.sqrt(2) * seg.omega_half
         assert abs(h[0, 1].real) < 1e-9
         assert h[0, 1].imag == pytest.approx(omega / 2, rel=1e-12)
@@ -108,7 +112,7 @@ class TestHamiltonian:
     def test_domain_error(self):
         drive = lift_schedule(ControlSchedule([ConstantSegment(1e-6, 1.0)]), 3)
         with pytest.raises(ScheduleError):
-            hamiltonian(drive, 2e-6)
+            drive.hamiltonian(2e-6)
 
 
 class TestPropagate:
@@ -165,14 +169,14 @@ class TestPropagate:
         h_acc = _auto_max_step(drive)
         res_prev = None
         # find the accepted step by replaying the ladder
-        coarse = _evolve_states(drive, named_state(3, "0").amps, times, h_acc)
+        coarse = evolve_states(drive, named_state(3, "0").amps, times, h_acc)
         for _ in range(CFG.max_halvings):
-            fine = _evolve_states(drive, named_state(3, "0").amps, times, h_acc / 2)
+            fine = evolve_states(drive, named_state(3, "0").amps, times, h_acc / 2)
             if np.max(np.abs(fine - coarse)) < CFG.tolerance:
                 break
             coarse = fine
             h_acc /= 2
-        extra = _evolve_states(drive, named_state(3, "0").amps, times, h_acc / 4)
+        extra = evolve_states(drive, named_state(3, "0").amps, times, h_acc / 4)
         assert np.max(np.abs(extra - accepted.states)) < 2 * CFG.tolerance
 
     def test_nonconvergence_raises(self):
@@ -416,7 +420,7 @@ class TestSu2Path:
     def test_symmetry_breaking_noise_takes_dense_path(self, noise, monkeypatch):
         paths = self.count_paths(monkeypatch)
         drive = DressedDrive(self.COMPOSITE, noise, TWO_PI * 100.0, 3, OMEGA0)
-        assert drive.su2_form() is None
+        assert not drive.su2_covariant
         propagator(drive, CFG)
         propagate(drive, named_state(3, "0"), CFG, [drive.total_duration])
         shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)

@@ -49,14 +49,14 @@ FAST = IntegratorConfig(tolerance=1e-8)
 
 class TestDressedDrive:
     def test_zero_noise_matches_lifted_hamiltonian(self):
-        sched, _, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
+        sched, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
         dressed = DressedDrive(sched, NoiseParams(), 0.0, 3, NOMINAL_ADIABATIC.omega0)
         lifted = lift_schedule(sched, 3)
         ts = np.linspace(0, sched.total_duration, 50)
         assert np.max(np.abs(dressed.hamiltonian(ts) - lifted.hamiltonian(ts))) < 1e-9
 
     def test_zeeman_shifts_outer_levels(self):
-        sched, _, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
         z = TWO_PI * 100.0
         h = DressedDrive(sched, NoiseParams(), z, 3, NOMINAL_ADIABATIC.omega0).hamiltonian(1e-6)
         h0 = DressedDrive(sched, NoiseParams(), 0.0, 3, NOMINAL_ADIABATIC.omega0).hamiltonian(1e-6)
@@ -66,13 +66,13 @@ class TestDressedDrive:
         assert abs(diff[1, 1]) < 1e-12
 
     def test_mismatch_breaks_field_symmetry(self):
-        sched, _, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
         noise = NoiseParams(rabi_mismatch=0.01)
         h = DressedDrive(sched, noise, 0.0, 3, NOMINAL_ADIABATIC.omega0).hamiltonian(1e-6)
         assert abs(h[0, 1]) / abs(h[1, 2]) == pytest.approx(1.01 / 0.99, rel=1e-9)
 
     def test_four_level_leaves_clock_state_alone(self):
-        sched, _, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
+        sched, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
         h = DressedDrive(sched, NoiseParams(), TWO_PI * 50, 4,
                          NOMINAL_ADIABATIC.omega0).hamiltonian(100e-6)
         assert np.max(np.abs(h[3, :])) == 0.0
@@ -362,7 +362,7 @@ class TestOneDriveModel:
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("noise", NOISES)
     def test_hamiltonian_equals_two_field_matrix(self, method, dim, noise):
-        sched, _, _ = transfer_schedules(method, NOMINAL_ADIABATIC)
+        sched, _ = transfer_schedules(method, NOMINAL_ADIABATIC)
         ts = np.linspace(0.0, sched.total_duration, 101)
         for z in (0.0, TWO_PI * 700.0):
             drive = DressedDrive(sched, noise, z, dim, self.OMEGA0)
@@ -373,7 +373,7 @@ class TestOneDriveModel:
             assert np.max(np.abs(one - ref[37])) <= 1e-12 * np.max(np.abs(ref))
 
     def test_dressed_drive_is_a_multilevel_drive(self):
-        sched, _, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
         noise = NoiseParams(rabi_mismatch=0.01, common_rabi_error=TWO_PI * 2e3,
                             static_detuning=TWO_PI * 3.0)
         drive = DressedDrive(sched, noise, TWO_PI * 50.0, 4, self.OMEGA0)
@@ -384,51 +384,25 @@ class TestOneDriveModel:
         assert (drive.shift, drive.rabi_mismatch, drive.static_detuning) == (
             TWO_PI * 50.0, noise.rabi_mismatch, noise.static_detuning)
 
-    @pytest.mark.parametrize("d", range(2, 7))
-    def test_transition_rabi_is_twice_the_coupling_of_lifted_drives(self, d):
-        sched, _, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
-        drive = lift_schedule(sched, d)
-        ts = np.linspace(0.0, sched.total_duration, 23)
-        h = drive.hamiltonian(ts)
-        assert len(drive.transitions) == d - 1
-        for k, tr in enumerate(drive.transitions):
-            np.testing.assert_allclose(tr.rabi(ts), 2.0 * np.abs(h[:, k, k + 1]),
-                                       rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("dim", [3, 4])
-    def test_transition_rabi_carries_gain_and_mismatch(self, dim):
-        sched, _, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
-        noise = NoiseParams(rabi_mismatch=0.05, common_rabi_error=-TWO_PI * 4e3)
-        drive = DressedDrive(sched, noise, TWO_PI * 300.0, dim, self.OMEGA0)
-        ts = np.linspace(0.0, sched.total_duration, 23)
-        h = drive.hamiltonian(ts)
-        rabis = [tr.rabi(ts) for tr in drive.transitions]
-        assert len(rabis) == 2  # the spin block only, not the clock level
-        for k, rabi in enumerate(rabis):
-            np.testing.assert_allclose(rabi, 2.0 * np.abs(h[:, k, k + 1]), rtol=1e-12, atol=0.0)
-        # |0> <-> |-1> carries 1 + eps, |0> <-> |+1> carries 1 - eps
-        np.testing.assert_allclose(rabis[0] / rabis[1], 1.05 / 0.95, rtol=1e-12)
-
     @pytest.mark.parametrize("noise, covariant", [
         (NoiseParams(), True),
         (NoiseParams(common_rabi_error=TWO_PI * 1e3), True),
         (NoiseParams(rabi_mismatch=1e-4), False),
         (NoiseParams(static_detuning=TWO_PI * 1.0), False),
     ])
-    def test_su2_form_is_none_exactly_for_symmetry_breaking_terms(self, noise, covariant):
-        sched, _, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
-        form = DressedDrive(sched, noise, TWO_PI * 20.0, 3, self.OMEGA0).su2_form()
-        assert (form is not None) == covariant
-        if covariant:
-            assert form.gain == 1.0 + noise.common_rabi_error / self.OMEGA0
-            assert form.shift == TWO_PI * 20.0 and form.spin_dim == 3
+    def test_su2_covariant_exactly_without_symmetry_breaking_terms(self, noise, covariant):
+        sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        drive = DressedDrive(sched, noise, TWO_PI * 20.0, 3, self.OMEGA0)
+        assert drive.su2_covariant is covariant
+        assert drive.gain == 1.0 + noise.common_rabi_error / self.OMEGA0
+        assert drive.shift == TWO_PI * 20.0 and drive.spin_dim == 3
 
     @pytest.mark.parametrize("method", ["adiabatic", "tbb1"])
     def test_batch_peaks_equal_the_widest_node(self, method):
         # the peaks of a batch take the largest |gain| and |shift|, which is
         # the largest of its drives' own peaks (the detuning sets them on
         # the adiabatic schedule, the Rabi frequency on TBB1)
-        sched, _, _ = transfer_schedules(method, NOMINAL_ADIABATIC)
+        sched, _ = transfer_schedules(method, NOMINAL_ADIABATIC)
         shifts, _ = zeeman_quadrature(TWO_PI * 200.0)
         errors = TWO_PI * np.linspace(-6e3, 2e3, shifts.size)
         drives = [DressedDrive(sched, NoiseParams(common_rabi_error=err), float(z), 3,
@@ -438,7 +412,7 @@ class TestOneDriveModel:
         assert batch.control_peaks() == max(d.control_peaks() for d in drives)
 
     def test_spin_dim_must_fit_the_dimension(self):
-        sched, _, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
         with pytest.raises(DimensionError):
             MultiLevelDrive(3, sched, spin_dim=4)
         assert MultiLevelDrive(5, sched).spin_dim == 5
@@ -447,7 +421,7 @@ class TestOneDriveModel:
 class TestNoiseValidation:
     @pytest.mark.parametrize("delta_hz", [-40e3, -80e3, 40e3])
     def test_common_rabi_error_must_keep_the_field_on(self, delta_hz):
-        sched, _, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
+        sched, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
         with pytest.raises(ScenarioError, match="omega0"):
             DressedDrive(sched, NoiseParams(common_rabi_error=TWO_PI * delta_hz), 0.0, 3,
                          NOMINAL_ADIABATIC.omega0)
@@ -547,7 +521,7 @@ class TestBatchedScenarios:
     def test_criterion_10_builds_each_batch_once_per_halving(self, monkeypatch):
         # the fringe fits' analysis pulses are propagated too; count only
         # the transfer operations
-        fwd, rev, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
+        fwd, rev = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
         builds = self.count_builds(monkeypatch, (fwd, rev))
         assert acceptance.check_closed_loop_eps().passed
         # the floor (one node), the 300 Hz probe and the forward and reverse

@@ -17,7 +17,6 @@ from spinlift import (
     blackman_rabi,
     composite_method,
     lab_frame_chirp,
-    lab_frame_chirp_initial,
     lift_schedule,
     schedule_from_json,
     schedule_to_json,
@@ -27,6 +26,76 @@ from spinlift import (
 TWO_PI = 2 * np.pi
 OMEGA0 = TWO_PI * 40e3
 DELTA0 = TWO_PI * 60e3
+
+# Written by the earlier schedule_to_json, which had a "rotation" kind for
+# composite pulses and a "hold" kind for protection and dark-state holds:
+# BB1 with protection, and the nominal round trip.
+LEGACY_BB1_PROTECTED = """{
+  "segments": [
+    {
+      "duration_s": 1.767766952966369e-05,
+      "kind": "rotation",
+      "omega0_hz": 40000.0,
+      "phi_rad": 3.2669204847578586,
+      "theta_rad": 3.141592653589793
+    },
+    {
+      "duration_s": 3.535533905932738e-05,
+      "kind": "rotation",
+      "omega0_hz": 40000.0,
+      "phi_rad": 6.659168800683783,
+      "theta_rad": 6.283185307179586
+    },
+    {
+      "duration_s": 1.767766952966369e-05,
+      "kind": "rotation",
+      "omega0_hz": 40000.0,
+      "phi_rad": 3.2669204847578586,
+      "theta_rad": 3.141592653589793
+    },
+    {
+      "duration_s": 8.838834764831844e-06,
+      "kind": "rotation",
+      "omega0_hz": 40000.0,
+      "phi_rad": 1.5707963267948966,
+      "theta_rad": 1.5707963267948966
+    },
+    {
+      "chi_rad": 0.0,
+      "duration_s": 2e-05,
+      "kind": "hold",
+      "omega0_hz": 40000.0
+    }
+  ]
+}"""
+LEGACY_ROUND_TRIP = """{
+  "segments": [
+    {
+      "delta0_hz": 60000.0,
+      "duration_s": 0.0003,
+      "kind": "blackman_transfer",
+      "omega0_hz": 40000.0,
+      "reverse": false,
+      "t_delta_s": 0.0003,
+      "t_omega_s": 0.0002
+    },
+    {
+      "chi_rad": 0.0,
+      "duration_s": 0.0004,
+      "kind": "hold",
+      "omega0_hz": 40000.0
+    },
+    {
+      "delta0_hz": 60000.0,
+      "duration_s": 0.0003,
+      "kind": "blackman_transfer",
+      "omega0_hz": 40000.0,
+      "reverse": true,
+      "t_delta_s": 0.0003,
+      "t_omega_s": 0.0002
+    }
+  ]
+}"""
 
 
 class TestBlackmanProfiles:
@@ -62,7 +131,6 @@ class TestBlackmanProfiles:
 
 class TestLabFrameChirp:
     def test_initial_limit(self):
-        assert lab_frame_chirp_initial(DELTA0) == DELTA0
         assert lab_frame_chirp(1e-12, DELTA0, 300e-6) == pytest.approx(DELTA0, rel=1e-6)
 
     def test_final_value(self):
@@ -171,8 +239,8 @@ class TestCompositeMethod:
         sched = composite_method(bb1_sequence(), OMEGA0, protect=True,
                                  protect_duration=10e-6)
         last = sched.segments[-1]
-        assert last.kind == "hold" and last.chi == 0.0
-        assert last.duration == pytest.approx(10e-6)
+        assert last == ConstantSegment(10e-6, OMEGA0 / np.sqrt(2.0))
+        assert last.kind == "constant" and last.chi == 0.0 and last.delta_half == 0.0
 
     def test_bb1_phases_match_reported_values(self):
         rots = bb1_sequence().rotations
@@ -245,25 +313,6 @@ class TestLiftSchedule:
         h = drive.hamiltonian(1e-6)
         assert np.max(np.abs(h - seg.omega_half * ops.jx)) < 1e-12 * seg.omega_half
 
-    def test_d3_transition_report(self):
-        seg = ConstantSegment(10e-6, omega_half=OMEGA0 / np.sqrt(2), chi=0.4,
-                              delta_half=TWO_PI * 3e3)
-        drive = lift_schedule(ControlSchedule([seg]), 3)
-        t0, t1 = drive.transitions
-        assert t0.rabi(1e-6) == pytest.approx(np.sqrt(2) * seg.omega_half, rel=1e-12)
-        assert t1.rabi(1e-6) == pytest.approx(np.sqrt(2) * seg.omega_half, rel=1e-12)
-        assert t0.phase(1e-6) == pytest.approx(seg.chi)
-        assert t1.phase(1e-6) == pytest.approx(-seg.chi)
-        assert t0.detuning(1e-6) == pytest.approx(2 * seg.delta_half, rel=1e-12)
-        assert t1.detuning(1e-6) == pytest.approx(-2 * seg.delta_half, rel=1e-12)
-
-    def test_d4_rabi_ratios(self):
-        seg = ConstantSegment(10e-6, omega_half=TWO_PI * 10e3)
-        drive = lift_schedule(ControlSchedule([seg]), 4)
-        rabis = np.array([t.rabi(1e-6) for t in drive.transitions])
-        ratios = rabis / rabis.min()
-        assert np.allclose(ratios, [1.0, 2 / np.sqrt(3), 1.0], rtol=1e-12)
-
 
 class TestScheduleSerialization:
     def _schedules(self):
@@ -292,7 +341,29 @@ class TestScheduleSerialization:
     def test_frequencies_serialized_in_hz(self):
         import json
         doc = json.loads(schedule_to_json(square_pulse(np.pi / 2, 0.0, OMEGA0)))
-        assert doc["segments"][0]["omega0_hz"] == pytest.approx(40e3)
+        assert doc["segments"][0]["kind"] == "constant"
+        assert doc["segments"][0]["omega_half_hz"] == pytest.approx(40e3 / np.sqrt(2), rel=1e-15)
+        assert doc["segments"][0]["delta_half_hz"] == 0.0
+
+    @pytest.mark.parametrize("text, expected", [
+        (LEGACY_BB1_PROTECTED, composite_method(bb1_sequence(), OMEGA0, protect=True)),
+        (LEGACY_ROUND_TRIP, adiabatic_method(AdiabaticParams(OMEGA0, DELTA0, 200e-6, 300e-6,
+                                                             400e-6, "round-trip")))])
+    def test_rotation_and_hold_records_load_to_identical_controls(self, text, expected):
+        import json
+        sched = schedule_from_json(text)
+        assert sched == expected
+        assert np.array_equal(sched.boundaries, expected.boundaries)
+        ts = np.linspace(0.0, expected.total_duration, 1001)
+        for a, b in zip(sched.controls(ts), expected.controls(ts)):
+            assert np.array_equal(a, b)
+        kinds = {rec["kind"] for rec in json.loads(schedule_to_json(sched))["segments"]}
+        assert kinds <= {"constant", "blackman_transfer"}
+
+    def test_rotation_record_needs_positive_rabi_frequency(self):
+        text = LEGACY_BB1_PROTECTED.replace('"omega0_hz": 40000.0', '"omega0_hz": 0.0', 1)
+        with pytest.raises(ScheduleError, match="omega0"):
+            schedule_from_json(text)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScheduleError):
@@ -341,31 +412,3 @@ class TestScheduleSampling:
         with pytest.raises(AttributeError):
             sched.total_duration = 1.0
         assert np.array_equal(sched.boundaries, np.concatenate([[0.0], np.cumsum(durations)]))
-
-
-class TestGainCurveHook:
-    def test_identity_curve_is_noop(self):
-        from spinlift import with_gain_curve
-        sched = square_pulse(np.pi / 2, 0.3, OMEGA0)
-        wrapped = with_gain_curve(sched, lambda om: om)
-        ts = np.linspace(0, sched.total_duration, 9)
-        for a, b in zip(sched.controls(ts), wrapped.controls(ts)):
-            assert np.allclose(a, b, rtol=1e-15)
-
-    def test_compression_reduces_peak(self):
-        from spinlift import with_gain_curve
-        sched = adiabatic_method(AdiabaticParams(OMEGA0, DELTA0, 200e-6, 300e-6,
-                                                 0.0, "forward"))
-        sat = 0.9 * OMEGA0
-        wrapped = with_gain_curve(sched, lambda om: sat * np.tanh(om / sat))
-        omega, _, delta = wrapped.controls(np.array([250e-6]))
-        base_omega, _, base_delta = sched.controls(np.array([250e-6]))
-        assert omega[0] < base_omega[0]
-        assert delta[0] == base_delta[0]
-        assert wrapped.total_duration == sched.total_duration
-
-    def test_not_serializable(self):
-        from spinlift import with_gain_curve
-        wrapped = with_gain_curve(square_pulse(np.pi, 0.0, OMEGA0), lambda om: om)
-        with pytest.raises(ScheduleError):
-            schedule_to_json(wrapped)
