@@ -57,7 +57,6 @@ from .inference import (
     sample_counts,
     ml_estimate_single,
     ml_fit_fringe,
-    dark_state_fidelity,
     fringe_prediction,
     infidelity_per_op,
 )

@@ -529,36 +529,19 @@ def eigen_scan(omega: float, delta_over_omega: Sequence[float], d: int):
     H = (omega/sqrt(2)) Jx + (x * omega / 2) Jz for each ratio x = delta/omega.
 
     omega is the per-field three-level Rabi frequency (Omega_half = omega/sqrt(2),
-    delta_half = x * omega / 2).  Eigenvalues are sorted ascending at the first
-    point; along the scan, track identity is restored by overlap matching so the
-    eigenvectors vary continuously through crossings.
+    delta_half = x * omega / 2).  By the lift this is closed-form:
+    H = |Lambda| (sin theta Jx + cos theta Jz) with |Lambda| the norm of
+    (Omega_half, delta_half) and theta = atan2(Omega_half, delta_half), so the
+    eigenvalues are m |Lambda| for m = -j .. j, ascending, and the
+    eigenvectors are the columns of the spin-j lift of the two-level rotation
+    about y by theta.  theta moves continuously in (0, pi) along the scan,
+    and so do the eigenvectors.
     """
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    ops = angular_momentum_ops(d)
-    jx = np.real(ops.jx)
-    jz = np.real(ops.jz)
-    results = []
-    prev_vecs = None
-    for x in np.asarray(delta_over_omega, dtype=float):
-        hmat = (omega / np.sqrt(2.0)) * jx + (x * omega / 2.0) * jz
-        w, v = np.linalg.eigh(hmat)
-        if prev_vecs is not None:
-            overlap = np.abs(prev_vecs.T @ v)
-            order = np.full(d, -1, dtype=int)
-            for _ in range(d):
-                i, jcol = np.unravel_index(np.argmax(overlap), overlap.shape)
-                order[i] = jcol
-                overlap[i, :] = -1
-                overlap[:, jcol] = -1
-            w, v = w[order], v[:, order]
-        # real gauge with continuous sign
-        for k in range(d):
-            ref = prev_vecs[:, k] if prev_vecs is not None else None
-            sgn = np.sign(ref @ v[:, k]) if ref is not None else np.sign(
-                v[np.argmax(np.abs(v[:, k])), k])
-            if sgn != 0:
-                v[:, k] = sgn * v[:, k]
-        prev_vecs = v
-        results.append((w.copy(), v.copy()))
-    return results
+    m = np.diag(angular_momentum_ops(d).jz).real
+    omega_half = omega / np.sqrt(2.0)
+    delta_half = np.asarray(delta_over_omega, dtype=float) * omega / 2.0
+    theta = np.arctan2(omega_half, delta_half)
+    vecs = lift_matrices(np.cos(theta / 2.0), -np.sin(theta / 2.0), d).real
+    return list(zip(np.multiply.outer(np.hypot(omega_half, delta_half), m), vecs))

@@ -263,6 +263,19 @@ def _apply_channel(rho: np.ndarray, unitaries: Sequence[np.ndarray],
     return out
 
 
+# Most transfer operations one scenario run may apply: one channel over the
+# 21 Zeeman nodes takes about 0.2 ms at d = 3 or 4 (2-core x86 VM, numpy
+# 2.4), so 2**14 of them take about 3 s.
+_MAX_TRANSFERS = 2**14
+
+
+def _check_transfer_count(n: int) -> None:
+    """Refuse a run of more than _MAX_TRANSFERS transfers before any
+    propagation."""
+    if n > _MAX_TRANSFERS:
+        raise ScenarioError(f"{n} transfer operations exceed the limit of {_MAX_TRANSFERS}")
+
+
 def _transfers(rho: np.ndarray, ops: range, fwd_u, rev_u, weights: np.ndarray) -> np.ndarray:
     """rho after the transfer operations numbered ops, each a channel over
     the Zeeman nodes: forward for an even number, reverse for an odd one."""
@@ -439,6 +452,7 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
         raise ScenarioError("operation counts must be even (forward/reverse pairs)")
     if len(set(ns)) < 2:
         raise FitSingularError("need at least 2 distinct operation counts")
+    _check_transfer_count(max(ns) + 1)
     if seed is None:
         seed = m.seed
     fwd_s, rev_s = transfer_schedules(method, params)
@@ -449,10 +463,11 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
     rho0 = _D3_ZERO.density_matrix()
     dark = _D3_DARK.amps
     xs, fids_raw, fid_errs, fids_exact = [], [], [], []
-    fits = []
+    rho, x = rho0, 0
     for i, n_ops in enumerate(sorted(ns)):
-        # n_ops is even, so the last operation is a forward one: read out |D>
-        rho = _transfers(rho0, range(n_ops + 1), fwd_u, rev_u, weights)
+        # n_ops is even, so the last operation is a forward one: read out |D>;
+        # the x transfers of the previous count are already applied
+        rho = _transfers(rho, range(x, n_ops + 1), fwd_u, rev_u, weights)
         x = n_ops + 1
         rng = np.random.default_rng([seed, i])
         _, fit = run_fringe_experiment(rho, m, rng=rng)
@@ -460,7 +475,6 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
         fids_raw.append(fit.fidelity_raw)
         fid_errs.append(fit.fidelity_err)
         fids_exact.append(float(np.real(dark.conj() @ rho @ dark)))
-        fits.append(fit)
     eps_m, sigma_eps = infidelity_per_op(list(zip(xs, fids_raw, fid_errs)))
     eps_exact, _ = infidelity_per_op([(x, f, 1.0) for x, f in zip(xs, fids_exact)])
     single = 1.0 - float(np.real(dark.conj()
@@ -522,6 +536,7 @@ def run_ramsey_dressed_qubit(n_transfers: int,
     if n_transfers % 4 != 0:
         raise ScenarioError("n_transfers must be a multiple of 4 (whole round "
                             "trips per echo arm)")
+    _check_transfer_count(n_transfers)
     phases = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
 
     fwd_s, rev_s = transfer_schedules("adiabatic", params)

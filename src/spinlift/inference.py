@@ -33,7 +33,6 @@ __all__ = [
     "sample_counts",
     "ml_estimate_single",
     "ml_fit_fringe",
-    "dark_state_fidelity",
     "fringe_prediction",
     "analysis_pulse_unitary",
     "infidelity_per_op",
@@ -174,22 +173,6 @@ def _make_log_likelihood(chi, counts, shots, m: MeasurementModel):
     return ll
 
 
-def _observed_information(ll, params, step=1e-6):
-    n = len(params)
-    hess = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            pp = np.array(params, dtype=float)
-            ei = np.zeros(n); ei[i] = step
-            ej = np.zeros(n); ej[j] = step
-            fpp = ll(pp + ei + ej)
-            fpm = ll(pp + ei - ej)
-            fmp = ll(pp - ei + ej)
-            fmm = ll(pp - ei - ej)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4 * step**2)
-    return -hess
-
-
 _NM_OPTIONS = {"xatol": 1e-12, "fatol": 1e-13, "maxiter": 6000, "maxfev": 8000}
 
 
@@ -277,8 +260,12 @@ def ml_fit_fringe(data: FringeData, m: MeasurementModel) -> FitResult:
     """Maximum-likelihood fit of A0 + A cos(2 chi + phi0) to fringe counts.
 
     Multi-starts over phi0 in {0, pi/2, pi, 3pi/2} plus a harmonic-projection
-    start, refined by Nelder-Mead; standard errors come from the observed
-    information (numerical Hessian) at the optimum.
+    start, refined by Nelder-Mead.  The standard errors are closed-form: in
+    c = (A0, A cos phi0, -A sin phi0) the model is linear, so the observed
+    information is exact, F_D = c0 - c1 has the exact error of a linear
+    form, and A0, A and phi0 get theirs by the delta method (phi0_err is inf
+    at A = 0).  FitSingularError when that information is not positive
+    definite.
     """
     chi, counts, shots = data.chi, data.counts, data.shots
     if chi.size < 4:
@@ -311,37 +298,41 @@ def ml_fit_fringe(data: FringeData, m: MeasurementModel) -> FitResult:
         phi0 += np.pi
     phi0 = float(np.mod(phi0, TWO_PI))
 
-    info = _observed_information(ll, (a0, a, phi0))
-    evals, evecs = np.linalg.eigh((info + info.T) / 2)
-    scale = float(np.max(np.abs(evals)))
-    if scale <= 0 or evals[-1] <= 0:
-        raise FitSingularError("observed information is singular")
-    # phi0 becomes unidentifiable as A -> 0: report an infinite standard
-    # error along null directions instead of failing (pinv covariance)
-    identifiable = evals > 1e-10 * scale
-    inv_evals = np.where(identifiable, 1.0 / np.where(identifiable, evals, 1.0), 0.0)
-    cov = (evecs * inv_evals) @ evecs.T
-    errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    null_component = (evecs[:, ~identifiable] ** 2).sum(axis=1) if not identifiable.all() else np.zeros(3)
-    errs = np.where(null_component > 1e-12, np.inf, errs)
-    if not np.isfinite(errs[0]) or not np.isfinite(errs[1]):
-        raise FitSingularError("offset/amplitude are unconstrained by the data")
-
-    raw = a0 - a * np.cos(phi0)
-    grad = np.array([1.0, -np.cos(phi0), a * np.sin(phi0)])
-    fid_err = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
+    # the model is X c with rows (1, cos 2chi, sin 2chi) and
+    # c = (A0, A cos phi0, -A sin phi0), so the observed information in c is
+    # X^T diag(w) X: the binomial curvature where _make_log_likelihood does
+    # not clip p_b (the clipped likelihood is flat), plus its quadratic
+    # wall's where that is active
+    design = np.stack([np.ones_like(chi), np.cos(2.0 * chi), np.sin(2.0 * chi)], axis=1)
+    cos_phi, sin_phi = np.cos(phi0), np.sin(phi0)
+    model = a0 + a * (cos_phi * design[:, 1] - sin_phi * design[:, 2])
+    dp = m.p_b_given_1 - m.p_b_given_0
+    p_b = m.p_b_given_0 + dp * model
+    p_c = np.clip(p_b, 1e-12, 1.0 - 1e-12)
+    w = np.where(p_b == p_c, dp**2 * (counts / p_c**2 + (shots - counts) / (1.0 - p_c)**2), 0.0)
+    w += np.where((model > 2.0) | (model < -1.0), 2e6 * shots, 0.0)
+    info = design.T @ (w[:, None] * design)
+    try:
+        np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
+        raise FitSingularError("observed information is not positive definite") from None
+    cov = np.linalg.inv(info)
+    # F_D = c0 - c1 is linear in c; A and phi0 follow by the delta method,
+    # and phi0 is unidentifiable at A = 0
+    grads = np.array([[1.0, 0.0, 0.0], [0.0, cos_phi, -sin_phi], [1.0, -1.0, 0.0]])
+    a0_err, a_err, fid_err = np.sqrt(np.einsum("ij,jk,ik->i", grads, cov, grads))
+    phi0_err = np.inf
+    if a > 0:
+        grad_phi = np.array([0.0, -sin_phi, -cos_phi]) / a
+        phi0_err = np.sqrt(grad_phi @ cov @ grad_phi)
+    raw = a0 - a * cos_phi
     return FitResult(
         a0=float(a0), a=float(a), phi0=phi0,
-        a0_err=float(errs[0]), a_err=float(errs[1]), phi0_err=float(errs[2]),
+        a0_err=float(a0_err), a_err=float(a_err), phi0_err=float(phi0_err),
         fidelity=float(np.clip(raw, 0.0, 1.0)), fidelity_raw=float(raw),
-        fidelity_err=fid_err,
+        fidelity_err=float(fid_err),
         log_likelihood=float(-best.fun),
     )
-
-
-def dark_state_fidelity(fit: FitResult) -> float:
-    """F_D = A0 - A cos(phi0), clipped to [0, 1]."""
-    return float(np.clip(fit.a0 - fit.a * np.cos(fit.phi0), 0.0, 1.0))
 
 
 # The resonant pi/2 analysis pulse at phase 0 is the rotation

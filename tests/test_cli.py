@@ -207,6 +207,21 @@ class TestErrorContract:
         assert repr(setting.partition("=")[0]) in err["message"]
         assert "2**63 - 1" in err["message"]
 
+    @pytest.mark.parametrize("scenario,setting", [
+        ("ramsey", "n_transfers=4000000"), ("fig4c", "ns=[0,4000000]"),
+        ("ramsey", f"n_transfers={experiments._MAX_TRANSFERS + 4}"),
+        ("fig4c", f"ns=[0,{experiments._MAX_TRANSFERS}]")])
+    def test_transfer_count_over_the_limit(self, tmp_path, capsys, monkeypatch,
+                                           scenario, setting):
+        # ramsey n_transfers=4000000 used to run for minutes
+        def refuse(*args):
+            raise AssertionError("propagated before refusing the transfer count")
+
+        monkeypatch.setattr(experiments, "_op_unitaries", refuse)
+        err = self.failing_run(tmp_path, "--scenario", scenario, "--set", setting)
+        assert err["error"] == "ScenarioError"
+        assert f"limit of {experiments._MAX_TRANSFERS}" in err["message"]
+
     def test_largest_int64_is_an_integer(self):
         assert parse_config("fig4b", {"shots": 2**63 - 1}).params["shots"] == 2**63 - 1
 

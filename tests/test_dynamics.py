@@ -584,6 +584,19 @@ class TestEigenScan:
         with pytest.raises(ValueError):
             eigen_scan(-1.0, [0.0], 2)
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_eigen_equation(self, d):
+        ops = angular_momentum_ops(d)
+        ratios = np.linspace(-50.0, 50.0, 101)
+        for x, (vals, vecs) in zip(ratios, eigen_scan(OMEGA0, ratios, d)):
+            omega_half, delta_half = OMEGA0 / np.sqrt(2), x * OMEGA0 / 2
+            h = omega_half * ops.jx.real + delta_half * ops.jz.real
+            norm = np.hypot(omega_half, delta_half)
+            assert vecs.dtype == float
+            assert np.max(np.abs(h @ vecs - vecs * vals)) <= 1e-13 * norm
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(d))) <= 1e-13
+            assert np.diff(vals) == pytest.approx(np.full(d - 1, norm), rel=1e-14)
+
 
 class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path):

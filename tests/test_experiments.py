@@ -529,6 +529,36 @@ class TestBatchedScenarios:
         calls = self.calls(builds)
         assert [{b for _, b in call} for call in calls] == [{(1,)}, {(21,)}, {(21,)}, {(21,)}]
 
+    @pytest.mark.parametrize("ns", [[8, 2], [8, 2, 4, 4], [8, 2, 0, 16]])
+    def test_each_count_continues_from_the_previous_one(self, ns, monkeypatch):
+        # max(ns) + 1 channels in all, plus the single-operation infidelity's,
+        # and the states of rebuilding each count from the initial state
+        apply_channel = experiments._apply_channel
+        applied = []
+        monkeypatch.setattr(experiments, "_apply_channel",
+                            lambda *args: applied.append(1) or apply_channel(*args))
+        rep = measure_fidelity_vs_n("tbb1", ns, MeasurementModel(shots=200, seed=1), cfg=FAST)
+        assert len(applied) == max(ns) + 2
+        fwd_u, rev_u = (experiments._op_unitaries(s, NoiseParams(), np.zeros(1), FAST, 3,
+                                                  NOMINAL_ADIABATIC.omega0)
+                        for s in transfer_schedules("tbb1", NOMINAL_ADIABATIC))
+        dark = experiments._D3_DARK.amps
+        for n, f in zip(sorted(ns), rep.outputs["fidelity_exact"]):
+            rho = experiments._D3_ZERO.density_matrix()
+            for k in range(n + 1):
+                rho = apply_channel(rho, fwd_u if k % 2 == 0 else rev_u, np.ones(1))
+            assert float(np.real(dark.conj() @ rho @ dark)) == f
+
+    def test_transfer_count_refused_before_propagating(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        limit = experiments._MAX_TRANSFERS
+        with pytest.raises(ScenarioError, match="transfer operations"):
+            measure_fidelity_vs_n("tbb1", [0, limit], MeasurementModel(shots=200, seed=1),
+                                  cfg=FAST)
+        with pytest.raises(ScenarioError, match="transfer operations"):
+            run_ramsey_dressed_qubit(limit + 4, cfg=FAST)
+        assert builds == []
+
     @pytest.mark.parametrize("ns", [[4, 4], [], [0], [8]])
     def test_too_few_distinct_counts_fail_before_propagating(self, ns, monkeypatch):
         builds = self.count_builds(monkeypatch)

@@ -14,7 +14,6 @@ from spinlift import (
     FitSingularError,
     FringeData,
     MeasurementModel,
-    dark_state_fidelity,
     detection_map,
     fringe_prediction,
     infidelity_per_op,
@@ -224,19 +223,110 @@ def test_runtime_imports_no_scipy():
 
 
 class TestDarkStateFidelity:
+    """FitResult.fidelity is the one F_D = A0 - A cos(phi0), clipped to [0, 1]."""
+
     def test_values(self):
         rho = named_state(3, "D").density_matrix()
         _, fit = run_fringe_experiment(rho, M_DEFAULT, exact=True)
-        assert dark_state_fidelity(fit) == pytest.approx(1.0, abs=1e-9)
+        assert fit.fidelity == pytest.approx(1.0, abs=1e-9)
 
-    def test_formula(self):
-        from dataclasses import replace
-        rho = named_state(3, "D").density_matrix()
-        _, fit = run_fringe_experiment(rho, M_DEFAULT, exact=True)
-        zero_phase = replace(fit, phi0=0.0)
-        assert dark_state_fidelity(zero_phase) == pytest.approx(0.0, abs=1e-6)
-        no_amp = replace(fit, a=0.0)
-        assert dark_state_fidelity(no_amp) == pytest.approx(0.5, abs=1e-6)
+    @pytest.mark.parametrize("a, phi0, expect", [(0.5, 0.0, 0.0), (0.0, 0.0, 0.5),
+                                                  (0.3, 2.0, 0.5 - 0.3 * np.cos(2.0))])
+    def test_formula(self, a, phi0, expect):
+        chi = DEFAULT_FRINGE_CHI
+        counts = 10000 * detection_map(0.5 + a * np.cos(2 * chi + phi0), M_DEFAULT)
+        fit = ml_fit_fringe(FringeData(chi, counts, 10000), M_DEFAULT)
+        assert fit.fidelity == pytest.approx(expect, abs=1e-6)
+        assert fit.fidelity == np.clip(fit.a0 - fit.a * np.cos(fit.phi0), 0.0, 1.0)
+
+
+def richardson_information(ll, theta, steps):
+    """-Hessian of ll at theta: central second differences at steps and at
+    steps / 2, Richardson-extrapolated (truncation error O(step^4))."""
+    theta = np.asarray(theta, dtype=float)
+
+    def hessian(h):
+        e = np.diag(h)
+        return np.array([[(ll(theta + e[i] + e[j]) - ll(theta + e[i] - e[j])
+                           - ll(theta - e[i] + e[j]) + ll(theta - e[i] - e[j]))
+                          / (4 * h[i] * h[j]) for j in range(3)] for i in range(3)])
+
+    steps = np.asarray(steps, dtype=float)
+    return -(4 * hessian(steps / 2) - hessian(steps)) / 3
+
+
+def seeded_fringe(seed, shots=200, a_range=(0.0, 0.5)):
+    rng = np.random.default_rng(seed)
+    chi = DEFAULT_FRINGE_CHI
+    a0, a, phi0 = rng.uniform(0.1, 0.9), rng.uniform(*a_range), rng.uniform(0, 2 * np.pi)
+    p = np.clip(a0 + a * np.cos(2 * chi + phi0), 0.0, 1.0)
+    counts = rng.binomial(shots, detection_map(p, M_DEFAULT)).astype(float)
+    return FringeData(chi, counts, shots)
+
+
+class TestClosedFormErrors:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_match_an_accurate_numerical_hessian(self, seed):
+        data = seeded_fringe([5, seed], shots=10000, a_range=(0.2, 0.5))
+        fit = ml_fit_fringe(data, M_DEFAULT)
+        ll = inference._make_log_likelihood(data.chi, data.counts, data.shots, M_DEFAULT)
+        cov = np.linalg.inv(richardson_information(ll, (fit.a0, fit.a, fit.phi0),
+                                                   (3e-5, 3e-5, 3e-5 / fit.a)))
+        grad_f = np.array([1.0, -np.cos(fit.phi0), fit.a * np.sin(fit.phi0)])
+        expect = [*np.sqrt(np.diag(cov)), np.sqrt(grad_f @ cov @ grad_f)]
+        got = [fit.a0_err, fit.a_err, fit.phi0_err, fit.fidelity_err]
+        assert got == pytest.approx(expect, rel=1e-4)
+
+    @pytest.mark.parametrize("shots", [200, 10**6])
+    def test_noiseless_dark_state_under_ideal_detection(self, shots):
+        m = MeasurementModel(p_b_given_1=1.0, p_b_given_0=0.0, shots=shots)
+        _, fit = run_fringe_experiment(named_state(3, "D").density_matrix(), m, exact=True)
+        assert (fit.a0, fit.a, fit.phi0) == pytest.approx((0.5, 0.5, np.pi), abs=1e-6)
+        errs = np.array([fit.a0_err, fit.a_err, fit.phi0_err, fit.fidelity_err])
+        assert np.all(np.isfinite(errs)) and np.all(errs > 0)
+        # exact counts k = n p give the information n / (p (1 - p)) per point;
+        # the points read at p = 0 or 1 sit where the likelihood's p_b is
+        # clipped and carry none
+        chi = DEFAULT_FRINGE_CHI
+        p = 0.5 - 0.5 * np.cos(2 * chi)
+        inside = (p > 1e-9) & (p < 1 - 1e-9)
+        chi, p = chi[inside], p[inside]
+        x = np.stack([np.ones_like(chi), np.cos(2 * chi), np.sin(2 * chi)], axis=1)
+        info = x.T @ ((shots / (p * (1 - p)))[:, None] * x)
+        e = np.array([1.0, -1.0, 0.0])
+        assert fit.fidelity_err == pytest.approx(np.sqrt(e @ np.linalg.solve(info, e)), rel=1e-6)
+
+    def test_zero_amplitude_leaves_the_phase_unconstrained(self, monkeypatch):
+        data = seeded_fringe(4)
+        ll = inference._make_log_likelihood(data.chi, data.counts, data.shots, M_DEFAULT)
+        at = np.array([0.5, 0.0, 1.0])
+        monkeypatch.setattr(inference, "minimize", lambda fun, x0: inference._Minimum(
+            x=at, fun=-ll(at), nfev=1, nit=1))
+        fit = ml_fit_fringe(data, M_DEFAULT)
+        assert fit.a == 0.0 and fit.phi0_err == np.inf
+        assert np.isfinite(fit.a0_err) and np.isfinite(fit.a_err) and fit.a0_err > 0
+
+    def test_unconstrained_harmonic_is_singular(self):
+        # a fringe read only at chi = 0 and pi/2 (with repeats) cannot tell
+        # the sin 2chi harmonic from nothing
+        chi = np.array([0.0, 0.0, np.pi / 2, np.pi / 2])
+        counts = np.array([50.0, 52.0, 140.0, 138.0])
+        with pytest.raises(FitSingularError):
+            ml_fit_fringe(FringeData(chi, counts, 200), M_DEFAULT)
+
+    @pytest.mark.parametrize("seed, estimates", [
+        (11, (0.20626197575709138, 0.2153809972966444, 3.8184866952716345,
+              0.37415619505398895, -1720.6792973526144)),
+        (12, (0.3415789356139045, 0.35663161795215925, 1.2007397472901955,
+              0.21259662670344615, -1748.1642686759367)),
+        (13, (0.7202709752252687, 0.3007434306772703, 5.089004052371596,
+              0.6096650938345372, -1716.723867796242)),
+    ])
+    def test_estimates_are_those_of_the_finite_difference_fit(self, seed, estimates):
+        # recorded from the fit whose errors came from a finite-difference
+        # Hessian: the estimates do not depend on how the errors are taken
+        fit = ml_fit_fringe(seeded_fringe(seed), M_DEFAULT)
+        assert (fit.a0, fit.a, fit.phi0, fit.fidelity_raw, fit.log_likelihood) == estimates
 
 
 class TestFringePrediction:
