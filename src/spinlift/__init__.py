@@ -17,7 +17,6 @@ from .spin import (
     named_state,
     basis_state,
     state_fidelity,
-    states_equal_up_to_phase,
     phase_aligned_deviation,
 )
 from .waveforms import (

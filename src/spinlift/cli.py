@@ -28,7 +28,7 @@ class ConfigError(SpinliftError, ValueError):
 
 @dataclass(frozen=True)
 class KeySpec:
-    kind: str           # freq | time | float | nonneg | pos | int | str | intlist
+    kind: str           # freq[_pos|_signed] | time[_pos] | nonneg | pos | int[0] | str | intlist
     internal: str
     default: object     # in user units
 
@@ -47,8 +47,7 @@ _ADIABATIC_KEYS = {
     "t_delta_us": KeySpec("time_pos", "t_delta", 300.0),
 }
 
-_TOL_KEY = {"tolerance": KeySpec("pos", "tolerance", 1e-9),
-            "max_step_us": KeySpec("time_opt", "max_step", None)}
+_TOL_KEY = {"tolerance": KeySpec("pos", "tolerance", 1e-9)}
 
 SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
     "fig2e": {**_ADIABATIC_KEYS,
@@ -113,12 +112,7 @@ def _convert(key: str, spec: KeySpec, value):
     kind = spec.kind
     def fail(msg):
         raise ConfigError(f"invalid value for {key!r}: {msg} (got {value!r})")
-    if kind == "time_opt":
-        if value is None:
-            return None
-        kind = "time_pos"
-    if kind in ("freq", "freq_pos", "freq_signed", "time", "time_pos",
-                "float", "nonneg", "pos"):
+    if kind in ("freq", "freq_pos", "freq_signed", "time", "time_pos", "nonneg", "pos"):
         if isinstance(value, bool):
             fail("expected a number")
         try:

@@ -9,11 +9,11 @@ When drive.su2_covariant (no Rabi mismatch and no static detuning, so
 H = Lambda(t) . J) the drive is propagated as the spin-1/2 problem
 Lambda(t) . S, with Lambda read from its schedule, gain and shift: each
 step is a closed-form 2x2 exponential, the ordered product runs over
-(a, b) pairs of [[a, -b*], [b, a*]], and each build is lifted to its
-spin_dim levels once (spin.lift_matrices).  Only a drive that breaks the
-symmetry takes the dense path, a batched d x d spectral exponential of
-drive.hamiltonian per factor and a d x d ordered product; that path also
-serves as the independent reference for the lift.  propagate, propagator,
+(a, b) pairs of [[a, -b*], [b, a*]], and each build is lifted to d levels
+once (spin.lift_matrices).  Only a drive that breaks the symmetry takes the
+dense path, a batched d x d spectral exponential of drive.hamiltonian per
+factor and a d x d ordered product; that path also serves as the
+independent reference for the lift.  propagate, propagator,
 propagators and _dense_propagator are shells over one core, _propagation.
 
 Step boundaries are forced at segment boundaries and sample times, so no
@@ -24,11 +24,12 @@ segment (a Blackman sweep) is cut into steps, each taken with the
 two-exponential fourth-order commutator-free Magnus rule (CF4; Blanes,
 Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009); Alvermann & Fehske,
 J. Comput. Phys. 230, 5930 (2011)), which samples the controls at the two
-Gauss nodes of the step.  The step is set by the batch's largest |gain| and
-|shift|, and a result is accepted only once halving the step changes every
-requested d-level amplitude of every drive in the batch by less than the
-configured tolerance, whichever path built it; a drive whose segments are
-all constant is exact after one build and is not halved.
+Gauss nodes of the step.  The first step is set by the batch's largest
+|gain| and |shift| (DEFAULT_PHASE_PER_STEP), and a result is accepted only
+once halving the step changes every requested d-level amplitude of every
+drive in the batch by less than the configured tolerance, whichever path
+built it, within _MAX_HALVINGS halvings; a drive whose segments are all
+constant is exact after one build and is not halved.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -63,8 +64,9 @@ __all__ = [
     "eigen_scan",
 ]
 
-# default step criterion: max(Omega, |delta|) * max_step <= 0.4 rad
+# first step: max(Omega, |delta|) * step <= 0.4 rad
 DEFAULT_PHASE_PER_STEP = 0.4
+_MAX_HALVINGS = 14
 _STEP_CHUNK = 131072
 # Most steps one build may take: 14x the largest build that the scenarios,
 # demos and tests make (18,096).  A dense d = 4 propagator whose last build
@@ -87,15 +89,11 @@ class IntegratorError(SpinliftError, RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """max_step=None picks the step from the schedule's peak control values."""
+    """The step-halving tolerance on every requested amplitude."""
 
-    max_step: float | None = None
     tolerance: float = 1e-9
-    max_halvings: int = 14
 
     def __post_init__(self):
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError(f"max_step must be > 0, got {self.max_step}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
@@ -117,7 +115,7 @@ class Trajectory:
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=complex)
         norms = np.linalg.norm(states, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # a nan norm fails too
             raise IntegratorError("trajectory state norm deviates by "
                                   f"{np.max(np.abs(norms - 1.0)):.3e}", 0.0)
         object.__setattr__(self, "times", times)
@@ -288,23 +286,15 @@ def _dense_steps(drive, grid: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Su2Steps:
     """Step propagators of an SU(2)-covariant drive as the (a, b) pairs of
-    [[a, -b*], [b, a*]], shape (n_steps, *batch, 2); the d-level step is the
-    spin-j lift on the first spin_dim of the drive's dim levels."""
+    [[a, -b*], [b, a*]], shape (n_steps, *batch, 2); the d-level step is
+    their spin-j lift."""
 
     ab: np.ndarray
-    spin_dim: int
     dim: int
 
     def lift(self, ab: np.ndarray) -> np.ndarray:
         """d-level matrices, shape ab.shape[:-1] + (dim, dim), of (a, b) pairs."""
-        u = lift_matrices(ab[..., 0], ab[..., 1], self.spin_dim)
-        if self.dim == self.spin_dim:
-            return u
-        out = np.zeros(u.shape[:-2] + (self.dim, self.dim), dtype=complex)
-        out[..., : self.spin_dim, : self.spin_dim] = u
-        rest = np.arange(self.spin_dim, self.dim)
-        out[..., rest, rest] = 1.0
-        return out
+        return lift_matrices(ab[..., 0], ab[..., 1], self.dim)
 
 
 def _su2_exp(v: np.ndarray, dts: np.ndarray) -> np.ndarray:
@@ -313,8 +303,17 @@ def _su2_exp(v: np.ndarray, dts: np.ndarray) -> np.ndarray:
     closed form: cos(theta) I - i (sin(theta) / |v|) v . sigma, theta =
     |v| dt / 2.  m ascends, so sigma_z = diag(-1, +1) and sigma_y[1, 0] = -i;
     hence a = cos(theta) + i s v_z and b = -s (v_y + i v_x) with
-    s = sin(theta)/|v| (any finite s serves where v = 0)."""
-    norm = np.sqrt(np.sum(v * v, axis=-1))
+    s = sin(theta)/|v| (any finite s serves where v = 0).  Where the plain
+    norm may have overflowed or underflowed, |v| is taken on v scaled by its
+    largest |v_i|, as np.hypot does, so the step holds across the float range."""
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.sum(v * v, axis=-1))
+    outside = ~((norm > 1e-140) & (norm < 1e140))
+    if np.any(outside):
+        w = v[outside]
+        big = np.max(np.abs(w), axis=-1)
+        scaled = w / np.where(big > 0.0, big, 1.0)[:, None]
+        norm[outside] = big * np.sqrt(np.sum(scaled * scaled, axis=-1))
     theta = norm * dts.reshape(dts.shape + (1,) * (norm.ndim - 1)) / 2.0
     s = np.sin(theta) / np.where(norm > 0.0, norm, 1.0)
     out = np.empty(theta.shape + (2,), dtype=complex)
@@ -349,7 +348,7 @@ def _su2_steps(drive, grid: np.ndarray) -> _Su2Steps:
         return v
 
     return _Su2Steps(_cf4_steps(drive, grid, control_vectors, _su2_exp, _su2_compose, (2,)),
-                     drive.spin_dim, drive.dim)
+                     drive.dim)
 
 
 def _pairwise_product(arr: np.ndarray, compose) -> np.ndarray:
@@ -408,8 +407,9 @@ def _evolve_on_grid(drive, psi0: np.ndarray, sample_times: np.ndarray,
 
 def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
               caller: str, path: str) -> np.ndarray:
-    """on_grid(grid) evaluated on successively halved step grids until two
-    successive results differ by less than cfg.tolerance everywhere.
+    """on_grid(grid) evaluated on successively halved step grids, from the
+    drive's _auto_max_step, until two successive results differ by less than
+    cfg.tolerance everywhere; IntegratorError after _MAX_HALVINGS halvings.
 
     An all-constant drive is exact on its forced nodes, so it is evaluated
     once and not halved.
@@ -420,13 +420,12 @@ def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
         logger.debug("%s: path %s, all segments constant, 1 build of %d steps, no halving",
                      caller, path, grid.size - 1)
         return on_grid(grid)
-    h = cfg.max_step if cfg.max_step is not None else _auto_max_step(drive)
-    h = min(h, total)
+    h = min(_auto_max_step(drive), total)
     grid = _step_grid(drive, sample_times, h)
     steps = [grid.size - 1]
     coarse = on_grid(grid)
     residual = np.inf
-    for _ in range(cfg.max_halvings):
+    for _ in range(_MAX_HALVINGS):
         h /= 2
         grid = _step_grid(drive, sample_times, h)
         steps.append(grid.size - 1)
@@ -440,7 +439,7 @@ def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
     logger.debug("%s: path %s, no convergence, %d builds, steps per build %s, residual %.3e",
                  caller, path, len(steps), steps, residual)
     raise IntegratorError(
-        f"no convergence after {cfg.max_halvings} halvings (residual {residual:.3e})",
+        f"no convergence after {_MAX_HALVINGS} halvings (residual {residual:.3e})",
         residual)
 
 
@@ -506,21 +505,12 @@ def _dense_propagator(drive: MultiLevelDrive, cfg: IntegratorConfig) -> Unitary:
     return Unitary(_propagation(drive, cfg, "propagator", dense=True))
 
 
-def propagators(drives: MultiLevelDrive | Sequence[MultiLevelDrive],
-                cfg: IntegratorConfig) -> list[Unitary]:
-    """Propagators of a drive batch, in C order: one drive whose gain or
-    shift is an array, or drives that differ only in gain and shift (others
-    raise ScheduleError), stacked into one.  The batch is built once per
-    grid, and a halving is accepted only when every drive's propagator moved
-    by less than cfg.tolerance."""
-    batch = drives
-    if not isinstance(drives, MultiLevelDrive):
-        first = drives[0]
-        if any(replace(d, gain=first.gain, shift=first.shift) != first for d in drives):
-            raise ScheduleError("propagators needs drives that differ only in gain and shift")
-        batch = replace(first, gain=np.array([d.gain for d in drives], dtype=float),
-                        shift=np.array([d.shift for d in drives], dtype=float))
-    mats = _propagation(batch, cfg, "propagators")
+def propagators(drive: MultiLevelDrive, cfg: IntegratorConfig) -> list[Unitary]:
+    """Propagators of a drive batch (a drive whose gain or shift is an
+    array), in C order.  The batch is built once per grid, and a halving is
+    accepted only when every drive's propagator moved by less than
+    cfg.tolerance."""
+    mats = _propagation(drive, cfg, "propagators")
     return [Unitary(u) for u in mats.reshape((-1,) + mats.shape[-2:])]
 
 

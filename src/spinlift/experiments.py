@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .spin import (
-    DimensionError,
     SpinliftError,
     lift_unitary,
     named_state,
@@ -108,7 +107,6 @@ NOMINAL_ADIABATIC = AdiabaticParams(
 # dominated).  Recorded as calibration targets for noise-injection studies;
 # the simulations here do not attempt to reproduce them from first principles.
 REFERENCE_INFIDELITY_PER_OP = {"adiabatic": 1.4e-4, "tbb1": 1.1e-4}
-REFERENCE_QUBIT_MAP_INFIDELITY = 1.8e-4
 
 # The Ramsey scenario uses a slower ramp so the zero-noise coherence floor
 # sits well below the 1e-6 contrast target (the non-adiabatic leakage of the
@@ -191,35 +189,27 @@ def _report(name: str, seed: int, inputs: dict, outputs: dict, out_dir: str | No
 
 
 # ---------------------------------------------------------------------------
-# Noisy dressed drive (3- or 4-level V system)
+# Noisy dressed drive (three-level V system)
 # ---------------------------------------------------------------------------
 
-def DressedDrive(schedule: ControlSchedule, noise: NoiseParams = NoiseParams(),
-                 zeeman: float | np.ndarray = 0.0, dim: int = 3,
-                 omega0_ref: float | None = None) -> MultiLevelDrive:
+def DressedDrive(schedule: ControlSchedule, noise: NoiseParams,
+                 zeeman: float | np.ndarray, omega0_ref: float) -> MultiLevelDrive:
     """The two-field dressing drive of a two-level schedule under the field
-    errors of noise and a Zeeman shift, as a MultiLevelDrive on the spin-1
-    block; an array of shifts makes it a batch with one drive per shift.
-    dim = 4 adds the undriven clock level |0'> (index 3).
+    errors of noise and a Zeeman shift, as a spin-1 MultiLevelDrive; an
+    array of shifts makes it a batch with one drive per shift.
 
     A common Rabi error delta_omega becomes the gain 1 + delta_omega /
     omega0_ref, which must stay in (0, 2): a field that is switched off or
     reversed is not an amplitude error.
     """
-    if dim not in (3, 4):
-        raise DimensionError(f"DressedDrive supports dim 3 or 4, got {dim}")
-    gain = 1.0
-    if noise.common_rabi_error != 0:
-        if omega0_ref is None:
-            raise ScenarioError("common_rabi_error needs omega0_ref to define the gain")
-        gain = 1.0 + noise.common_rabi_error / omega0_ref
-        if abs(noise.common_rabi_error) >= omega0_ref:
-            raise ScenarioError(f"need |delta_omega| < omega0: a common Rabi error of "
-                                f"{noise.common_rabi_error / TWO_PI:.6g} Hz sets the "
-                                f"gain to {gain:.6g}, outside (0, 2)")
-    return MultiLevelDrive(dim=dim, schedule=schedule, gain=gain, shift=zeeman,
+    gain = 1.0 + noise.common_rabi_error / omega0_ref
+    if abs(noise.common_rabi_error) >= omega0_ref:
+        raise ScenarioError(f"need |delta_omega| < omega0: a common Rabi error of "
+                            f"{noise.common_rabi_error / TWO_PI:.6g} Hz sets the "
+                            f"gain to {gain:.6g}, outside (0, 2)")
+    return MultiLevelDrive(dim=3, schedule=schedule, gain=gain, shift=zeeman,
                            rabi_mismatch=noise.rabi_mismatch,
-                           static_detuning=noise.static_detuning, spin_dim=3)
+                           static_detuning=noise.static_detuning)
 
 
 def zeeman_quadrature(sigma: float):
@@ -250,9 +240,14 @@ def transfer_schedules(method: str, params: AdiabaticParams) -> tuple[ControlSch
 
 def _op_unitaries(schedule: ControlSchedule, noise: NoiseParams, shifts: np.ndarray,
                   cfg: IntegratorConfig, dim: int, omega0_ref: float) -> list[np.ndarray]:
-    """Operation unitaries at each Zeeman node, propagated as one batch."""
-    return [u.mat for u in propagators(DressedDrive(schedule, noise, shifts, dim,
-                                                    omega0_ref), cfg)]
+    """Operation unitaries at each Zeeman node, propagated as one batch of
+    spin-1 drives; dim = 4 appends the undriven clock level |0'> (index 3),
+    so each spin-1 unitary U becomes U (+) 1."""
+    units = propagators(DressedDrive(schedule, noise, shifts, omega0_ref), cfg)
+    out = np.zeros((len(units), dim, dim), dtype=complex)
+    out[:, 3:, 3:] = np.eye(dim - 3)
+    out[:, :3, :3] = [u.mat for u in units]
+    return list(out)
 
 
 def _apply_channel(rho: np.ndarray, unitaries: Sequence[np.ndarray],
@@ -313,7 +308,7 @@ def run_adiabatic_transfer(params: AdiabaticParams = NOMINAL_ADIABATIC,
     t_mid = params.t_delta
     times = _sample_times(total, sample_step, t_mid)
     shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
-    traj = propagate(DressedDrive(schedule, noise, shifts, 3, params.omega0),
+    traj = propagate(DressedDrive(schedule, noise, shifts, params.omega0),
                      _D3_ZERO, cfg, times)  # states: (time, Zeeman node, level)
     pops = np.einsum("n,tnk->tk", weights, traj.populations)
     rho_mid, rho_end = (np.einsum("n,ni,nj->ij", weights, psi, psi.conj())
@@ -349,7 +344,7 @@ def run_tbb1(delta_omega: float = 0.0,
     and the final fidelity to |D> (report fig3c)."""
     schedule = composite_method(bb1_sequence(), omega0, protect=True)
     noise = NoiseParams(common_rabi_error=delta_omega)
-    drive = DressedDrive(schedule, noise, 0.0, 3, omega0)
+    drive = DressedDrive(schedule, noise, 0.0, omega0)
     total = schedule.total_duration
     times = _sample_times(total, 0.25e-6)
     traj = propagate(drive, _D3_ZERO, cfg, times)
@@ -397,7 +392,7 @@ def static_error_infidelity(rabi_mismatch: float, delta_err: float,
     detuning offset."""
     schedule, _ = transfer_schedules("adiabatic", params)
     noise = NoiseParams(rabi_mismatch=rabi_mismatch, static_detuning=delta_err)
-    drive = DressedDrive(schedule, noise, 0.0, 3, params.omega0)
+    drive = DressedDrive(schedule, noise, 0.0, params.omega0)
     psi = propagator(drive, cfg) @ _D3_ZERO
     return 1.0 - state_fidelity(psi, _D3_DARK)
 
@@ -644,7 +639,7 @@ def rotation_cycle_check(seed: int = 0, out_dir: str | None = None) -> ScenarioR
 # Fig. 4b (single-op fringe) and Fig. 3d (area sweep) scenario wrappers
 # ---------------------------------------------------------------------------
 
-def run_fig4b(m: MeasurementModel | None = None,
+def run_fig4b(m: MeasurementModel,
               params: AdiabaticParams = NOMINAL_ADIABATIC,
               noise: NoiseParams = NoiseParams(),
               cfg: IntegratorConfig = IntegratorConfig(),
@@ -652,8 +647,6 @@ def run_fig4b(m: MeasurementModel | None = None,
     """Fringe at DEFAULT_FRINGE_CHI after a single forward adiabatic
     transfer, with the measurement model, fitted for the dark-state
     fidelity (report fig4b)."""
-    if m is None:
-        m = MeasurementModel(seed=seed)
     schedule, _ = transfer_schedules("adiabatic", params)
     shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
     units = _op_unitaries(schedule, noise, shifts, cfg, 3, params.omega0)
@@ -674,14 +667,13 @@ def run_fig4b(m: MeasurementModel | None = None,
                                 [ml_estimate_single(k, m) for k in data.counts]]))
 
 
-def run_fig3d(areas: np.ndarray | None = None,
-              cfg: IntegratorConfig = IntegratorConfig(),
+def run_fig3d(cfg: IntegratorConfig = IntegratorConfig(),
               omega0: float = NOMINAL_ADIABATIC.omega0,
               seed: int = 0, out_dir: str | None = None) -> ScenarioReport:
-    """Population in F=1 versus normalized pulse area for the single pulse and
-    the TBB1 sequence (report fig3d, one sweep CSV per method)."""
-    if areas is None:
-        areas = np.linspace(0.7, 1.3, 61)
+    """Population in F=1 versus normalized pulse area 0.7 .. 1.3 (61 points)
+    for the single pulse and the TBB1 sequence (report fig3d, one sweep CSV
+    per method)."""
+    areas = np.linspace(0.7, 1.3, 61)
     results = {method: sweep_pulse_area(method, areas, cfg, omega0)
                for method in ("single", "tbb1")}
     band = (areas >= 0.92 - 1e-12) & (areas <= 1.08 + 1e-12)
@@ -704,7 +696,7 @@ def run_fig3d(areas: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 def _cfg_from_params(p: dict) -> IntegratorConfig:
-    return IntegratorConfig(max_step=p.get("max_step"), tolerance=p["tolerance"])
+    return IntegratorConfig(tolerance=p["tolerance"])
 
 
 def _noise_from_params(p: dict) -> NoiseParams:

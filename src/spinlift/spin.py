@@ -37,7 +37,6 @@ __all__ = [
     "named_state",
     "basis_state",
     "state_fidelity",
-    "states_equal_up_to_phase",
     "phase_aligned_deviation",
 ]
 
@@ -78,7 +77,7 @@ class StateVector:
         if amps.size < 2:
             raise DimensionError(f"state needs dim >= 2, got {amps.size}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # a nan norm fails too
             raise NormalizationError(f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
         object.__setattr__(self, "amps", _as_readonly(amps))
 
@@ -107,10 +106,6 @@ class SpinOperators:
     jy: np.ndarray
     jz: np.ndarray
 
-    @property
-    def j(self) -> float:
-        return (self.dim - 1) / 2
-
 
 @dataclass(frozen=True)
 class Unitary:
@@ -123,7 +118,7 @@ class Unitary:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"unitary must be square, got shape {mat.shape}")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:
             raise NormalizationError(f"matrix is not unitary, max |U^dag U - I| = {dev:.3e}")
         object.__setattr__(self, "mat", _as_readonly(mat))
 
@@ -177,7 +172,7 @@ def rotation_unitary(d: int, axis: Iterable[float], angle: float) -> Unitary:
     ops = angular_momentum_ops(d)
     axis = np.asarray(axis, dtype=float).reshape(3)
     norm = float(np.linalg.norm(axis))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise NormalizationError(f"rotation axis must be a unit vector, |axis| = {norm:.12f}")
     gen = axis[0] * ops.jx + axis[1] * ops.jy + axis[2] * ops.jz
     return Unitary(_expm_hermitian(gen, angle))
@@ -239,7 +234,7 @@ def lift_unitary(a: complex, b: complex, d: int) -> Unitary:
     a = complex(a)
     b = complex(b)
     norm_sq = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
         raise NormalizationError(f"|a|^2 + |b|^2 deviates from 1 by {norm_sq - 1.0:.3e}")
     return Unitary(lift_matrices(a, b, int(d)))
 
@@ -282,11 +277,6 @@ def named_state(d: int, name: str) -> StateVector:
 def state_fidelity(psi: StateVector, phi: StateVector) -> float:
     """|<phi|psi>|^2; symmetric, in [0, 1]."""
     return min(1.0, abs(psi.overlap(phi)) ** 2)
-
-
-def states_equal_up_to_phase(psi: StateVector, phi: StateVector, tol: float = 1e-10) -> bool:
-    """True when 1 - |<phi|psi>| <= tol."""
-    return 1.0 - abs(psi.overlap(phi)) <= tol
 
 
 def phase_aligned_deviation(a: Unitary | np.ndarray, b: Unitary | np.ndarray) -> float:

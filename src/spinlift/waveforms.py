@@ -347,17 +347,18 @@ def bb1_sequence(theta: float = np.pi / 2, phi: float = np.pi / 2) -> CompositeS
 DEFAULT_PROTECT_DURATION = 20e-6
 
 
-def composite_method(seq: CompositeSequence, omega0: float, protect: bool = False,
-                     protect_duration: float = DEFAULT_PROTECT_DURATION) -> ControlSchedule:
+def composite_method(seq: CompositeSequence, omega0: float,
+                     protect: bool = False) -> ControlSchedule:
     """One resonant constant segment per rotation: Omega_half = omega0 /
     sqrt(2) for sqrt(2) * theta / omega0, chi = phi_R, delta = 0.  omega0 is
     the per-field three-level Rabi frequency.  With protect=True a chi = 0
-    hold at the same amplitude (the R(*, 0) protection field) is appended."""
+    hold at the same amplitude (the R(*, 0) protection field) is appended
+    for DEFAULT_PROTECT_DURATION."""
     if omega0 <= 0:
         raise ScheduleError(f"omega0 must be > 0, got {omega0}")
     segs = [_rotation(th, ph, omega0) for th, ph in seq.rotations]
     if protect:
-        segs.append(ConstantSegment(protect_duration, omega0 / np.sqrt(2.0)))
+        segs.append(ConstantSegment(DEFAULT_PROTECT_DURATION, omega0 / np.sqrt(2.0)))
     return ControlSchedule(segs)
 
 
@@ -380,9 +381,7 @@ def square_pulse(theta: float, phi: float, omega0: float) -> ControlSchedule:
 class MultiLevelDrive:
     """A schedule lifted to d levels, with the field errors as added terms.
 
-    On the first spin_dim levels (spin_dim defaults to dim; any further
-    levels are undriven, as the clock level of the four-level Ramsey system
-    is) hamiltonian(t) returns the rotating-frame Hamiltonian
+    hamiltonian(t) returns the rotating-frame Hamiltonian
 
         g Omega_half (cos chi Jx + sin chi Jy) + (delta_half + shift) Jz
         - eps g Omega_half (cos chi {Jz, Jx} + sin chi {Jz, Jy}) + e Jz^2
@@ -407,17 +406,10 @@ class MultiLevelDrive:
     shift: float | np.ndarray = 0.0
     rabi_mismatch: float = 0.0
     static_detuning: float = 0.0
-    spin_dim: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise DimensionError(f"dimension must be an integer >= 2, got {self.dim!r}")
-        if self.spin_dim is None:
-            object.__setattr__(self, "spin_dim", self.dim)
-        elif (not isinstance(self.spin_dim, (int, np.integer))
-              or not 2 <= self.spin_dim <= self.dim):
-            raise DimensionError(
-                f"spin_dim must be an integer in 2..{self.dim}, got {self.spin_dim!r}")
 
     @property
     def total_duration(self) -> float:
@@ -429,27 +421,21 @@ class MultiLevelDrive:
 
     @property
     def su2_covariant(self) -> bool:
-        """Whether H is the spin-j lift, on the first spin_dim levels, of the
-        two-level Lambda . S with Lambda = (gain Omega_half cos chi,
-        gain Omega_half sin chi, delta_half + shift): true unless the Rabi
-        mismatch or the static detuning breaks the SU(2) symmetry."""
+        """Whether H is the spin-j lift of the two-level Lambda . S with
+        Lambda = (gain Omega_half cos chi, gain Omega_half sin chi,
+        delta_half + shift): true unless the Rabi mismatch or the static
+        detuning breaks the SU(2) symmetry."""
         return bool(self.rabi_mismatch == 0 and self.static_detuning == 0)
 
     def hamiltonian(self, t):
-        n = self.spin_dim
         omega, chi, delta = self.schedule.controls(np.asarray(t, dtype=float))
         column = np.shape(omega) + (1,) * np.broadcast(self.gain, self.shift).ndim
         omega, chi = np.reshape(omega, column) * self.gain, np.reshape(chi, column)
         coeffs = np.stack(np.broadcast_arrays(omega * np.cos(chi), omega * np.sin(chi),
                                               np.reshape(delta, column) + self.shift,
                                               self.static_detuning), axis=-1)
-        h = (coeffs @ _operator_basis(n, self.rabi_mismatch)).view(complex)
-        h = h.reshape(h.shape[:-1] + (n, n))
-        if self.dim == n:
-            return h
-        out = np.zeros(h.shape[:-2] + (self.dim, self.dim), dtype=complex)
-        out[..., :n, :n] = h
-        return out
+        h = (coeffs @ _operator_basis(self.dim, self.rabi_mismatch)).view(complex)
+        return h.reshape(h.shape[:-1] + (self.dim, self.dim))
 
     def control_peaks(self) -> float:
         """max of max(Omega, |delta|) in three-level field units over 512
@@ -475,7 +461,7 @@ class MultiLevelDrive:
 @lru_cache(maxsize=32)
 def _operator_basis(n: int, eps: float) -> np.ndarray:
     """The operators Jx - eps {Jz, Jx}, Jy - eps {Jz, Jy}, Jz and Jz^2 of
-    MultiLevelDrive.hamiltonian at spin dimension n, one row each, flattened
+    MultiLevelDrive.hamiltonian at dimension n, one row each, flattened
     with real and imaginary parts interleaved.  The Hamiltonian's
     coefficients times this real matrix are its entries as complex numbers;
     numpy's complex matmul of this shape is about 10x slower."""

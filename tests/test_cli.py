@@ -121,15 +121,14 @@ class TestListScenarios:
 
 
 class TestIntegratorOverrides:
-    def test_max_step_override(self):
-        cfg = parse_config("fig3c", {"max_step_us": 0.5})
-        assert cfg.params["max_step"] == pytest.approx(0.5e-6)
-        cfg = parse_config("fig3c", {})
-        assert cfg.params["max_step"] is None
-
-    def test_invalid_max_step(self):
-        with pytest.raises(ConfigError, match="max_step_us"):
-            parse_config("fig3c", {"max_step_us": -2})
+    def test_earlier_config_with_max_step_refused_by_name(self, tmp_path, capsys):
+        # earlier versions wrote "max_step_us": null into every config file
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "fig3c", "seed": 4, "max_step_us": None}))
+        err = TestErrorContract.failing_run(tmp_path, "--config", str(path))
+        assert err["error"] == "ConfigError"
+        assert "'max_step_us'" in err["message"]
+        assert not list(tmp_path.glob("fig3c_*"))
 
 
 class TestErrorContract:
@@ -164,7 +163,7 @@ class TestErrorContract:
         assert "no convergence" in err["message"]
 
     def test_step_grid_too_fine(self, tmp_path, capsys):
-        err = self.failing_run(tmp_path, "--scenario", "fig2e", "--set", "max_step_us=1e-9",
+        err = self.failing_run(tmp_path, "--scenario", "fig2e", "--set", "delta0_hz=1e9",
                                "--set", "t_hold_us=0")
         assert err["error"] == "IntegratorError"
         assert "steps per build" in err["message"]
@@ -287,3 +286,34 @@ class TestFieldErrorValidation:
         err = TestErrorContract.failing_run(tmp_path, "--scenario", "fig4c", "--set",
                                             "ns=[-2,2]")
         assert err["error"] == "ScenarioError"
+
+
+class TestFloatRange:
+    """Frequencies far from unit scale in rad/s still give the SU(2) step:
+    its norm no longer overflows to nan or underflows to the identity."""
+
+    @staticmethod
+    def outputs(tmp_path, *args):
+        assert main(["run", *args, "--out", str(tmp_path)]) == 0
+        [report] = tmp_path.glob("*_0.json")
+        outputs = json.loads(report.read_text())["outputs"]
+        for key, value in outputs.items():
+            assert not isinstance(value, float) or np.isfinite(value), key
+        return outputs
+
+    @pytest.mark.parametrize("omega0_hz", ["1e300", "1e-300"])
+    def test_fig3d(self, tmp_path, capsys, omega0_hz):
+        # 1e300 used to fail with a raw LinAlgError, 1e-300 to read flatness 1.0
+        out = self.outputs(tmp_path, "--scenario", "fig3d", "--set", f"omega0_hz={omega0_hz}")
+        assert out["flatness_ratio"] < 1e-3
+
+    @pytest.mark.parametrize("omega0_hz", ["1e300", "1e-300"])
+    def test_verify_reversal(self, tmp_path, capsys, omega0_hz):
+        out = self.outputs(tmp_path, "--scenario", "verify-reversal",
+                           "--set", f"omega0_hz={omega0_hz}")
+        assert out["pass"] is True
+
+    def test_fig3c(self, tmp_path, capsys):
+        # used to report final_p_f1 nan beside a fidelity of 1.0
+        out = self.outputs(tmp_path, "--scenario", "fig3c", "--set", "omega0_hz=1e300")
+        assert out["final_fidelity_to_dark"] > 0.99

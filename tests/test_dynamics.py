@@ -170,7 +170,7 @@ class TestPropagate:
         res_prev = None
         # find the accepted step by replaying the ladder
         coarse = evolve_states(drive, named_state(3, "0").amps, times, h_acc)
-        for _ in range(CFG.max_halvings):
+        for _ in range(dynamics._MAX_HALVINGS):
             fine = evolve_states(drive, named_state(3, "0").amps, times, h_acc / 2)
             if np.max(np.abs(fine - coarse)) < CFG.tolerance:
                 break
@@ -179,13 +179,15 @@ class TestPropagate:
         extra = evolve_states(drive, named_state(3, "0").amps, times, h_acc / 4)
         assert np.max(np.abs(extra - accepted.states)) < 2 * CFG.tolerance
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         sched = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3,
                                                  100e-6, 150e-6, 0.0, "forward"))
         drive = lift_schedule(sched, 3)
-        cfg = IntegratorConfig(max_step=20e-6, tolerance=1e-14, max_halvings=2)
-        with pytest.raises(IntegratorError) as err:
-            propagate(drive, named_state(3, "0"), cfg, [sched.total_duration])
+        monkeypatch.setattr(dynamics, "DEFAULT_PHASE_PER_STEP", 20e-6 * drive.control_peaks())
+        monkeypatch.setattr(dynamics, "_MAX_HALVINGS", 2)
+        with pytest.raises(IntegratorError, match="after 2 halvings") as err:
+            propagate(drive, named_state(3, "0"), IntegratorConfig(tolerance=1e-14),
+                      [sched.total_duration])
         assert err.value.residual > 0
 
     def test_sample_times_validation(self):
@@ -273,8 +275,10 @@ class TestIntegrator:
         with pytest.raises(IntegratorError, match="steps per build") as err:
             _step_grid(drive, np.array([]), 0.5e-6)
         assert np.isnan(err.value.residual)
+        # a first step of 0.5 us needs twice the steps of the cap
+        monkeypatch.setattr(dynamics, "DEFAULT_PHASE_PER_STEP", 0.5e-6 * drive.control_peaks())
         with pytest.raises(IntegratorError, match="steps per build"):
-            propagator(drive, IntegratorConfig(max_step=0.5e-6))
+            propagator(drive, CFG)
 
     def test_constant_segments_exact_in_one_build(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -314,6 +318,13 @@ class TestIntegrator:
         with pytest.raises(IntegratorError):
             Trajectory(times=[0.0], states=[psi * (1 + 1e-8)])
 
+    def test_trajectory_rejects_nan_states(self):
+        # a nan state used to pass the norm check, which was written dev > tol
+        with pytest.raises(IntegratorError):
+            Trajectory(times=[0.0], states=[[np.nan, 0.0]])
+        with pytest.raises(IntegratorError):
+            Trajectory(times=[0.0], states=[[[1.0, 0.0], [np.nan, 0.0]]])
+
     def test_debug_log_reports_builds(self, caplog):
         caplog.set_level("DEBUG", logger="spinlift.dynamics")
         propagator(lift_schedule(square_pulse(np.pi, 0.0, OMEGA0), 3), CFG)
@@ -321,6 +332,23 @@ class TestIntegrator:
         shortcut, halved = [r.getMessage() for r in caplog.records]
         assert "all segments constant, 1 build" in shortcut
         assert "builds, steps per build [" in halved and "residual" in halved
+
+
+class TestSu2Exp:
+    """The closed-form 2x2 step holds across the float range: its norm
+    used to overflow to nan above about 1e154 rad/s and underflow to the
+    identity below about 1e-154."""
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e155, 1e-155])
+    def test_matches_the_unit_scale_step(self, scale):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(50, 3))
+        v[0] = 0.0
+        v[1] = [0.0, 0.0, -2.0]
+        dts = rng.uniform(0.1, 3.0, size=50)
+        unit = dynamics._su2_exp(v, dts)
+        assert np.max(np.abs(np.sum(np.abs(unit) ** 2, axis=-1) - 1.0)) < 1e-15
+        assert np.max(np.abs(dynamics._su2_exp(v * scale, dts / scale) - unit)) < 1e-15
 
 
 class TestSu2Path:
@@ -356,35 +384,32 @@ class TestSu2Path:
         # on one grid the closed-form 2x2 steps, lifted, equal the dense steps
         # to rounding, both for the total product and along a trajectory
         drive = DressedDrive(self.FORWARD, NoiseParams(common_rabi_error=TWO_PI * 2e3),
-                             TWO_PI * 500.0, 4, OMEGA0)
+                             TWO_PI * 500.0, OMEGA0)
         times = np.linspace(0.0, self.FORWARD.total_duration, 9)
         grid = _step_grid(drive, times, 2e-6)
         su2 = _step_unitaries(drive, grid)
         dense = dynamics._dense_steps(drive, grid)
         assert isinstance(su2, dynamics._Su2Steps)
         assert np.max(np.abs(_ordered_product(su2) - _ordered_product(dense))) < 1e-13
-        psi0 = np.array([0, 1, 0, 0], dtype=complex)
+        psi0 = np.array([0, 1, 0], dtype=complex)
         states = dynamics._evolve_on_grid(drive, psi0, times, grid)
         idx = np.searchsorted(grid, times)
         expect = [psi0 if k == 0 else _ordered_product(dense[:k]) @ psi0 for k in idx]
         assert np.max(np.abs(states - np.array(expect))) < 1e-13
 
-    @pytest.mark.parametrize("dim", [3, 4])
-    def test_dressed_drive_with_zeeman_and_gain_agrees_with_dense(self, dim, monkeypatch):
+    def test_dressed_drive_with_zeeman_and_gain_agrees_with_dense(self, monkeypatch):
         noise = NoiseParams(common_rabi_error=-TWO_PI * 3e3)
         paths = self.count_paths(monkeypatch)
         for sched in (self.FORWARD, self.COMPOSITE):
-            drive = DressedDrive(sched, noise, TWO_PI * 800.0, dim, OMEGA0)
+            drive = DressedDrive(sched, noise, TWO_PI * 800.0, OMEGA0)
             su2 = propagator(drive, self.TOL).mat
             assert set(paths) == {"su2"}
             dense = dynamics._dense_propagator(drive, self.TOL).mat
             assert np.max(np.abs(su2 - dense)) < self.TOL.tolerance
-            psi0 = basis_state(dim, 1)
+            psi0 = basis_state(3, 1)
             times = np.linspace(0.0, sched.total_duration, 5)
             traj = propagate(drive, psi0, self.TOL, times)
             assert np.max(np.abs(traj.states[-1] - dense @ psi0.amps)) < 2 * self.TOL.tolerance
-        if dim == 4:
-            assert np.max(np.abs(su2[3] - [0, 0, 0, 1])) == 0.0
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
     def test_batched_gauss_hermite_nodes_match_per_node_dense(self, tol, monkeypatch):
@@ -394,7 +419,7 @@ class TestSu2Path:
         builds = TestIntegrator.count_builds(monkeypatch)
         batched = _op_unitaries(self.FORWARD, noise, shifts, cfg, 3, OMEGA0)
         n_batched_builds = len(builds)
-        per_node = [dynamics._dense_propagator(DressedDrive(self.FORWARD, noise, float(z), 3,
+        per_node = [dynamics._dense_propagator(DressedDrive(self.FORWARD, noise, float(z),
                                                             OMEGA0), cfg).mat
                     for z in shifts]
         assert len(batched) == shifts.size
@@ -407,10 +432,10 @@ class TestSu2Path:
         noise = NoiseParams(quasi_static_zeeman_sigma=TWO_PI * 200.0)
         shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
         builds = TestIntegrator.count_builds(monkeypatch)
-        batched = _op_unitaries(self.COMPOSITE, noise, shifts, CFG, 4, OMEGA0)
+        batched = _op_unitaries(self.COMPOSITE, noise, shifts, CFG, 3, OMEGA0)
         assert len(builds) == 1
         for z, u in zip(shifts, batched):
-            single = propagator(DressedDrive(self.COMPOSITE, noise, float(z), 4, OMEGA0), CFG)
+            single = propagator(DressedDrive(self.COMPOSITE, noise, float(z), OMEGA0), CFG)
             assert np.max(np.abs(u - single.mat)) < 1e-12
 
     @pytest.mark.parametrize("noise", [NoiseParams(rabi_mismatch=0.002),
@@ -419,7 +444,7 @@ class TestSu2Path:
                                                    quasi_static_zeeman_sigma=TWO_PI * 200.0)])
     def test_symmetry_breaking_noise_takes_dense_path(self, noise, monkeypatch):
         paths = self.count_paths(monkeypatch)
-        drive = DressedDrive(self.COMPOSITE, noise, TWO_PI * 100.0, 3, OMEGA0)
+        drive = DressedDrive(self.COMPOSITE, noise, TWO_PI * 100.0, OMEGA0)
         assert not drive.su2_covariant
         propagator(drive, CFG)
         propagate(drive, named_state(3, "0"), CFG, [drive.total_duration])
@@ -447,7 +472,7 @@ class TestSu2Path:
     def test_debug_log_names_path(self, caplog):
         caplog.set_level("DEBUG", logger="spinlift.dynamics")
         propagator(lift_schedule(self.COMPOSITE, 3), CFG)
-        drive = DressedDrive(self.COMPOSITE, NoiseParams(rabi_mismatch=0.001), 0.0, 3, OMEGA0)
+        drive = DressedDrive(self.COMPOSITE, NoiseParams(rabi_mismatch=0.001), 0.0, OMEGA0)
         propagator(drive, CFG)
         su2, dense = [r.getMessage() for r in caplog.records]
         assert "path su2" in su2 and "path dense" in dense
@@ -486,7 +511,7 @@ class TestDriveBatch:
     def test_hamiltonian_batch_axes_follow_time_axes(self):
         gains, shifts = np.array([1.0, 1.02]), np.array([0.0, TWO_PI * 400.0])
         batch = MultiLevelDrive(4, self.FORWARD, gain=gains, shift=shifts,
-                                rabi_mismatch=0.001, spin_dim=3)
+                                rabi_mismatch=0.001)
         ts = np.linspace(0.0, self.FORWARD.total_duration, 5)
         h = batch.hamiltonian(ts)
         assert h.shape == (5, 2, 4, 4)
@@ -495,19 +520,18 @@ class TestDriveBatch:
             assert np.array_equal(h[:, k], single.hamiltonian(ts))
             assert np.array_equal(batch.hamiltonian(ts[2])[k], single.hamiltonian(ts[2]))
 
-    @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
-    def test_dense_batch_matches_per_node_dense(self, dim, tol, monkeypatch):
+    def test_dense_batch_matches_per_node_dense(self, tol, monkeypatch):
         cfg = IntegratorConfig(tolerance=tol)
         noise = NoiseParams(rabi_mismatch=0.001, quasi_static_zeeman_sigma=TWO_PI * 200.0)
         shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
         builds = self.count_batch_builds(monkeypatch)
-        batched = _op_unitaries(self.FORWARD, noise, shifts, cfg, dim, OMEGA0)
+        batched = _op_unitaries(self.FORWARD, noise, shifts, cfg, 3, OMEGA0)
         # one build per halving, each of the whole batch, on the dense path
         steps = [n for n, _ in builds]
         assert {b for _, b in builds} == {shifts.shape}
-        assert steps == sorted(set(steps)) and len(steps) <= cfg.max_halvings + 1
-        per_node = [dynamics._dense_propagator(DressedDrive(self.FORWARD, noise, float(z), dim,
+        assert steps == sorted(set(steps)) and len(steps) <= dynamics._MAX_HALVINGS + 1
+        per_node = [dynamics._dense_propagator(DressedDrive(self.FORWARD, noise, float(z),
                                                             OMEGA0), cfg).mat
                     for z in shifts]
         assert max(np.max(np.abs(u - v)) for u, v in zip(batched, per_node)) < 2 * tol
@@ -519,11 +543,11 @@ class TestDriveBatch:
         times = np.linspace(0.0, self.FORWARD.total_duration, 6)
         psi0 = named_state(3, "0")
         builds = self.count_batch_builds(monkeypatch)
-        traj = propagate(DressedDrive(self.FORWARD, noise, shifts, 3, OMEGA0), psi0, CFG, times)
+        traj = propagate(DressedDrive(self.FORWARD, noise, shifts, OMEGA0), psi0, CFG, times)
         assert traj.states.shape == (times.size, shifts.size, 3)
         assert {b for _, b in builds} == {shifts.shape}
         for k, z in enumerate(shifts):
-            single = propagate(DressedDrive(self.FORWARD, noise, float(z), 3, OMEGA0),
+            single = propagate(DressedDrive(self.FORWARD, noise, float(z), OMEGA0),
                                psi0, CFG, times)
             assert np.max(np.abs(traj.states[:, k] - single.states)) < 2 * CFG.tolerance
             assert np.max(np.abs(traj.p_f1[:, k] - single.p_f1)) < 4 * CFG.tolerance
@@ -535,18 +559,6 @@ class TestDriveBatch:
         assert traj.dim == 3 and traj.p_f1.shape == (1, 2)
         with pytest.raises(IntegratorError):
             Trajectory(times=[0.0], states=[[psi, psi * (1 + 1e-8)]])
-
-    @pytest.mark.parametrize("other", [
-        DressedDrive(COMPOSITE, NoiseParams(rabi_mismatch=0.001), 0.0, 3, OMEGA0),
-        DressedDrive(COMPOSITE, NoiseParams(static_detuning=TWO_PI * 5.0), 0.0, 3, OMEGA0),
-        DressedDrive(COMPOSITE, NoiseParams(), 0.0, 4, OMEGA0),
-        DressedDrive(square_pulse(np.pi, 0.0, OMEGA0), NoiseParams(), 0.0, 3, OMEGA0),
-        MultiLevelDrive(3, COMPOSITE, spin_dim=2),
-    ])
-    def test_propagators_rejects_drives_that_differ_beyond_gain_and_shift(self, other):
-        first = DressedDrive(self.COMPOSITE, NoiseParams(), TWO_PI * 100.0, 3, OMEGA0)
-        with pytest.raises(ScheduleError):
-            dynamics.propagators([first, other], CFG)
 
 
 class TestEigenScan:

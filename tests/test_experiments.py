@@ -41,7 +41,6 @@ from spinlift import acceptance, dynamics, experiments
 from spinlift.dynamics import IntegratorError
 from spinlift.inference import ml_estimate_single
 from spinlift.dynamics import propagate, propagator
-from spinlift.spin import DimensionError
 from spinlift.waveforms import MultiLevelDrive, lift_schedule, TWO_PI
 
 FAST = IntegratorConfig(tolerance=1e-8)
@@ -50,7 +49,7 @@ FAST = IntegratorConfig(tolerance=1e-8)
 class TestDressedDrive:
     def test_zero_noise_matches_lifted_hamiltonian(self):
         sched, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
-        dressed = DressedDrive(sched, NoiseParams(), 0.0, 3, NOMINAL_ADIABATIC.omega0)
+        dressed = DressedDrive(sched, NoiseParams(), 0.0, NOMINAL_ADIABATIC.omega0)
         lifted = lift_schedule(sched, 3)
         ts = np.linspace(0, sched.total_duration, 50)
         assert np.max(np.abs(dressed.hamiltonian(ts) - lifted.hamiltonian(ts))) < 1e-9
@@ -58,8 +57,8 @@ class TestDressedDrive:
     def test_zeeman_shifts_outer_levels(self):
         sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
         z = TWO_PI * 100.0
-        h = DressedDrive(sched, NoiseParams(), z, 3, NOMINAL_ADIABATIC.omega0).hamiltonian(1e-6)
-        h0 = DressedDrive(sched, NoiseParams(), 0.0, 3, NOMINAL_ADIABATIC.omega0).hamiltonian(1e-6)
+        h = DressedDrive(sched, NoiseParams(), z, NOMINAL_ADIABATIC.omega0).hamiltonian(1e-6)
+        h0 = DressedDrive(sched, NoiseParams(), 0.0, NOMINAL_ADIABATIC.omega0).hamiltonian(1e-6)
         diff = h - h0
         assert diff[0, 0] == pytest.approx(-z)
         assert diff[2, 2] == pytest.approx(z)
@@ -68,15 +67,25 @@ class TestDressedDrive:
     def test_mismatch_breaks_field_symmetry(self):
         sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
         noise = NoiseParams(rabi_mismatch=0.01)
-        h = DressedDrive(sched, noise, 0.0, 3, NOMINAL_ADIABATIC.omega0).hamiltonian(1e-6)
+        h = DressedDrive(sched, noise, 0.0, NOMINAL_ADIABATIC.omega0).hamiltonian(1e-6)
         assert abs(h[0, 1]) / abs(h[1, 2]) == pytest.approx(1.01 / 0.99, rel=1e-9)
 
-    def test_four_level_leaves_clock_state_alone(self):
-        sched, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
-        h = DressedDrive(sched, NoiseParams(), TWO_PI * 50, 4,
-                         NOMINAL_ADIABATIC.omega0).hamiltonian(100e-6)
-        assert np.max(np.abs(h[3, :])) == 0.0
-        assert np.max(np.abs(h[:, 3])) == 0.0
+    @pytest.mark.parametrize("noise", [  # the SU(2) path, then the dense path
+        NoiseParams(common_rabi_error=-TWO_PI * 3e3, quasi_static_zeeman_sigma=TWO_PI * 200.0),
+        NoiseParams(rabi_mismatch=0.001, quasi_static_zeeman_sigma=TWO_PI * 200.0)])
+    @pytest.mark.parametrize("method", ["adiabatic", "tbb1"])
+    def test_four_level_operation_leaves_clock_state_alone(self, method, noise):
+        # Ramsey's four-level transfers are the spin-1 ones as U (+) 1, exactly
+        sched, _ = transfer_schedules(method, NOMINAL_ADIABATIC)
+        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        args = (sched, noise, shifts, FAST)
+        u3 = experiments._op_unitaries(*args, 3, NOMINAL_ADIABATIC.omega0)
+        u4 = experiments._op_unitaries(*args, 4, NOMINAL_ADIABATIC.omega0)
+        assert len(u4) == len(u3) == shifts.size
+        for a, b in zip(u3, u4):
+            expect = np.eye(4, dtype=complex)
+            expect[:3, :3] = a
+            assert np.array_equal(b, expect)
 
 
 class TestAdiabaticTransfer:
@@ -316,7 +325,7 @@ class TestPipelineConsistency:
         assert abs(fit.fidelity_raw - expect) < 1e-4
 
 
-def _two_field_hamiltonian(schedule, noise, zeeman, dim, omega0_ref, t):
+def _two_field_hamiltonian(schedule, noise, zeeman, omega0_ref, t):
     """Reference: the hand-written two-field matrix that the dressed drive
     used before it became a MultiLevelDrive."""
     omega_half, chi, delta_half = schedule.controls(np.asarray(t, dtype=float))
@@ -331,7 +340,7 @@ def _two_field_hamiltonian(schedule, noise, zeeman, dim, omega0_ref, t):
     e = noise.static_detuning
     z = zeeman
     n = omega_half.shape[0]
-    h = np.zeros((n, dim, dim), dtype=complex)
+    h = np.zeros((n, 3, 3), dtype=complex)
     phase = np.exp(1j * chi)
     h[:, 0, 1] = omega1 / 2.0 * phase
     h[:, 1, 0] = np.conj(h[:, 0, 1])
@@ -359,27 +368,26 @@ class TestOneDriveModel:
     ]
 
     @pytest.mark.parametrize("method", ["adiabatic", "tbb1"])
-    @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("noise", NOISES)
-    def test_hamiltonian_equals_two_field_matrix(self, method, dim, noise):
+    def test_hamiltonian_equals_two_field_matrix(self, method, noise):
         sched, _ = transfer_schedules(method, NOMINAL_ADIABATIC)
         ts = np.linspace(0.0, sched.total_duration, 101)
         for z in (0.0, TWO_PI * 700.0):
-            drive = DressedDrive(sched, noise, z, dim, self.OMEGA0)
-            ref = _two_field_hamiltonian(sched, noise, z, dim, self.OMEGA0, ts)
+            drive = DressedDrive(sched, noise, z, self.OMEGA0)
+            ref = _two_field_hamiltonian(sched, noise, z, self.OMEGA0, ts)
             assert np.max(np.abs(drive.hamiltonian(ts) - ref)) <= 1e-12 * np.max(np.abs(ref))
             one = drive.hamiltonian(ts[37])
-            assert one.shape == (dim, dim)
+            assert one.shape == (3, 3)
             assert np.max(np.abs(one - ref[37])) <= 1e-12 * np.max(np.abs(ref))
 
     def test_dressed_drive_is_a_multilevel_drive(self):
         sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
         noise = NoiseParams(rabi_mismatch=0.01, common_rabi_error=TWO_PI * 2e3,
                             static_detuning=TWO_PI * 3.0)
-        drive = DressedDrive(sched, noise, TWO_PI * 50.0, 4, self.OMEGA0)
+        drive = DressedDrive(sched, noise, TWO_PI * 50.0, self.OMEGA0)
         assert not isinstance(DressedDrive, type)
         assert isinstance(drive, MultiLevelDrive)
-        assert (drive.dim, drive.spin_dim) == (4, 3)
+        assert drive.dim == 3
         assert drive.gain == 1.0 + noise.common_rabi_error / self.OMEGA0
         assert (drive.shift, drive.rabi_mismatch, drive.static_detuning) == (
             TWO_PI * 50.0, noise.rabi_mismatch, noise.static_detuning)
@@ -392,10 +400,10 @@ class TestOneDriveModel:
     ])
     def test_su2_covariant_exactly_without_symmetry_breaking_terms(self, noise, covariant):
         sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
-        drive = DressedDrive(sched, noise, TWO_PI * 20.0, 3, self.OMEGA0)
+        drive = DressedDrive(sched, noise, TWO_PI * 20.0, self.OMEGA0)
         assert drive.su2_covariant is covariant
         assert drive.gain == 1.0 + noise.common_rabi_error / self.OMEGA0
-        assert drive.shift == TWO_PI * 20.0 and drive.spin_dim == 3
+        assert drive.shift == TWO_PI * 20.0 and drive.dim == 3
 
     @pytest.mark.parametrize("method", ["adiabatic", "tbb1"])
     def test_batch_peaks_equal_the_widest_node(self, method):
@@ -405,17 +413,11 @@ class TestOneDriveModel:
         sched, _ = transfer_schedules(method, NOMINAL_ADIABATIC)
         shifts, _ = zeeman_quadrature(TWO_PI * 200.0)
         errors = TWO_PI * np.linspace(-6e3, 2e3, shifts.size)
-        drives = [DressedDrive(sched, NoiseParams(common_rabi_error=err), float(z), 3,
+        drives = [DressedDrive(sched, NoiseParams(common_rabi_error=err), float(z),
                                self.OMEGA0) for err, z in zip(errors, shifts)]
         batch = dataclasses.replace(drives[0], gain=np.array([d.gain for d in drives]),
                                     shift=np.array(shifts))
         assert batch.control_peaks() == max(d.control_peaks() for d in drives)
-
-    def test_spin_dim_must_fit_the_dimension(self):
-        sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
-        with pytest.raises(DimensionError):
-            MultiLevelDrive(3, sched, spin_dim=4)
-        assert MultiLevelDrive(5, sched).spin_dim == 5
 
 
 class TestNoiseValidation:
@@ -423,7 +425,7 @@ class TestNoiseValidation:
     def test_common_rabi_error_must_keep_the_field_on(self, delta_hz):
         sched, _ = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
         with pytest.raises(ScenarioError, match="omega0"):
-            DressedDrive(sched, NoiseParams(common_rabi_error=TWO_PI * delta_hz), 0.0, 3,
+            DressedDrive(sched, NoiseParams(common_rabi_error=TWO_PI * delta_hz), 0.0,
                          NOMINAL_ADIABATIC.omega0)
 
     def test_rabi_mismatch_above_one_rejected(self):
@@ -488,7 +490,7 @@ class TestBatchedScenarios:
         mid_idx = int(np.searchsorted(times, params.t_delta))
         zero, dark = named_state(3, "0"), named_state(3, "D").amps
         for z, w in zip(shifts, weights):
-            traj = propagate(DressedDrive(schedule, noise, float(z), 3, params.omega0),
+            traj = propagate(DressedDrive(schedule, noise, float(z), params.omega0),
                              zero, FAST, times)
             loop_pops += w * traj.populations
             rho_mid += w * np.outer(traj.states[mid_idx], traj.states[mid_idx].conj())
@@ -644,8 +646,9 @@ class TestScenarioCsvs:
             "phase_rad,p_f1", *(f"{ph:.12g},{p:.12g}" for ph, p in zip(phases, p_f1)))
 
     def test_fig3d(self, tmp_path):
-        areas = np.linspace(0.7, 1.3, 13)
-        experiments.run_fig3d(areas, cfg=FAST, seed=1, out_dir=str(tmp_path))
+        rep = experiments.run_fig3d(cfg=FAST, seed=1, out_dir=str(tmp_path))
+        areas = np.linspace(0.7, 1.3, 61)
+        assert rep.inputs["areas"] == areas.tolist()
         for method in ("single", "tbb1"):
             res = sweep_pulse_area(method, areas, FAST)
             assert (tmp_path / f"fig3d_1_{method}.csv").read_bytes() == self.lines(

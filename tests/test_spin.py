@@ -17,9 +17,13 @@ from spinlift import (
     phase_aligned_deviation,
     rotation_unitary,
     state_fidelity,
-    states_equal_up_to_phase,
 )
-from spinlift.spin import lift_matrices
+from spinlift.spin import StateVector, Unitary, lift_matrices
+
+
+def states_equal_up_to_phase(psi, phi, tol):
+    """True when 1 - |<phi|psi>| <= tol."""
+    return 1.0 - abs(psi.overlap(phi)) <= tol
 
 
 def series_expm(h, order=60):
@@ -246,6 +250,28 @@ class TestStateFidelity:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             state_fidelity(named_state(3, "0"), basis_state(4, 0))
+
+
+class TestNanRejected:
+    """A nan entry fails the norm and unitarity checks; they used to accept
+    it, since every comparison with nan is False."""
+
+    @pytest.mark.parametrize("amps", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+    def test_state_vector(self, amps):
+        with pytest.raises(NormalizationError):
+            StateVector(np.array(amps))
+
+    @pytest.mark.parametrize("mat", [np.full((2, 2), np.nan),
+                                     np.array([[1.0, 0.0], [0.0, np.nan]])])
+    def test_unitary(self, mat):
+        with pytest.raises(NormalizationError):
+            Unitary(mat)
+
+    def test_lift_and_rotation_inputs(self):
+        with pytest.raises(NormalizationError):
+            lift_unitary(np.nan, 0.0, 3)
+        with pytest.raises(NormalizationError):
+            rotation_unitary(3, (np.nan, 0.0, 0.0), 1.0)
 
 
 class TestRotationCycles:

@@ -22,6 +22,7 @@ from spinlift import (
     schedule_to_json,
     square_pulse,
 )
+from spinlift.waveforms import DEFAULT_PROTECT_DURATION
 
 TWO_PI = 2 * np.pi
 OMEGA0 = TWO_PI * 40e3
@@ -236,10 +237,9 @@ class TestCompositeMethod:
         assert d1 == 2 * d2  # exact in floating point: durations are sqrt2*theta/omega0
 
     def test_protection_hold(self):
-        sched = composite_method(bb1_sequence(), OMEGA0, protect=True,
-                                 protect_duration=10e-6)
+        sched = composite_method(bb1_sequence(), OMEGA0, protect=True)
         last = sched.segments[-1]
-        assert last == ConstantSegment(10e-6, OMEGA0 / np.sqrt(2.0))
+        assert last == ConstantSegment(DEFAULT_PROTECT_DURATION, OMEGA0 / np.sqrt(2.0))
         assert last.kind == "constant" and last.chi == 0.0 and last.delta_half == 0.0
 
     def test_bb1_phases_match_reported_values(self):
