@@ -130,6 +130,14 @@ class TestIntegratorOverrides:
         assert "'max_step_us'" in err["message"]
         assert not list(tmp_path.glob("fig3c_*"))
 
+    def test_invalid_max_step(self):
+        # every scenario that took a step override refuses the key, whatever its value
+        for scenario in ("fig2e", "fig3c", "fig3d", "fig4b", "fig4c", "ramsey",
+                         "verify-reversal", "static-error"):
+            for value in (-2, 0.5, None):
+                with pytest.raises(ConfigError, match="'max_step_us'"):
+                    parse_config(scenario, {"max_step_us": value})
+
 
 class TestErrorContract:
     """Every spinlift error leaves the CLI as exit 2 plus error.json."""

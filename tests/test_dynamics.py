@@ -397,16 +397,20 @@ class TestSu2Path:
         expect = [psi0 if k == 0 else _ordered_product(dense[:k]) @ psi0 for k in idx]
         assert np.max(np.abs(states - np.array(expect))) < 1e-13
 
-    def test_dressed_drive_with_zeeman_and_gain_agrees_with_dense(self, monkeypatch):
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_dressed_drive_with_zeeman_and_gain_agrees_with_dense(self, dim, monkeypatch):
+        # dim 4 puts the dressed drive's gain and shift on a full spin-3/2
         noise = NoiseParams(common_rabi_error=-TWO_PI * 3e3)
         paths = self.count_paths(monkeypatch)
         for sched in (self.FORWARD, self.COMPOSITE):
             drive = DressedDrive(sched, noise, TWO_PI * 800.0, OMEGA0)
+            if dim == 4:
+                drive = MultiLevelDrive(4, sched, gain=drive.gain, shift=drive.shift)
             su2 = propagator(drive, self.TOL).mat
             assert set(paths) == {"su2"}
             dense = dynamics._dense_propagator(drive, self.TOL).mat
             assert np.max(np.abs(su2 - dense)) < self.TOL.tolerance
-            psi0 = basis_state(3, 1)
+            psi0 = basis_state(dim, 1)
             times = np.linspace(0.0, sched.total_duration, 5)
             traj = propagate(drive, psi0, self.TOL, times)
             assert np.max(np.abs(traj.states[-1] - dense @ psi0.amps)) < 2 * self.TOL.tolerance
