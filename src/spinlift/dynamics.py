@@ -8,13 +8,16 @@ per grid on either path, with the batch axes ahead of the d-level ones.
 When drive.su2_covariant (no Rabi mismatch and no static detuning, so
 H = Lambda(t) . J) the drive is propagated as the spin-1/2 problem
 Lambda(t) . S, with Lambda read from its schedule, gain and shift: each
-step is a closed-form 2x2 exponential, the ordered product runs over
-(a, b) pairs of [[a, -b*], [b, a*]], and each build is lifted to d levels
-once (spin.lift_matrices).  Only a drive that breaks the symmetry takes the
-dense path, a batched d x d spectral exponential of drive.hamiltonian per
-factor and a d x d ordered product; that path also serves as the
-independent reference for the lift.  propagate, propagator,
-propagators and _dense_propagator are shells over one core, _propagation.
+step is a closed-form 2x2 exponential, kept as the (a, b) pair of
+[[a, -b*], [b, a*]].  Only a drive that breaks the symmetry takes the dense
+path, a batched d x d spectral exponential of drive.hamiltonian per factor;
+that path also serves as the independent reference for the lift.  Either
+path's steps go to one product rule, _products_at: a pairwise reduction
+multiplies the steps between consecutive sample times, a running product
+over those intervals gives the operator at each sample time, and these are
+lifted to d levels once.  propagate, propagator, propagators and
+_dense_propagator are shells over one core, _propagation: propagate applies
+psi0 to the operators, the others project the last one to a unitary.
 
 Step boundaries are forced at segment boundaries and sample times, so no
 step straddles a discontinuity of the controls (composite phases are
@@ -39,7 +42,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,7 +73,8 @@ _MAX_HALVINGS = 14
 _STEP_CHUNK = 131072
 # Most steps one build may take: 14x the largest build that the scenarios,
 # demos and tests make (18,096).  A dense d = 4 propagator whose last build
-# is at the limit peaks at about 0.4 GB of resident memory.
+# has 260,577 steps peaks at 0.38 GB of resident memory, nearly all of it
+# the build's chunked exponentials; a 101-sample trajectory peaks the same.
 _MAX_BUILD_STEPS = 2**18
 # CF4 Gauss nodes c = 1/2 -+ sqrt(3)/6 and weights a = (3 -+ 2 sqrt(3))/12
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -134,12 +138,19 @@ class Trajectory:
         return 1.0 - self.populations[..., _middle_level(self.dim)]
 
     def state(self, k: int) -> StateVector:
+        self._single_drive("state")
         return StateVector(self.states[k])
 
     def to_csv(self, path) -> None:
         """Write the populations atomically.  Columns: time_us, p_0 ..
         p_{d-1} (basis index order), p_f1; values as %.12g."""
+        self._single_drive("to_csv")
         _write_csv(path, *_population_columns(self.times, self.populations))
+
+    def _single_drive(self, name: str) -> None:
+        if self.states.ndim > 2:
+            raise DimensionError(f"{name} takes the trajectory of one drive, not of a drive "
+                                 f"batch of shape {self.states.shape[1:-1]}")
 
 
 def _middle_level(d: int) -> int:
@@ -232,7 +243,21 @@ def _batch_shape(drive) -> tuple:
     return np.broadcast(drive.gain, drive.shift).shape
 
 
-def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray):
+@dataclass(frozen=True)
+class _Build:
+    """The step propagators of one grid, shape (n_steps, *batch) +
+    identity.shape, with their product rule: compose(u, w) is u @ w, and
+    lift takes products to d-level matrices.  SU(2) steps are the (a, b)
+    pairs of [[a, -b*], [b, a*]], lifted by spin.lift_matrices; dense steps
+    are d x d matrices, which lift leaves as they are."""
+
+    steps: np.ndarray
+    compose: Callable
+    lift: Callable
+    identity: np.ndarray
+
+
+def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray) -> _Build:
     """Step propagators over each grid interval, on the drive's path.
 
     An interval inside a constant segment is one exact exponential.  Any
@@ -240,12 +265,9 @@ def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray):
     H1, H2 sampled at the Gauss nodes,
     U = exp(-i dt (A1 H1 + A2 H2)) exp(-i dt (A2 H1 + A1 H2)),
     where the right-hand factor acts first.  An SU(2)-covariant drive gets
-    its steps as two-level (a, b) pairs (_Su2Steps), any other drive as
-    d x d matrices; _ordered_product takes either.
+    its steps as two-level (a, b) pairs, any other drive as d x d matrices.
     """
-    if drive.su2_covariant:
-        return _su2_steps(drive, grid)
-    return _dense_steps(drive, grid)
+    return _su2_steps(drive, grid) if drive.su2_covariant else _dense_steps(drive, grid)
 
 
 def _cf4_steps(drive, grid: np.ndarray, generator, expm, compose, shape: tuple) -> np.ndarray:
@@ -276,25 +298,12 @@ def _cf4_steps(drive, grid: np.ndarray, generator, expm, compose, shape: tuple) 
     return out
 
 
-def _dense_steps(drive, grid: np.ndarray) -> np.ndarray:
+def _dense_steps(drive, grid: np.ndarray) -> _Build:
     """d x d CF4 step propagators of the drive's Hamiltonian, each factor by
     a batched spectral exponential."""
-    return _cf4_steps(drive, grid, drive.hamiltonian, _expm_hermitian, np.matmul,
-                      (drive.dim, drive.dim))
-
-
-@dataclass(frozen=True)
-class _Su2Steps:
-    """Step propagators of an SU(2)-covariant drive as the (a, b) pairs of
-    [[a, -b*], [b, a*]], shape (n_steps, *batch, 2); the d-level step is
-    their spin-j lift."""
-
-    ab: np.ndarray
-    dim: int
-
-    def lift(self, ab: np.ndarray) -> np.ndarray:
-        """d-level matrices, shape ab.shape[:-1] + (dim, dim), of (a, b) pairs."""
-        return lift_matrices(ab[..., 0], ab[..., 1], self.dim)
+    d = drive.dim
+    return _Build(_cf4_steps(drive, grid, drive.hamiltonian, _expm_hermitian, np.matmul, (d, d)),
+                  np.matmul, lambda u: u, np.eye(d, dtype=complex))
 
 
 def _su2_exp(v: np.ndarray, dts: np.ndarray) -> np.ndarray:
@@ -331,12 +340,13 @@ def _su2_compose(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _su2_steps(drive, grid: np.ndarray) -> _Su2Steps:
+def _su2_steps(drive, grid: np.ndarray) -> _Build:
     """CF4 steps of Lambda(t) . S, Lambda = (gain Omega_half cos chi,
     gain Omega_half sin chi, delta_half + shift) of an SU(2)-covariant drive;
     the controls are sampled once for every gain and shift of the drive,
     which broadcast together to the batch."""
     batch = _batch_shape(drive)
+    d = drive.dim
 
     def control_vectors(t):
         omega, chi, delta = drive.schedule.controls(t)
@@ -347,8 +357,9 @@ def _su2_steps(drive, grid: np.ndarray) -> _Su2Steps:
         v[..., 2] = delta.reshape(column) + drive.shift
         return v
 
-    return _Su2Steps(_cf4_steps(drive, grid, control_vectors, _su2_exp, _su2_compose, (2,)),
-                     drive.dim)
+    return _Build(_cf4_steps(drive, grid, control_vectors, _su2_exp, _su2_compose, (2,)),
+                  _su2_compose, lambda ab: lift_matrices(ab[..., 0], ab[..., 1], d),
+                  np.array([1.0, 0.0], dtype=complex))
 
 
 def _pairwise_product(arr: np.ndarray, compose) -> np.ndarray:
@@ -363,46 +374,36 @@ def _pairwise_product(arr: np.ndarray, compose) -> np.ndarray:
     return arr[0]
 
 
-def _ordered_product(steps) -> np.ndarray:
-    """Product steps[n-1] @ ... @ steps[0] by pairwise reduction; SU(2)
-    steps are multiplied as (a, b) pairs and the product is lifted once."""
-    if isinstance(steps, _Su2Steps):
-        return steps.lift(_pairwise_product(steps.ab, _su2_compose))
-    return _pairwise_product(steps, np.matmul)
+def _products_at(build: _Build, idx: np.ndarray) -> np.ndarray:
+    """The d-level ordered products steps[i-1] @ ... @ steps[0] at each i of
+    the non-decreasing step indices idx, shape (idx.size, *batch, d, d); an
+    index of 0 gives the identity.
 
-
-def _prefix_products(ab: np.ndarray) -> np.ndarray:
-    """Inclusive ordered prefix products out[k] = U_k ... U_0 of (a, b)
-    pairs along the first axis (Hillis-Steele scan, log2(n) passes)."""
-    out = ab.copy()
-    shift = 1
-    while shift < out.shape[0]:
-        out[shift:] = _su2_compose(out[shift:], out[:-shift])
+    The steps are cut into pieces at every index and wherever a piece would
+    grow past the mean interval length, so the padding below stays under
+    about twice the steps however unevenly idx is spread.  One pairwise
+    reduction multiplies all pieces at once, the shorter ones padded with
+    the identity (a single piece is reduced from the step array itself, not
+    from a copy).  A running product over the pieces then gives each prefix,
+    and the prefixes at idx are lifted to d levels once."""
+    steps, compose = build.steps, build.compose
+    width = max(1, -(-idx[-1] // idx.size))
+    ends = np.union1d(idx, np.arange(width, idx[-1], width))
+    if ends.size == 1 and ends[0] > 0:
+        totals = _pairwise_product(steps[: ends[0]], compose)[None]
+    else:
+        starts = np.concatenate([[0], ends[:-1]])
+        lengths = ends - starts
+        padded = np.empty((width, ends.size) + steps.shape[1:], dtype=complex)
+        padded[...] = build.identity
+        padded[np.arange(ends[-1]) - np.repeat(starts, lengths),
+               np.repeat(np.arange(ends.size), lengths)] = steps[: ends[-1]]
+        totals = _pairwise_product(padded, compose)
+    shift = 1  # inclusive scan over the pieces, log2(ends.size) passes
+    while shift < ends.size:
+        totals[shift:] = compose(totals[shift:], totals[:-shift])
         shift *= 2
-    return out
-
-
-def _evolve_on_grid(drive, psi0: np.ndarray, sample_times: np.ndarray,
-                    grid: np.ndarray) -> np.ndarray:
-    """psi0 evolved to each sample time on one grid, shape
-    (n_samples, *batch, d)."""
-    steps = _step_unitaries(drive, grid)
-    sample_idx = np.searchsorted(grid, sample_times)
-    if isinstance(steps, _Su2Steps):
-        # lift the cumulative (a, b) at each sample time, then apply it to psi0
-        identity = np.zeros((1,) + steps.ab.shape[1:], dtype=complex)
-        identity[..., 0] = 1.0
-        cumulative = np.concatenate([identity, _prefix_products(steps.ab)])
-        return steps.lift(cumulative[sample_idx]) @ psi0.astype(complex)
-    out = np.empty((sample_times.size,) + steps.shape[1:-1], dtype=complex)
-    psi = np.broadcast_to(psi0.astype(complex), steps.shape[1:-1])
-    prev = 0
-    for k, idx in enumerate(sample_idx):
-        if idx > prev:
-            psi = (_ordered_product(steps[prev:idx]) @ psi[..., None])[..., 0]
-            prev = idx
-        out[k] = psi
-    return out
+    return build.lift(totals[np.searchsorted(ends, idx)])
 
 
 def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
@@ -445,20 +446,18 @@ def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
 
 def _propagation(drive, cfg: IntegratorConfig, caller: str, psi0=None, times=None,
                  dense: bool = False) -> np.ndarray:
-    """The propagation core.  Given psi0 and the sample times, the drive's
-    states, shape (n_times, *batch, d); otherwise its re-unitarized
-    propagators, shape (*batch, d, d), which dense=True builds on the dense
-    path whatever the drive's symmetry."""
+    """The propagation core: on each grid, the operators at the sample times
+    by _products_at.  Given psi0 and the sample times, the drive's states,
+    shape (n_times, *batch, d); otherwise its re-unitarized propagators,
+    shape (*batch, d, d), which dense=True builds on the dense path whatever
+    the drive's symmetry."""
     if psi0 is None:
-        if drive.total_duration == 0:
-            return np.ones(_batch_shape(drive) + (1, 1)) * np.eye(drive.dim, dtype=complex)
-        times = np.array([], dtype=float)
+        times = np.array([drive.total_duration])
 
     def on_grid(grid):
-        if psi0 is not None:
-            return _evolve_on_grid(drive, psi0, times, grid)
-        return _ordered_product(_dense_steps(drive, grid) if dense
-                                else _step_unitaries(drive, grid))
+        build = _dense_steps(drive, grid) if dense else _step_unitaries(drive, grid)
+        ops = _products_at(build, np.searchsorted(grid, times))
+        return ops[-1] if psi0 is None else ops @ psi0
 
     result = _converge(drive, cfg, times, on_grid, caller,
                        "su2" if drive.su2_covariant and not dense else "dense")

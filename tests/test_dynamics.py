@@ -1,5 +1,6 @@
 """Propagation, propagator assembly and eigenstructure scans."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -35,8 +36,7 @@ from spinlift.experiments import DressedDrive, NoiseParams, _op_unitaries, zeema
 from spinlift.dynamics import (
     Trajectory,
     _auto_max_step,
-    _evolve_on_grid,
-    _ordered_product,
+    _products_at,
     _step_grid,
     _step_unitaries,
 )
@@ -59,7 +59,8 @@ def random_schedule(rng, max_segments=8):
 
 def evolve_states(drive, psi0, sample_times, max_step):
     """psi0 evolved to the sample times on one grid of the given step."""
-    return _evolve_on_grid(drive, psi0, sample_times, _step_grid(drive, sample_times, max_step))
+    grid = _step_grid(drive, sample_times, max_step)
+    return _products_at(_step_unitaries(drive, grid), np.searchsorted(grid, sample_times)) @ psi0
 
 
 def two_level_rotation(theta, phi):
@@ -262,7 +263,8 @@ class TestIntegrator:
 
         def error(h):
             grid = _step_grid(drive, np.array([]), h)
-            return np.max(np.abs(_ordered_product(_step_unitaries(drive, grid)) - ref))
+            total = _products_at(_step_unitaries(drive, grid), np.array([grid.size - 1]))[0]
+            return np.max(np.abs(total - ref))
 
         # fourth order predicts a 16x cut; a second-order rule gives 4x
         assert error(5e-6) > 10 * error(2.5e-6)
@@ -366,7 +368,7 @@ class TestSu2Path:
 
         def counted(drive, grid):
             steps = real(drive, grid)
-            paths.append("su2" if isinstance(steps, dynamics._Su2Steps) else "dense")
+            paths.append("su2" if steps.compose is dynamics._su2_compose else "dense")
             return steps
 
         monkeypatch.setattr(dynamics, "_step_unitaries", counted)
@@ -389,12 +391,13 @@ class TestSu2Path:
         grid = _step_grid(drive, times, 2e-6)
         su2 = _step_unitaries(drive, grid)
         dense = dynamics._dense_steps(drive, grid)
-        assert isinstance(su2, dynamics._Su2Steps)
-        assert np.max(np.abs(_ordered_product(su2) - _ordered_product(dense))) < 1e-13
+        assert su2.compose is dynamics._su2_compose
+        n = np.array([grid.size - 1])
+        assert np.max(np.abs(_products_at(su2, n) - _products_at(dense, n))) < 1e-13
         psi0 = np.array([0, 1, 0], dtype=complex)
-        states = dynamics._evolve_on_grid(drive, psi0, times, grid)
         idx = np.searchsorted(grid, times)
-        expect = [psi0 if k == 0 else _ordered_product(dense[:k]) @ psi0 for k in idx]
+        states = _products_at(su2, idx) @ psi0
+        expect = [_products_at(dense, np.array([k]))[0] @ psi0 for k in idx]
         assert np.max(np.abs(states - np.array(expect))) < 1e-13
 
     @pytest.mark.parametrize("dim", [3, 4])
@@ -556,6 +559,18 @@ class TestDriveBatch:
             assert np.max(np.abs(traj.states[:, k] - single.states)) < 2 * CFG.tolerance
             assert np.max(np.abs(traj.p_f1[:, k] - single.p_f1)) < 4 * CFG.tolerance
 
+    @pytest.mark.parametrize("n_shifts", [3, 4, 5])
+    def test_single_drive_accessors_refuse_a_batch(self, n_shifts, tmp_path):
+        # odd and even batches, so neither p_f1's middle level nor the CSV
+        # writer is reached first
+        shifts = TWO_PI * np.linspace(-500.0, 500.0, n_shifts)
+        drive = DressedDrive(self.COMPOSITE, NoiseParams(), shifts, OMEGA0)
+        traj = propagate(drive, named_state(3, "0"), CFG, [0.0, drive.total_duration])
+        for call in (lambda: traj.state(1), lambda: traj.to_csv(tmp_path / "traj.csv")):
+            with pytest.raises(DimensionError, match=rf"batch of shape \({n_shifts},\)"):
+                call()
+        assert not any(tmp_path.iterdir())
+
     def test_trajectory_norm_check_covers_every_node(self):
         psi = named_state(3, "D").amps
         traj = Trajectory(times=[0.0], states=[[psi, psi * (1 + 1e-11)]])
@@ -563,6 +578,65 @@ class TestDriveBatch:
         assert traj.dim == 3 and traj.p_f1.shape == (1, 2)
         with pytest.raises(IntegratorError):
             Trajectory(times=[0.0], states=[[psi, psi * (1 + 1e-8)]])
+
+
+class TestProductsAt:
+    """_products_at, the one ordered-product routine of every propagation
+    result, against a naive left-to-right compose loop on both build kinds."""
+
+    FORWARD = TestIntegrator.FORWARD
+
+    @staticmethod
+    def naive(build, idx):
+        prefix = [np.broadcast_to(build.identity, build.steps.shape[1:])]
+        for step in build.steps:
+            prefix.append(build.compose(step, prefix[-1]))
+        return build.lift(np.array([prefix[k] for k in idx]))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_matches_naive_product_on_a_batch(self, dense):
+        drive = MultiLevelDrive(3, self.FORWARD, gain=np.array([1.0, 1.02]),
+                                shift=TWO_PI * np.array([[0.0], [400.0], [-900.0]]))
+        grid = _step_grid(drive, np.array([]), 10e-6)
+        build = dynamics._dense_steps(drive, grid) if dense else _step_unitaries(drive, grid)
+        assert (build.compose is dynamics._su2_compose) != dense
+        n = grid.size - 1
+        for idx in ([0], [n], [7], [0, n], [0, 0, 3, 3, n], [5, 5], [0, 1, 2, 3, n],
+                    [1, n // 2, n // 2, n - 1, n]):
+            idx = np.array(idx)
+            got = _products_at(build, idx)
+            assert got.shape == (idx.size, 3, 2, 3, 3)
+            assert np.max(np.abs(got - self.naive(build, idx))) < 1e-13
+
+    @staticmethod
+    def peak_bytes(build, idx):
+        tracemalloc.start()
+        try:
+            _products_at(build, idx)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_of_one_interval_and_of_uneven_intervals(self):
+        drive = lift_schedule(square_pulse(np.pi, 0.0, OMEGA0), 3)
+        grid = np.linspace(0.0, drive.total_duration, 2**12 + 1)
+        build = dynamics._dense_steps(drive, grid)
+        n = grid.size - 1
+        # the pairwise reduction allocates n/2 + n/4 + ... factors; a padded
+        # copy of the steps would add all n of them
+        assert self.peak_bytes(build, np.array([n])) < build.steps.nbytes
+        # 40 short intervals and one long one: padding every interval to the
+        # longest would take 41 n factors
+        uneven = np.append(np.arange(40), n)
+        assert self.peak_bytes(build, uneven) < 4 * build.steps.nbytes
+
+    @pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams(rabi_mismatch=0.001)])
+    def test_repeated_sample_time_gives_equal_states(self, noise):
+        drive = DressedDrive(self.FORWARD, noise, 0.0, OMEGA0)
+        total = drive.total_duration
+        traj = propagate(drive, named_state(3, "0"), CFG, [0.0, total / 3, total / 3, total])
+        assert np.array_equal(traj.states[1], traj.states[2])
+        assert np.array_equal(traj.states[0], named_state(3, "0").amps)
 
 
 class TestEigenScan:
