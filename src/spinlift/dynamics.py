@@ -13,26 +13,29 @@ step is a closed-form 2x2 exponential, kept as the (a, b) pair of
 path, a batched d x d spectral exponential of drive.hamiltonian per factor;
 that path also serves as the independent reference for the lift.  Either
 path's steps go to one product rule, _products_at: a pairwise reduction
-multiplies the steps between consecutive sample times, a running product
-over those intervals gives the operator at each sample time, and these are
-lifted to d levels once.  propagate, propagator, propagators and
-_dense_propagator are shells over one core, _propagation: propagate applies
-psi0 to the operators, the others project the last one to a unitary.
+multiplies the steps between consecutive sample times, a work-efficient
+running product over those intervals (about two composes each) gives the
+operator at each sample time, and these are lifted to d levels once.
+propagate, propagator, propagators and _dense_propagator are shells over
+one core, _propagation: propagate applies psi0 to the operators, the
+others project the last one to a unitary.
 
 Step boundaries are forced at segment boundaries and sample times, so no
 step straddles a discontinuity of the controls (composite phases are
-handled exactly).  An interval inside a constant-control segment is one
-exact exponential and is never subdivided.  An interval inside a smooth
-segment (a Blackman sweep) is cut into steps, each taken with the
-two-exponential fourth-order commutator-free Magnus rule (CF4; Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009); Alvermann & Fehske,
-J. Comput. Phys. 230, 5930 (2011)), which samples the controls at the two
-Gauss nodes of the step.  The first step is set by the batch's largest
-|gain| and |shift| (DEFAULT_PHASE_PER_STEP), and a result is accepted only
-once halving the step changes every requested d-level amplitude of every
-drive in the batch by less than the configured tolerance, whichever path
-built it, within _MAX_HALVINGS halvings; a drive whose segments are all
-constant is exact after one build and is not halved.
+handled exactly); the grid is built in one vectorized pass, so a densely
+sampled drive costs no Python work per sample.  An interval inside a
+constant-control segment is one exact exponential and is never
+subdivided.  An interval inside a smooth segment (a Blackman sweep) is
+cut into steps, each taken with the two-exponential fourth-order
+commutator-free Magnus rule (CF4; Blanes, Casas, Oteo & Ros, Phys. Rep.
+470, 151 (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)),
+which samples the controls at the two Gauss nodes of the step.  The first
+step is set by the batch's largest |gain| and |shift|
+(DEFAULT_PHASE_PER_STEP), and a result is accepted only once halving the
+step changes every requested d-level amplitude of every drive in the
+batch by less than the configured tolerance, whichever path built it,
+within _MAX_HALVINGS halvings; a drive whose segments are all constant is
+exact after one build and is not halved.
 """
 
 from __future__ import annotations
@@ -174,13 +177,12 @@ def _write_atomic(path, text: str) -> None:
 
 
 def _write_csv(path, header: str, columns) -> None:
-    """Write equal-length columns atomically under one header line; integers
-    whole, other values as %.12g."""
-    def cell(v) -> str:
-        return str(v) if isinstance(v, int) else "%.12g" % v
-
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    _write_atomic(path, "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n")
+    """Write equal-length columns atomically under one header line; integer
+    columns whole, the others as %.12g, by one format string per row."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%s" if c.dtype.kind in "biu" else "%.12g" for c in columns)
+    rows = zip(*(c.tolist() for c in columns))
+    _write_atomic(path, "\n".join([header, *(fmt % row for row in rows)]) + "\n")
 
 
 def _population_columns(times: np.ndarray, populations: np.ndarray) -> tuple[str, list]:
@@ -215,8 +217,11 @@ def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float
     is <= max_step; intervals inside constant segments are kept whole, since
     one exponential is exact there.  Forced nodes are emitted exactly (no
     a + (b-a)*k/n endpoint rounding), so sample times can be located in the
-    grid by exact match and steps never straddle a segment boundary.
-    Raises IntegratorError, before allocating, for a grid of more than
+    grid by exact match and steps never straddle a segment boundary.  All
+    nodes come from one vectorized pass: node k of an interval [a, b] cut
+    into n steps is a + (b - a) * k / n, k = 0 being a itself, and an
+    interior node that rounds onto a or b is dropped.  Raises
+    IntegratorError, before allocating, for a grid of more than
     _MAX_BUILD_STEPS steps.
     """
     total = drive.total_duration
@@ -229,13 +234,13 @@ def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float
         raise IntegratorError(
             f"a step of {max_step:.3e} s needs {n_steps:.3e} steps per build, more than "
             f"the limit of {_MAX_BUILD_STEPS}", float("nan"))
-    pieces = [forced[:1]]
-    for a, b, n in zip(forced[:-1], forced[1:], counts.astype(int).tolist()):
-        if n > 1:
-            interior = a + (b - a) * np.arange(1, n) / n
-            pieces.append(interior[(interior > a) & (interior < b)])
-        pieces.append(np.array([b]))
-    return np.concatenate(pieces)
+    counts = counts.astype(np.int64)
+    interval = np.repeat(np.arange(counts.size), counts)
+    k = np.arange(interval.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = forced[interval], forced[interval + 1]
+    nodes = a + (b - a) * k / counts[interval]
+    keep = (k == 0) | ((nodes > a) & (nodes < b))
+    return np.append(nodes[keep], forced[-1])
 
 
 def _batch_shape(drive) -> tuple:
@@ -374,6 +379,20 @@ def _pairwise_product(arr: np.ndarray, compose) -> np.ndarray:
     return arr[0]
 
 
+def _running_product(arr: np.ndarray, compose) -> np.ndarray:
+    """The inclusive running product arr[i] ... arr[0] at every i, in place
+    and work-efficient (Blelloch, CMU-CS-90-190, 1990): compose adjacent
+    pairs, take the running product of the pair products, which is the
+    result at every odd i, then fill in each even i >= 2 from the odd one
+    before it; about 2 n composes in all."""
+    n = arr.shape[0]
+    if n > 1:
+        odd = _running_product(compose(arr[1::2], arr[0 : n - 1 : 2]), compose)
+        arr[2::2] = compose(arr[2::2], odd[: (n - 1) // 2])
+        arr[1::2] = odd
+    return arr
+
+
 def _products_at(build: _Build, idx: np.ndarray) -> np.ndarray:
     """The d-level ordered products steps[i-1] @ ... @ steps[0] at each i of
     the non-decreasing step indices idx, shape (idx.size, *batch, d, d); an
@@ -384,8 +403,9 @@ def _products_at(build: _Build, idx: np.ndarray) -> np.ndarray:
     about twice the steps however unevenly idx is spread.  One pairwise
     reduction multiplies all pieces at once, the shorter ones padded with
     the identity (a single piece is reduced from the step array itself, not
-    from a copy).  A running product over the pieces then gives each prefix,
-    and the prefixes at idx are lifted to d levels once."""
+    from a copy).  A work-efficient running product over the P pieces
+    (_running_product, about 2 P composes) then gives each prefix, and the
+    prefixes at idx are lifted to d levels once."""
     steps, compose = build.steps, build.compose
     width = max(1, -(-idx[-1] // idx.size))
     ends = np.union1d(idx, np.arange(width, idx[-1], width))
@@ -398,11 +418,7 @@ def _products_at(build: _Build, idx: np.ndarray) -> np.ndarray:
         padded[...] = build.identity
         padded[np.arange(ends[-1]) - np.repeat(starts, lengths),
                np.repeat(np.arange(ends.size), lengths)] = steps[: ends[-1]]
-        totals = _pairwise_product(padded, compose)
-    shift = 1  # inclusive scan over the pieces, log2(ends.size) passes
-    while shift < ends.size:
-        totals[shift:] = compose(totals[shift:], totals[:-shift])
-        shift *= 2
+        totals = _running_product(_pairwise_product(padded, compose), compose)
     return build.lift(totals[np.searchsorted(ends, idx)])
 
 

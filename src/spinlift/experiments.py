@@ -37,7 +37,6 @@ from .spin import (
 )
 from .waveforms import (
     AdiabaticParams,
-    DEFAULT_PROTECT_DURATION,
     CompositeSequence,
     ControlSchedule,
     adiabatic_method,
@@ -354,7 +353,7 @@ def run_tbb1(delta_omega: float = 0.0,
         "final_fidelity_to_dark": fid,
         "final_infidelity": 1.0 - fid,
         "final_p_f1": float(traj.p_f1[-1]),
-        "sequence_duration_us": (total - DEFAULT_PROTECT_DURATION) * 1e6,
+        "sequence_duration_us": float(sum(seg.duration for seg in schedule.segments[:-1])) * 1e6,
     }
     return _report("fig3c", seed,
                    {"delta_omega_hz": delta_omega / TWO_PI, "omega0_hz": omega0 / TWO_PI},

@@ -8,6 +8,7 @@ import pytest
 
 from spinlift import (
     AdiabaticParams,
+    BlackmanTransferSegment,
     DimensionError,
     CompositeSequence,
     ConstantSegment,
@@ -336,6 +337,89 @@ class TestIntegrator:
         assert "builds, steps per build [" in halved and "residual" in halved
 
 
+class TestStepGrid:
+    """_step_grid's vectorized pass against a per-interval loop, kept here as
+    the reference, node for node."""
+
+    @staticmethod
+    def loop(drive, sample_times, max_step):
+        total = drive.total_duration
+        forced = np.unique(np.concatenate([drive.boundaries, sample_times, [0.0, total]]))
+        forced = forced[(forced >= 0.0) & (forced <= total)]
+        const = dynamics._constant_mask(drive, forced[:-1], forced[1:])
+        counts = np.where(const, 1.0, np.maximum(1.0, np.ceil(np.diff(forced) / max_step - 1e-12)))
+        pieces = [forced[:1]]
+        for a, b, n in zip(forced[:-1], forced[1:], counts.astype(int).tolist()):
+            if n > 1:
+                interior = a + (b - a) * np.arange(1, n) / n
+                pieces.append(interior[(interior > a) & (interior < b)])
+            pieces.append(np.array([b]))
+        return np.concatenate(pieces)
+
+    def check(self, drive, sample_times, max_step):
+        sample_times = np.asarray(sample_times, dtype=float)
+        grid = _step_grid(drive, sample_times, max_step)
+        assert np.array_equal(grid, self.loop(drive, sample_times, max_step))
+        forced = np.concatenate([drive.boundaries, sample_times])
+        forced = forced[(forced >= 0.0) & (forced <= drive.total_duration)]
+        # every forced node appears, exactly once: no interior node rounds onto it
+        nodes, times = np.unique(grid, return_counts=True)
+        at = np.searchsorted(nodes, forced)
+        assert np.array_equal(nodes[at], forced) and np.all(times[at] == 1)
+        return grid
+
+    @staticmethod
+    def mixed_schedule(rng):
+        segs = []
+        for _ in range(int(rng.integers(1, 7))):
+            if rng.random() < 0.5:
+                segs.append(ConstantSegment(float(rng.uniform(0.1e-6, 30e-6)),
+                                            float(rng.uniform(0, TWO_PI * 100e3))))
+            else:
+                t_delta = float(rng.uniform(1e-6, 80e-6))
+                segs.append(BlackmanTransferSegment(OMEGA0, TWO_PI * 60e3,
+                                                    t_delta * float(rng.uniform(0.3, 1.0)),
+                                                    t_delta, bool(rng.random() < 0.5)))
+        return ControlSchedule(segs)
+
+    def test_random_schedules_and_sample_times(self):
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            drive = lift_schedule(self.mixed_schedule(rng), 3)
+            total = drive.total_duration
+            samples = np.sort(np.concatenate([
+                rng.uniform(0.0, total, int(rng.integers(0, 40))),
+                rng.choice(drive.boundaries, int(rng.integers(0, 4))),  # on segment boundaries
+                [0.0, total]]))
+            samples = np.repeat(samples, rng.integers(1, 3, samples.size))  # repeated times
+            max_step = float(10.0 ** rng.uniform(-8.5, -5))
+            self.check(drive, samples, max_step)
+            self.check(drive, np.array([]), max_step)
+
+    def test_one_ulp_intervals(self):
+        drive = lift_schedule(TestIntegrator.FORWARD, 3)
+        t = 1e-4
+        ulps = t + np.spacing(t) * np.arange(4)
+        grid = self.check(drive, ulps, 1e-6)
+        assert np.array_equal(grid[np.searchsorted(grid, ulps[0]) :][:4], ulps)
+        # a smooth segment a few ulps long behind a constant one: steps of a
+        # third of an ulp, whose interior nodes round onto the forced ones
+        a = 10e-6
+        ulp = np.spacing(a)
+        tiny = ControlSchedule([ConstantSegment(a, OMEGA0),
+                                BlackmanTransferSegment(OMEGA0, TWO_PI * 60e3, 5 * ulp, 5 * ulp)])
+        drive = lift_schedule(tiny, 3)
+        inside = drive.boundaries[1] + ulp * np.arange(1, 4)
+        grid = self.check(drive, inside, ulp / 3)
+        assert np.all(np.diff(grid) >= 0.0)
+
+    def test_zero_total_duration(self):
+        for sched in (ControlSchedule([]), ControlSchedule([ConstantSegment(0.0, OMEGA0)])):
+            drive = lift_schedule(sched, 3)
+            for samples in ([], [0.0], [0.0, 0.0]):
+                assert np.array_equal(self.check(drive, samples, 1e-6), [0.0])
+
+
 class TestSu2Exp:
     """The closed-form 2x2 step holds across the float range: its norm
     used to overflow to nan above about 1e154 rad/s and underflow to the
@@ -608,6 +692,28 @@ class TestProductsAt:
             assert got.shape == (idx.size, 3, 2, 3, 3)
             assert np.max(np.abs(got - self.naive(build, idx))) < 1e-13
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_running_product_over_1_to_33_pieces(self, dense, monkeypatch):
+        drive = MultiLevelDrive(3, self.FORWARD, gain=np.array([1.0, 1.02]),
+                                shift=TWO_PI * np.array([[0.0], [400.0], [-900.0]]))
+        grid = _step_grid(drive, np.array([]), 2e-6)
+        build = dynamics._dense_steps(drive, grid) if dense else _step_unitaries(drive, grid)
+        assert grid.size - 1 >= 3 * 33
+        pieces = []
+        scan = dynamics._running_product
+
+        def counted(arr, compose):
+            pieces.append(arr.shape[0])
+            return scan(arr, compose)
+
+        monkeypatch.setattr(dynamics, "_running_product", counted)
+        for p in range(1, 34):  # odd, even and power-of-two piece counts
+            idx = 3 * np.arange(1, p + 1)  # p pieces of three steps each
+            pieces.clear()
+            got = _products_at(build, idx)
+            assert pieces[:1] == ([] if p == 1 else [p])
+            assert np.max(np.abs(got - self.naive(build, idx))) < 1e-13
+
     @staticmethod
     def peak_bytes(build, idx):
         tracemalloc.start()
@@ -710,6 +816,25 @@ class TestTrajectoryCsv:
             b"time_us,p_0,p_1,p_2,p_f1\n"
             b"0,0,1,0,0\n"
             b"1.5,0.333333333333,0.333333333333,0.333333333333,0.666666666667\n")
+
+    def test_rows_match_the_per_cell_rule(self, tmp_path):
+        columns = [[3, 40, 500, -6, 2**62],
+                   np.array([0.1, -2.5, 1.0, 123456789.123456, 7.0]),
+                   np.array([1e-300, -5e-324, 0.0, -0.0, 1e-17]),
+                   np.array([1.7976931348623157e308, 1e300, -1e200, 1e16, 2.0**70]),
+                   np.array([np.nan, np.inf, -np.inf, np.nan, 0.5]),
+                   np.array([2**64 - 1, 2**63 + 5, 0, 1, 7], dtype=np.uint64)]
+        path = tmp_path / "cells.csv"
+        dynamics._write_csv(path, "a,b,c,d,e,f", columns)
+
+        def cell(v):
+            return str(v) if isinstance(v, int) else "%.12g" % v
+
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        expect = "a,b,c,d,e,f\n" + "".join(",".join(map(cell, r)) + "\n" for r in rows)
+        assert path.read_bytes() == expect.encode()
+        first = path.read_text().splitlines()[1]
+        assert first == "3,0.1,1e-300,1.79769313486e+308,nan,18446744073709551615"
 
     def test_even_dimension_rejected(self, tmp_path):
         traj = Trajectory(times=[0.0], states=[[1, 0]])

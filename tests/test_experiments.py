@@ -146,6 +146,15 @@ class TestTbb1:
         rep = run_tbb1(0.0, cfg=FAST)
         assert rep.outputs["sequence_duration_us"] == pytest.approx(79.5, abs=0.2)
 
+    @pytest.mark.parametrize("omega0_hz", [40e3, 1e20, 1e300])
+    def test_sequence_duration_over_the_float_range(self, omega0_hz):
+        # BB1's areas pi/2, pi, 2 pi, pi at sqrt(2) theta / omega0 each; the
+        # total minus the 20 us hold cancels the sequence at the two high rates
+        omega0 = TWO_PI * omega0_hz
+        rep = run_tbb1(0.0, cfg=FAST, omega0=omega0)
+        expect = 4.5 * np.pi * np.sqrt(2.0) / omega0 * 1e6
+        assert rep.outputs["sequence_duration_us"] == pytest.approx(expect, rel=1e-12, abs=0.0)
+
     def test_excessive_error_rejected(self):
         with pytest.raises(ScenarioError):
             run_tbb1(-NOMINAL_ADIABATIC.omega0)
