@@ -10,7 +10,8 @@ H = Lambda(t) . J) the drive is propagated as the spin-1/2 problem
 Lambda(t) . S, with Lambda read from its schedule, gain and shift: each
 step is a closed-form 2x2 exponential, kept as the (a, b) pair of
 [[a, -b*], [b, a*]].  Only a drive that breaks the symmetry takes the dense
-path, a batched d x d spectral exponential of drive.hamiltonian per factor;
+path, a batched d x d exponential of drive.hamiltonian per factor: closed
+form by the Cayley-Hamilton theorem for d = 3, spectral for any other d;
 that path also serves as the independent reference for the lift.  Either
 path's steps go to one product rule, _products_at: a pairwise reduction
 multiplies the steps between consecutive sample times, a work-efficient
@@ -305,7 +306,8 @@ def _cf4_steps(drive, grid: np.ndarray, generator, expm, compose, shape: tuple) 
 
 def _dense_steps(drive, grid: np.ndarray) -> _Build:
     """d x d CF4 step propagators of the drive's Hamiltonian, each factor by
-    a batched spectral exponential."""
+    spin._expm_hermitian: the closed-form 3 x 3 exponential for d = 3, a
+    batched spectral one for any other d."""
     d = drive.dim
     return _Build(_cf4_steps(drive, grid, drive.hamiltonian, _expm_hermitian, np.matmul, (d, d)),
                   np.matmul, lambda u: u, np.eye(d, dtype=complex))

@@ -158,13 +158,94 @@ def angular_momentum_ops(d: int) -> SpinOperators:
 
 
 def _expm_hermitian(h: np.ndarray, t) -> np.ndarray:
-    """exp(-i t h) for Hermitian h of shape (..., d, d) by spectral
-    decomposition (exactly unitary); t is a scalar or has one entry per
-    leading index of h."""
-    w, v = np.linalg.eigh(h)
+    """exp(-i t h) for Hermitian h of shape (..., d, d), read from its lower
+    triangle; t is a scalar or has one entry per leading index of h.  A 3 x 3
+    h takes the closed form of _expm3, any other d a spectral decomposition
+    (exactly unitary)."""
     t = np.asarray(t, dtype=float)
+    if h.shape[-1] == 3:
+        return _expm3(h, t)
+    w, v = np.linalg.eigh(h)
     phases = np.exp(-1j * w * t.reshape(t.shape + (1,) * (w.ndim - t.ndim)))
     return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+# Where Q0's largest entry is below this, exp(i Q0) is its Taylor series to
+# this order: the first term left out is below 1e-20.
+_SERIES_BELOW = 1e-3
+_SERIES_ORDER = 6
+
+
+def _expm3(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i t h) for Hermitian h of shape (..., 3, 3) in closed form, by
+    the Cayley-Hamilton theorem (Morningstar & Peardon, Phys. Rev. D 69,
+    054501 (2004)).
+
+    The trace comes out as the phase exp(-i t tr(h) / 3), which leaves the
+    traceless Q0 = -t (h - tr(h) / 3).  With s the largest |entry| of Q0 and
+    Q = Q0 / s, exp(i Q0) = f0 I + f1 Q + f2 Q^2.  The invariants c0 = det Q
+    and c1 = tr(Q^2) / 2 are of order one, so nothing overflows or
+    underflows.  Q's eigenvalues are 2u, -u + w and -u - w, with
+    u = sqrt(c1 / 3) cos(theta / 3), w = sqrt(c1) sin(theta / 3) and
+    cos(theta) = |c0| / (2 (c1 / 3)^(3/2)); c0 < 0 is the conjugate problem,
+    which flips the sign of u.  The f_j are the paper's at s u and s w,
+    rescaled to Q, with sin(s w) / (s w) by its series where s w < 0.05.
+    Where s < _SERIES_BELOW (a small c1 of Q0) they come from the Taylor
+    series of exp(i s Q) instead, reduced by Q^3 = c1 Q + c0 I.  Apart from
+    the result, every array has one entry per matrix."""
+    lead = h.shape[:-2]
+    h = h.reshape((-1, 3, 3))
+    t = np.broadcast_to(t.reshape(t.shape + (1,) * (len(lead) - t.ndim)), lead).reshape(-1)
+    mean = (h[:, 0, 0].real + h[:, 1, 1].real + h[:, 2, 2].real) / 3.0
+    # Q0: diagonal a, b, c and lower triangle x = Q0[1, 0], y = Q0[2, 0], z = Q0[2, 1]
+    a, b, c = (-t * (h[:, k, k].real - mean) for k in range(3))
+    x, y, z = -t * h[:, 1, 0], -t * h[:, 2, 0], -t * h[:, 2, 1]
+    s = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c), np.abs(x), np.abs(y), np.abs(z)])
+    scale = np.where(s > 0.0, s, 1.0)
+    a, b, c, x, y, z = a / scale, b / scale, c / scale, x / scale, y / scale, z / scale
+    xx, yy, zz = x.real**2 + x.imag**2, y.real**2 + y.imag**2, z.real**2 + z.imag**2
+    c1 = 0.5 * (a * a + b * b + c * c) + xx + yy + zz
+    c0 = a * b * c + 2.0 * (x * z * y.conj()).real - a * zz - b * yy - c * xx
+    # c1 >= 1/2 wherever s > 0; the rows of s = 0 are taken from the series
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.arccos(np.minimum(np.abs(c0) / (2.0 * (c1 / 3.0) ** 1.5), 1.0))
+        uh = np.copysign(np.sqrt(c1 / 3.0) * np.cos(theta / 3.0), c0)
+        wh = np.sqrt(c1) * np.sin(theta / 3.0)
+        w = s * wh
+        near = np.minimum(np.abs(w), 0.05) ** 2
+        xi = 1.0 - near / 6.0 * (1.0 - near / 20.0 * (1.0 - near / 42.0))
+        # s sin(w) / w: the paper's xi0(w), times s
+        xi = s * np.divide(np.sin(w), w, out=xi, where=np.abs(w) >= 0.05)
+        e1 = np.exp(1j * (s * uh))
+        e2, em, cw = e1 * e1, e1.conj(), np.cos(w)
+        uu, ww = uh * uh, wh * wh
+        den = 9.0 * uu - ww
+        f0 = ((uu - ww) * e2 + em * (8.0 * uu * cw + 2j * uh * (3.0 * uu + ww) * xi)) / den
+        f1 = (2.0 * uh * e2 - em * (2.0 * uh * cw - 1j * (3.0 * uu - ww) * xi)) / den
+        f2 = (e2 - em * (cw + 3j * uh * xi)) / den
+    small = s < _SERIES_BELOW
+    if np.any(small):
+        step, k0, k1 = 1j * s[small], c0[small], c1[small]
+        p0, p1, p2 = np.ones_like(step), np.zeros_like(step), np.zeros_like(step)
+        for k in range(_SERIES_ORDER, 0, -1):
+            # p <- I + (i s / k) Q p, with p = p0 I + p1 Q + p2 Q^2
+            p0, p1, p2 = 1.0 + step / k * k0 * p2, step / k * (p0 + k1 * p2), step / k * p1
+        f0[small], f1[small], f2[small] = p0, p1, p2
+    phase = np.exp(-1j * t * mean)
+    f0, f1, f2 = phase * f0, phase * f1, phase * f2
+    # Q^2 is Hermitian: its diagonal and its lower triangle, with a + b + c = 0
+    q10, q20, q21 = y * z.conj() - c * x, z * x - b * y, y * x.conj() - a * z
+    out = np.empty(h.shape, dtype=complex)
+    out[:, 0, 0] = f0 + f1 * a + f2 * (a * a + xx + yy)
+    out[:, 1, 1] = f0 + f1 * b + f2 * (xx + b * b + zz)
+    out[:, 2, 2] = f0 + f1 * c + f2 * (yy + zz + c * c)
+    out[:, 1, 0] = f1 * x + f2 * q10
+    out[:, 0, 1] = f1 * x.conj() + f2 * q10.conj()
+    out[:, 2, 0] = f1 * y + f2 * q20
+    out[:, 0, 2] = f1 * y.conj() + f2 * q20.conj()
+    out[:, 2, 1] = f1 * z + f2 * q21
+    out[:, 1, 2] = f1 * z.conj() + f2 * q21.conj()
+    return out.reshape(lead + (3, 3))
 
 
 def rotation_unitary(d: int, axis: Iterable[float], angle: float) -> Unitary:

@@ -270,6 +270,20 @@ class TestIntegrator:
         # fourth order predicts a 16x cut; a second-order rule gives 4x
         assert error(5e-6) > 10 * error(2.5e-6)
 
+    def test_cf4_fourth_order_on_dense_blackman_leg(self):
+        noise = NoiseParams(rabi_mismatch=0.002, static_detuning=TWO_PI * 5.0)
+        drive = DressedDrive(self.FORWARD, noise, 0.0, OMEGA0)
+        assert not drive.su2_covariant
+        # the dense path's rounding floor stops halving short of 1e-13
+        ref = propagator(drive, IntegratorConfig(tolerance=1e-12)).mat
+
+        def error(h):
+            grid = _step_grid(drive, np.array([]), h)
+            total = _products_at(_step_unitaries(drive, grid), np.array([grid.size - 1]))[0]
+            return np.max(np.abs(total - ref))
+
+        assert error(5e-6) > 10 * error(2.5e-6)
+
     def test_step_grid_limit(self, monkeypatch):
         drive = lift_schedule(self.FORWARD, 3)
         at_cap = _step_grid(drive, np.array([]), 1e-6).size - 1

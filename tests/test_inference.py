@@ -427,12 +427,12 @@ class TestInfidelityPerOp:
     def test_exact_line(self):
         pts = [(n, 1 - n * 1e-4, 1.0) for n in (8, 16, 32, 64)]
         eps, _ = infidelity_per_op(pts)
-        assert eps == pytest.approx(1e-4, rel=1e-12)
+        assert eps == pytest.approx(1e-4, rel=1e-12, abs=0.0)
 
     def test_fixed_intercept_with_n0_point(self):
         pts = [(0, 1.0, 1.0)] + [(n, 1 - n * 2e-4, 1.0) for n in (8, 16)]
         eps, _ = infidelity_per_op(pts)
-        assert eps == pytest.approx(2e-4, rel=1e-12)
+        assert eps == pytest.approx(2e-4, rel=1e-12, abs=0.0)
 
     def test_monte_carlo_recovery(self):
         rng_master = np.random.default_rng(2024)

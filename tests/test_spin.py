@@ -18,7 +18,7 @@ from spinlift import (
     rotation_unitary,
     state_fidelity,
 )
-from spinlift.spin import StateVector, Unitary, lift_matrices
+from spinlift.spin import StateVector, Unitary, _expm_hermitian, lift_matrices
 
 
 def states_equal_up_to_phase(psi, phi, tol):
@@ -42,6 +42,111 @@ def random_cayley_klein(rng):
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
     return v[0] + 1j * v[1], v[2] + 1j * v[3]
+
+
+def spectral_expm(h, t):
+    """Reference exp(-i t h) by numpy's eigh; t is a scalar or has one entry
+    per leading index of h."""
+    w, v = np.linalg.eigh(h)
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(-1j * w * t.reshape(t.shape + (1,) * (w.ndim - t.ndim)))
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def random_hermitian(rng, shape):
+    m = rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3))
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def random_unitary(rng):
+    return np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+
+
+class TestExpm3:
+    """The closed-form 3 x 3 exponential against the eigh reference: within
+    1e-13 max(1, tau ||H||), and unitary within 1e-14 max(1, tau ||H||)."""
+
+    @staticmethod
+    def check(h, t):
+        got = _expm_hermitian(h, t)
+        t = np.asarray(t, dtype=float)
+        tau_norm = np.linalg.norm(h, 2, axis=(-2, -1)) * np.abs(
+            t.reshape(t.shape + (1,) * (h.ndim - 2 - t.ndim)))
+        scale = np.maximum(1.0, tau_norm)
+        dev = np.max(np.abs(got - spectral_expm(h, t)), axis=(-2, -1))
+        unitarity = np.max(np.abs(got @ got.conj().swapaxes(-1, -2) - np.eye(3)), axis=(-2, -1))
+        assert got.shape == h.shape
+        assert np.all(dev <= 1e-13 * scale), np.max(dev / scale)
+        assert np.all(unitarity <= 1e-14 * scale), np.max(unitarity / scale)
+
+    def test_random_batch_over_the_float_range(self):
+        rng = np.random.default_rng(11)
+        h = random_hermitian(rng, (400,))
+        # half over the whole range, half where the series stops (s >= 1e-3)
+        tau_norm = 10.0 ** np.concatenate([rng.uniform(-300, 3, 200), rng.uniform(-3, 3, 200)])
+        self.check(h, tau_norm / np.linalg.norm(h, 2, axis=(-2, -1)))
+
+    @pytest.mark.parametrize("exponent", [-300, -100, -20, -6, -3, -1, 0, 1, 2, 3])
+    def test_random_batch_with_one_t(self, exponent):
+        rng = np.random.default_rng(12)
+        h = random_hermitian(rng, (40,))
+        self.check(h, 10.0 ** exponent / np.median(np.linalg.norm(h, 2, axis=(-2, -1))))
+
+    def test_per_step_t_over_a_drive_batch(self):
+        # as _cf4_steps passes it: (steps, batch, 3, 3) with one t per step
+        rng = np.random.default_rng(13)
+        self.check(random_hermitian(rng, (50, 4)), 10.0 ** rng.uniform(-8, 1, 50))
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-3, 0.7, 40.0])
+    def test_zero_and_multiples_of_identity(self, t):
+        for c in (0.0, 2.5, -1e3):
+            h = c * np.eye(3, dtype=complex)
+            self.check(h, t)
+            assert np.allclose(_expm_hermitian(h, t), np.exp(-1j * c * t) * np.eye(3),
+                               rtol=0.0, atol=1e-15 * max(1.0, abs(c * t)))
+
+    @pytest.mark.parametrize("t", [1e-6, 0.3, 20.0])
+    def test_double_eigenvalue_both_signs_of_c0(self, t):
+        rng = np.random.default_rng(13)
+        v = random_unitary(rng)
+        # diag(a, a, b) with b above or below a: det of -t (h - tr/3) is + or -
+        for diag in ([1.0, 1.0, -2.0], [-1.0, -1.0, 2.0], [0.5, 0.5, 3.0], [3.0, 3.0, 0.5]):
+            h = np.diag(diag).astype(complex)
+            self.check(h, t)
+            self.check(v @ h @ v.conj().T, t)
+
+    @pytest.mark.parametrize("split", [1e-9, 1e-12])
+    def test_near_degenerate_spectra(self, split):
+        rng = np.random.default_rng(14)
+        for t in (1e-4, 1.0, 50.0):
+            v = random_unitary(rng)
+            for diag in ([1.0, 1.0 + split, 3.0], [1.0, 3.0, 3.0 + split]):
+                h = v @ np.diag(diag) @ v.conj().T
+                self.check(h, t)
+
+    def test_unbatched_input(self):
+        ops = angular_momentum_ops(3)
+        gen = 0.6 * ops.jx + 0.8 * ops.jz
+        self.check(gen, 1.3)
+        assert _expm_hermitian(gen, 1.3).shape == (3, 3)
+
+    def test_tiny_generator_to_first_order(self):
+        # the small-c1 series rounds exp(-i t h) - I relative to t ||h||,
+        # where eigh rounds it to about 1e-16; (t h)^2 is below t ||h|| 1e-20
+        rng = np.random.default_rng(15)
+        h = random_hermitian(rng, (20,))
+        norm = np.linalg.norm(h, 2, axis=(-2, -1))
+        for t in (1e-300, 1e-100, 1e-20):
+            step = _expm_hermitian(h, t) - np.eye(3)
+            assert np.all(np.max(np.abs(step + 1j * t * h), axis=(-2, -1)) <= 1e-15 * t * norm)
+
+    def test_reads_the_lower_triangle(self):
+        rng = np.random.default_rng(16)
+        h = random_hermitian(rng, (5,))
+        junk = h.copy()
+        junk[:, [0, 0, 1], [1, 2, 2]] = 7.0 + 3.0j
+        junk[:, [0, 1, 2], [0, 1, 2]] += 5j
+        assert np.array_equal(_expm_hermitian(junk, 0.8), _expm_hermitian(h, 0.8))
 
 
 class TestAngularMomentumOps:

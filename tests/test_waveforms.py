@@ -170,12 +170,12 @@ class TestAdiabaticMethod:
     def test_nominal_round_trip_duration(self):
         sched = adiabatic_method(AdiabaticParams(
             OMEGA0, DELTA0, 200e-6, 300e-6, 400e-6, "round-trip"))
-        assert sched.total_duration == pytest.approx(1000e-6, rel=1e-15)
+        assert sched.total_duration == pytest.approx(1000e-6, rel=1e-15, abs=0.0)
 
     def test_forward_duration(self):
         sched = adiabatic_method(AdiabaticParams(
             OMEGA0, DELTA0, 200e-6, 300e-6, 0.0, "forward"))
-        assert sched.total_duration == pytest.approx(300e-6, rel=1e-15)
+        assert sched.total_duration == pytest.approx(300e-6, rel=1e-15, abs=0.0)
 
     def test_start_controls(self):
         sched = adiabatic_method(AdiabaticParams(
