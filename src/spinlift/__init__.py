@@ -35,8 +35,6 @@ from .waveforms import (
     square_pulse,
     MultiLevelDrive,
     lift_schedule,
-    schedule_to_json,
-    schedule_from_json,
 )
 from .dynamics import (
     IntegratorError,
@@ -73,8 +71,6 @@ from .experiments import (
     run_ramsey_dressed_qubit,
     verify_reversal,
     rotation_cycle_check,
-    SCENARIOS,
-    run_scenario,
 )
 
 __version__ = "0.1.0"

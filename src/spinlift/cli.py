@@ -1,9 +1,13 @@
-"""Command-line front end: scenario dispatch, config parsing and the
+"""Command-line front end: the scenario table, config parsing and the
 acceptance suite.
 
-User-facing configuration uses plain Hz for frequencies (Omega/2pi) and
-microseconds for times; everything is converted to angular rad/s and
-seconds at this boundary.  Unknown keys are rejected by name.
+Each scenario is declared once, in SCENARIOS: its description, its keys
+and its runner.  User-facing configuration uses plain Hz for frequencies
+(Omega/2pi) and microseconds for times; everything is converted to angular
+rad/s and seconds at this boundary, and the runner reads the converted
+values by the keys' internal names.  Unknown keys are rejected by name.
+A config file's scenario must agree with --scenario when both are given;
+--seed and --set override the file's seed and keys.
 """
 
 from __future__ import annotations
@@ -13,11 +17,26 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .experiments import SCENARIOS, run_scenario
+from .dynamics import IntegratorConfig, _write_atomic
+from .experiments import (
+    NoiseParams,
+    measure_fidelity_vs_n,
+    rotation_cycle_check,
+    run_adiabatic_transfer,
+    run_fig3d,
+    run_fig4b,
+    run_ramsey_dressed_qubit,
+    run_static_error,
+    run_tbb1,
+    verify_reversal,
+)
+from .inference import MeasurementModel
 from .spin import SpinliftError
+from .waveforms import AdiabaticParams
 
 TWO_PI = 2.0 * np.pi
 
@@ -31,6 +50,20 @@ class KeySpec:
     kind: str           # freq[_pos|_signed] | time[_pos] | nonneg | pos | int[0] | str | intlist
     internal: str
     default: object     # in user units
+
+
+_FLOAT_KINDS = ("freq", "freq_pos", "freq_signed", "time", "time_pos", "nonneg", "pos")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario: its line in `spinlift list`, its keys in user units,
+    and its runner, called as runner(params, seed, out_dir) with params
+    in rad/s and seconds, keyed by the keys' internal names."""
+
+    description: str
+    keys: dict[str, KeySpec]
+    runner: Callable
 
 
 _NOISE_KEYS = {
@@ -49,32 +82,95 @@ _ADIABATIC_KEYS = {
 
 _TOL_KEY = {"tolerance": KeySpec("pos", "tolerance", 1e-9)}
 
-SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
-    "fig2e": {**_ADIABATIC_KEYS,
-              "t_hold_us": KeySpec("time", "t_hold", 400.0),
-              **_NOISE_KEYS, **_TOL_KEY},
-    "fig3c": {"omega0_hz": _ADIABATIC_KEYS["omega0_hz"],
-              "delta_omega_hz": KeySpec("freq_signed", "delta_omega", -10e3),
-              **_TOL_KEY},
-    "fig3d": {"omega0_hz": _ADIABATIC_KEYS["omega0_hz"], **_TOL_KEY},
-    "fig4b": {**_ADIABATIC_KEYS, "shots": KeySpec("int", "shots", 200),
-              **_NOISE_KEYS, **_TOL_KEY},
-    "fig4c": {**_ADIABATIC_KEYS,
-              "method": KeySpec("str", "method", "adiabatic"),
-              "ns": KeySpec("intlist", "ns", [8, 16, 32, 64]),
-              "shots": KeySpec("int", "shots", 10000),
-              **_NOISE_KEYS, **_TOL_KEY},
-    "ramsey": {"n_transfers": KeySpec("int", "n_transfers", 8),
-               "shots": KeySpec("int0", "shots", 0),
-               **_NOISE_KEYS, **_TOL_KEY},
-    "verify-reversal": {"d": KeySpec("int", "d", 5),
-                        "omega0_hz": _ADIABATIC_KEYS["omega0_hz"], **_TOL_KEY},
-    "rotation-cycle": {},
-    "static-error": {**_ADIABATIC_KEYS,
-                     "rabi_mismatch": KeySpec("nonneg", "rabi_mismatch", 0.0015),
-                     "static_detuning_hz": KeySpec("freq", "static_detuning", 3.0),
-                     **_TOL_KEY},
+
+def _adiabatic(p: dict, t_hold: float = 0.0) -> AdiabaticParams:
+    return AdiabaticParams(p["omega0"], p["delta0"], p["t_omega"], p["t_delta"], t_hold)
+
+
+def _noise(p: dict) -> NoiseParams:
+    return NoiseParams(p["rabi_mismatch"], p["common_rabi_error"],
+                       p["static_detuning"], p["zeeman_sigma"])
+
+
+def _cfg(p: dict) -> IntegratorConfig:
+    return IntegratorConfig(tolerance=p["tolerance"])
+
+
+def _model(p: dict, seed: int) -> MeasurementModel:
+    return MeasurementModel(shots=p["shots"], seed=seed)
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "fig2e": Scenario(
+        "adiabatic round-trip transfer trajectory, P(F=1) vs time",
+        {**_ADIABATIC_KEYS, "t_hold_us": KeySpec("time", "t_hold", 400.0),
+         **_NOISE_KEYS, **_TOL_KEY},
+        lambda p, seed, out_dir: run_adiabatic_transfer(
+            params=_adiabatic(p, p["t_hold"]), noise=_noise(p), cfg=_cfg(p),
+            seed=seed, out_dir=out_dir)),
+    "fig3c": Scenario(
+        "TBB1 composite transfer trajectory with amplitude error",
+        {"omega0_hz": _ADIABATIC_KEYS["omega0_hz"],
+         "delta_omega_hz": KeySpec("freq_signed", "delta_omega", -10e3), **_TOL_KEY},
+        lambda p, seed, out_dir: run_tbb1(
+            delta_omega=p["delta_omega"], omega0=p["omega0"], cfg=_cfg(p),
+            seed=seed, out_dir=out_dir)),
+    "fig3d": Scenario(
+        "population vs normalized pulse area, single pulse vs TBB1",
+        {"omega0_hz": _ADIABATIC_KEYS["omega0_hz"], **_TOL_KEY},
+        lambda p, seed, out_dir: run_fig3d(
+            omega0=p["omega0"], cfg=_cfg(p), seed=seed, out_dir=out_dir)),
+    "fig4b": Scenario(
+        "dark-state fringe + ML fit after a single transfer",
+        {**_ADIABATIC_KEYS, "shots": KeySpec("int", "shots", 200), **_NOISE_KEYS, **_TOL_KEY},
+        lambda p, seed, out_dir: run_fig4b(
+            m=_model(p, seed), params=_adiabatic(p), noise=_noise(p), cfg=_cfg(p),
+            seed=seed, out_dir=out_dir)),
+    "fig4c": Scenario(
+        "fidelity vs operation count and per-op infidelity",
+        {**_ADIABATIC_KEYS,
+         "method": KeySpec("str", "method", "adiabatic"),
+         "ns": KeySpec("intlist", "ns", [8, 16, 32, 64]),
+         "shots": KeySpec("int", "shots", 10000),
+         **_NOISE_KEYS, **_TOL_KEY},
+        lambda p, seed, out_dir: measure_fidelity_vs_n(
+            method=p["method"], ns=p["ns"], m=_model(p, seed), noise=_noise(p),
+            cfg=_cfg(p), params=_adiabatic(p), seed=seed, out_dir=out_dir)),
+    "ramsey": Scenario(
+        "dressed-qubit Ramsey coherence test through transfers",
+        {"n_transfers": KeySpec("int", "n_transfers", 8),
+         "shots": KeySpec("int0", "shots", 0),
+         **_NOISE_KEYS, **_TOL_KEY},
+        lambda p, seed, out_dir: run_ramsey_dressed_qubit(
+            n_transfers=p["n_transfers"],
+            m=None if p["shots"] == 0 else _model(p, seed),
+            noise=_noise(p), cfg=_cfg(p), seed=seed, out_dir=out_dir)),
+    "verify-reversal": Scenario(
+        "d-level amplitude-reversal pi rotation, three routes",
+        {"d": KeySpec("int", "d", 5), "omega0_hz": _ADIABATIC_KEYS["omega0_hz"], **_TOL_KEY},
+        lambda p, seed, out_dir: verify_reversal(
+            d=p["d"], omega0=p["omega0"], cfg=_cfg(p), seed=seed, out_dir=out_dir)),
+    "rotation-cycle": Scenario(
+        "pi/2 y-rotation cycles through the named states",
+        {},
+        lambda p, seed, out_dir: rotation_cycle_check(seed=seed, out_dir=out_dir)),
+    "static-error": Scenario(
+        "dark-state infidelity from static field-setting errors",
+        {**_ADIABATIC_KEYS,
+         "rabi_mismatch": KeySpec("nonneg", "rabi_mismatch", 0.0015),
+         "static_detuning_hz": KeySpec("freq", "static_detuning", 3.0),
+         **_TOL_KEY},
+        lambda p, seed, out_dir: run_static_error(
+            p["rabi_mismatch"], p["static_detuning"], cfg=_cfg(p), params=_adiabatic(p),
+            seed=seed, out_dir=out_dir)),
 }
+
+
+def _scenario(name: str) -> Scenario:
+    if name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}; "
+                          f"known: {', '.join(sorted(SCENARIOS))}")
+    return SCENARIOS[name]
 
 
 @dataclass(frozen=True)
@@ -112,7 +208,7 @@ def _convert(key: str, spec: KeySpec, value):
     kind = spec.kind
     def fail(msg):
         raise ConfigError(f"invalid value for {key!r}: {msg} (got {value!r})")
-    if kind in ("freq", "freq_pos", "freq_signed", "time", "time_pos", "nonneg", "pos"):
+    if kind in _FLOAT_KINDS:
         if isinstance(value, bool):
             fail("expected a number")
         try:
@@ -143,13 +239,10 @@ def _convert(key: str, spec: KeySpec, value):
 
 def parse_config(scenario: str, overrides: dict, seed: int = 0,
                  out_dir: str | None = None) -> RunConfig:
-    """Validate user-unit overrides against the scenario's key table and
-    convert to internal units; unknown keys are rejected by name.  The seed
-    is an integer >= 0."""
-    if scenario not in SCENARIO_KEYS:
-        raise ConfigError(f"unknown scenario {scenario!r}; "
-                          f"known: {', '.join(sorted(SCENARIO_KEYS))}")
-    spec_table = SCENARIO_KEYS[scenario]
+    """Validate user-unit overrides against the scenario's keys and convert
+    to internal units; unknown keys are rejected by name.  The seed is an
+    integer >= 0."""
+    spec_table = _scenario(scenario).keys
     unknown = sorted(set(overrides) - set(spec_table))
     if unknown:
         raise ConfigError(f"unknown key(s) for scenario {scenario!r}: "
@@ -166,6 +259,12 @@ def parse_config(scenario: str, overrides: dict, seed: int = 0,
                      seed=_integer(seed, bad_seed, 0), out_dir=out_dir)
 
 
+def run_scenario(scenario: str, params: dict, seed: int = 0, out_dir: str | None = None):
+    """Run a scenario's runner on params in internal units; returns its
+    ScenarioReport."""
+    return _scenario(scenario).runner(params, seed, out_dir)
+
+
 def run(config: RunConfig):
     """Execute the configured scenario; returns its ScenarioReport."""
     report = run_scenario(config.scenario, config.params, seed=config.seed,
@@ -175,15 +274,14 @@ def run(config: RunConfig):
                **config.user_config}
         path = os.path.join(config.out_dir,
                             f"{config.scenario}_{config.seed}_config.json")
-        from .dynamics import _write_atomic
         _write_atomic(path, json.dumps(eff, indent=2, sort_keys=True))
     return report
 
 
 def list_scenarios() -> str:
     width = max(len(name) for name in SCENARIOS)
-    lines = [f"{name:<{width}}  {desc}"
-             for name, (desc, _) in sorted(SCENARIOS.items())]
+    lines = [f"{name:<{width}}  {scenario.description}"
+             for name, scenario in sorted(SCENARIOS.items())]
     return "\n".join(lines)
 
 
@@ -204,7 +302,13 @@ def _cmd_run(args) -> int:
             doc = json.load(f)
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-        scenario = doc.pop("scenario", scenario)
+        if "scenario" in doc:
+            # a run names one scenario: the file's must agree with --scenario
+            file_scenario = doc.pop("scenario")
+            if scenario is not None and file_scenario != scenario:
+                raise ConfigError(f"the config file's scenario {file_scenario!r} "
+                                  f"disagrees with --scenario {scenario!r}")
+            scenario = file_scenario
         if "seed" in doc:
             file_seed = doc.pop("seed")
             seed = file_seed if args.seed is None else args.seed
@@ -264,7 +368,6 @@ def main(argv=None) -> int:
         error_doc = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error_doc), file=sys.stderr)
         if getattr(args, "out", None):
-            from .dynamics import _write_atomic
             _write_atomic(os.path.join(args.out, "error.json"),
                           json.dumps(error_doc, indent=2, sort_keys=True))
         return 2

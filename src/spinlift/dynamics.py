@@ -221,7 +221,8 @@ def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float
     grid by exact match and steps never straddle a segment boundary.  All
     nodes come from one vectorized pass: node k of an interval [a, b] cut
     into n steps is a + (b - a) * k / n, k = 0 being a itself, and an
-    interior node that rounds onto a or b is dropped.  Raises
+    interior node that does not exceed the node before it, or that rounds
+    onto b, is dropped, so no step has zero length.  Raises
     IntegratorError, before allocating, for a grid of more than
     _MAX_BUILD_STEPS steps.
     """
@@ -240,7 +241,7 @@ def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float
     k = np.arange(interval.size) - np.repeat(np.cumsum(counts) - counts, counts)
     a, b = forced[interval], forced[interval + 1]
     nodes = a + (b - a) * k / counts[interval]
-    keep = (k == 0) | ((nodes > a) & (nodes < b))
+    keep = (k == 0) | ((np.diff(nodes, prepend=-np.inf) > 0.0) & (nodes < b))
     return np.append(nodes[keep], forced[-1])
 
 

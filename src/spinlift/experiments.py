@@ -1,6 +1,8 @@
 """Scenario runners reproducing the adiabatic / composite transfer experiments
 in silico: trajectories, robustness sweeps, the fringe-based fidelity pipeline,
 the dressed-qubit Ramsey test and the qudit amplitude-reversal checks.
+Runners take rad/s and seconds and return a ScenarioReport; the scenario
+table spinlift.cli.SCENARIOS declares each scenario's keys and calls them.
 
 Noise model: each field error is a term added to the lifted Hamiltonian
 Lambda(t) . J of the spin-1 block (DressedDrive builds the MultiLevelDrive):
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, asdict, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,8 +90,6 @@ __all__ = [
     "verify_reversal",
     "rotation_cycle_check",
     "run_fringe_experiment",
-    "SCENARIOS",
-    "run_scenario",
 ]
 
 # Optimal Blackman-profile parameters of the modeled ion experiment.
@@ -396,6 +396,18 @@ def static_error_infidelity(rabi_mismatch: float, delta_err: float,
     return 1.0 - state_fidelity(psi, _D3_DARK)
 
 
+def run_static_error(rabi_mismatch: float, delta_err: float,
+                     cfg: IntegratorConfig = IntegratorConfig(),
+                     params: AdiabaticParams = NOMINAL_ADIABATIC,
+                     seed: int = 0, out_dir: str | None = None) -> ScenarioReport:
+    """static_error_infidelity and whether it stays below 1e-4 (report
+    static-error)."""
+    infid = static_error_infidelity(rabi_mismatch, delta_err, cfg, params)
+    return _report("static-error", seed,
+                   {"rabi_mismatch": rabi_mismatch, "static_detuning_hz": delta_err / TWO_PI},
+                   {"infidelity": infid, "pass_1e-4": bool(infid < 1e-4)}, out_dir)
+
+
 DEFAULT_FRINGE_CHI = np.linspace(0.0, np.pi, 20, endpoint=False)
 
 
@@ -688,109 +700,3 @@ def run_fig3d(cfg: IntegratorConfig = IntegratorConfig(),
                    **{f"sweep_csv_{method}": (f"fig3d_{seed}_{method}.csv", "area,p_f1",
                                               [res["areas"], res["p_f1"]])
                       for method, res in results.items()})
-
-
-# ---------------------------------------------------------------------------
-# Scenario registry (consumed by the CLI)
-# ---------------------------------------------------------------------------
-
-def _cfg_from_params(p: dict) -> IntegratorConfig:
-    return IntegratorConfig(tolerance=p["tolerance"])
-
-
-def _noise_from_params(p: dict) -> NoiseParams:
-    return NoiseParams(p["rabi_mismatch"], p["common_rabi_error"],
-                       p["static_detuning"], p["zeeman_sigma"])
-
-
-def _scn_fig2e(p: dict, seed: int, out_dir) -> ScenarioReport:
-    return run_adiabatic_transfer(
-        params=AdiabaticParams(p["omega0"], p["delta0"], p["t_omega"],
-                               p["t_delta"], p["t_hold"]),
-        noise=_noise_from_params(p),
-        cfg=_cfg_from_params(p),
-        seed=seed, out_dir=out_dir)
-
-
-def _scn_fig3c(p: dict, seed: int, out_dir) -> ScenarioReport:
-    return run_tbb1(delta_omega=p["delta_omega"], omega0=p["omega0"],
-                    cfg=_cfg_from_params(p),
-                    seed=seed, out_dir=out_dir)
-
-
-def _scn_fig3d(p: dict, seed: int, out_dir) -> ScenarioReport:
-    return run_fig3d(omega0=p["omega0"],
-                     cfg=_cfg_from_params(p),
-                     seed=seed, out_dir=out_dir)
-
-
-def _scn_fig4b(p: dict, seed: int, out_dir) -> ScenarioReport:
-    return run_fig4b(m=MeasurementModel(shots=p["shots"], seed=seed),
-                     params=AdiabaticParams(p["omega0"], p["delta0"],
-                                            p["t_omega"], p["t_delta"], 0.0),
-                     noise=_noise_from_params(p),
-                     cfg=_cfg_from_params(p),
-                     seed=seed, out_dir=out_dir)
-
-
-def _scn_fig4c(p: dict, seed: int, out_dir) -> ScenarioReport:
-    return measure_fidelity_vs_n(
-        method=p["method"], ns=p["ns"],
-        m=MeasurementModel(shots=p["shots"], seed=seed),
-        noise=_noise_from_params(p),
-        cfg=_cfg_from_params(p),
-        params=AdiabaticParams(p["omega0"], p["delta0"], p["t_omega"],
-                               p["t_delta"], 0.0),
-        seed=seed, out_dir=out_dir)
-
-
-def _scn_ramsey(p: dict, seed: int, out_dir) -> ScenarioReport:
-    return run_ramsey_dressed_qubit(
-        n_transfers=p["n_transfers"],
-        m=None if p["shots"] == 0 else MeasurementModel(shots=p["shots"], seed=seed),
-        noise=_noise_from_params(p),
-        cfg=_cfg_from_params(p),
-        seed=seed, out_dir=out_dir)
-
-
-def _scn_verify_reversal(p: dict, seed: int, out_dir) -> ScenarioReport:
-    return verify_reversal(d=p["d"], omega0=p["omega0"],
-                           cfg=_cfg_from_params(p),
-                           seed=seed, out_dir=out_dir)
-
-
-def _scn_rotation_cycle(p: dict, seed: int, out_dir) -> ScenarioReport:
-    return rotation_cycle_check(seed=seed, out_dir=out_dir)
-
-
-def _scn_static_error(p: dict, seed: int, out_dir) -> ScenarioReport:
-    infid = static_error_infidelity(
-        p["rabi_mismatch"], p["static_detuning"],
-        cfg=_cfg_from_params(p),
-        params=AdiabaticParams(p["omega0"], p["delta0"], p["t_omega"],
-                               p["t_delta"], 0.0))
-    return _report("static-error", seed,
-                   {"rabi_mismatch": p["rabi_mismatch"],
-                    "static_detuning_hz": p["static_detuning"] / TWO_PI},
-                   {"infidelity": infid, "pass_1e-4": bool(infid < 1e-4)}, out_dir)
-
-
-SCENARIOS: dict[str, tuple[str, Callable]] = {
-    "fig2e": ("adiabatic round-trip transfer trajectory, P(F=1) vs time", _scn_fig2e),
-    "fig3c": ("TBB1 composite transfer trajectory with amplitude error", _scn_fig3c),
-    "fig3d": ("population vs normalized pulse area, single pulse vs TBB1", _scn_fig3d),
-    "fig4b": ("dark-state fringe + ML fit after a single transfer", _scn_fig4b),
-    "fig4c": ("fidelity vs operation count and per-op infidelity", _scn_fig4c),
-    "ramsey": ("dressed-qubit Ramsey coherence test through transfers", _scn_ramsey),
-    "verify-reversal": ("d-level amplitude-reversal pi rotation, three routes", _scn_verify_reversal),
-    "rotation-cycle": ("pi/2 y-rotation cycles through the named states", _scn_rotation_cycle),
-    "static-error": ("dark-state infidelity from static field-setting errors", _scn_static_error),
-}
-
-
-def run_scenario(scenario: str, params: dict, seed: int = 0,
-                 out_dir: str | None = None) -> ScenarioReport:
-    if scenario not in SCENARIOS:
-        raise ScenarioError(f"unknown scenario {scenario!r}; "
-                            f"known: {', '.join(sorted(SCENARIOS))}")
-    return SCENARIOS[scenario][1](params, seed, out_dir)

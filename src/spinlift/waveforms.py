@@ -12,15 +12,11 @@ dressing convention: per-field Rabi frequency
 Omega(t) = sqrt(2) * Omega_half(t), field phases +/- chi(t), and the
 field-detuning bookkeeping value delta(t) = 2 * delta_half(t).
 
-All frequencies are angular (rad/s) in memory; the JSON serialization uses
-plain Hz (value / 2 pi) and seconds, converted at the boundary.  It writes
-the two segment kinds and also reads the "rotation" and "hold" records of
-earlier versions, as the constant segments that are built now.
+All frequencies are angular (rad/s) in memory.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -45,8 +41,6 @@ __all__ = [
     "square_pulse",
     "MultiLevelDrive",
     "lift_schedule",
-    "schedule_to_json",
-    "schedule_from_json",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -119,7 +113,6 @@ class ConstantSegment:
     chi: float = 0.0
     delta_half: float = 0.0
 
-    kind = "constant"
     is_constant = True
 
     def __post_init__(self):
@@ -134,19 +127,6 @@ class ConstantSegment:
                 np.full(t.shape, self.chi),
                 np.full(t.shape, self.delta_half))
 
-    def params(self) -> dict:
-        return {
-            "duration_s": self.duration,
-            "omega_half_hz": self.omega_half / TWO_PI,
-            "chi_rad": self.chi,
-            "delta_half_hz": self.delta_half / TWO_PI,
-        }
-
-    @classmethod
-    def from_params(cls, p: dict) -> "ConstantSegment":
-        return cls(p["duration_s"], p["omega_half_hz"] * TWO_PI, p.get("chi_rad", 0.0),
-                   p.get("delta_half_hz", 0.0) * TWO_PI)
-
 
 @dataclass(frozen=True)
 class BlackmanTransferSegment:
@@ -159,7 +139,6 @@ class BlackmanTransferSegment:
     t_delta: float
     reverse: bool = False
 
-    kind = "blackman_transfer"
     is_constant = False
 
     def __post_init__(self):
@@ -181,20 +160,6 @@ class BlackmanTransferSegment:
         chi = np.zeros(t.shape)
         delta_half = blackman_detuning(tt, self.delta0, self.t_delta) / 2.0
         return omega_half, chi, delta_half
-
-    def params(self) -> dict:
-        return {
-            "omega0_hz": self.omega0 / TWO_PI,
-            "delta0_hz": self.delta0 / TWO_PI,
-            "t_omega_s": self.t_omega,
-            "t_delta_s": self.t_delta,
-            "reverse": self.reverse,
-        }
-
-    @classmethod
-    def from_params(cls, p: dict) -> "BlackmanTransferSegment":
-        return cls(p["omega0_hz"] * TWO_PI, p["delta0_hz"] * TWO_PI,
-                   p["t_omega_s"], p["t_delta_s"], p["reverse"])
 
 
 # ---------------------------------------------------------------------------
@@ -477,51 +442,3 @@ def _operator_basis(n: int, eps: float) -> np.ndarray:
 def lift_schedule(s: ControlSchedule, d: int) -> MultiLevelDrive:
     """Lift a two-level control schedule to a d-level drive (same control vector)."""
     return MultiLevelDrive(dim=int(d), schedule=s)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization (Hz / seconds at the boundary)
-# ---------------------------------------------------------------------------
-
-def _rotation_record(p: dict) -> ConstantSegment:
-    omega0 = p["omega0_hz"] * TWO_PI
-    if not omega0 > 0:
-        raise ScheduleError(f"omega0 must be > 0, got {omega0}")
-    return _rotation(p["theta_rad"], p["phi_rad"], omega0)
-
-
-def _hold_record(p: dict) -> ConstantSegment:
-    return ConstantSegment(p["duration_s"], p["omega0_hz"] * TWO_PI / np.sqrt(2.0),
-                           p.get("chi_rad", 0.0))
-
-
-# "rotation" and "hold" are records of earlier versions, read as the same
-# constant segments that composite_method and adiabatic_method build now
-_SEGMENT_READERS = {
-    "constant": ConstantSegment.from_params,
-    "blackman_transfer": BlackmanTransferSegment.from_params,
-    "rotation": _rotation_record,
-    "hold": _hold_record,
-}
-
-
-def schedule_to_json(s: ControlSchedule) -> str:
-    records = [{"kind": seg.kind, "duration_s": seg.duration, **seg.params()}
-               for seg in s.segments]
-    return json.dumps({"segments": records}, indent=2, sort_keys=True)
-
-
-def schedule_from_json(text: str) -> ControlSchedule:
-    doc = json.loads(text)
-    segs = []
-    for rec in doc["segments"]:
-        kind = rec.get("kind")
-        if kind not in _SEGMENT_READERS:
-            raise ScheduleError(f"unknown segment kind {kind!r}")
-        # older files carry an amplitude_scale key; a scale other than 1
-        # would be silently dropped, so it is refused (scale with the gain)
-        if rec.get("amplitude_scale", 1.0) != 1.0:
-            raise ScheduleError(f"'amplitude_scale' {rec['amplitude_scale']!r} is not "
-                                "supported; scale a drive with MultiLevelDrive.gain")
-        segs.append(_SEGMENT_READERS[kind](rec))
-    return ControlSchedule(segs)

@@ -249,6 +249,21 @@ class TestErrorContract:
         assert "seed" in err["message"]
         assert not list(tmp_path.glob("fig3c_*"))
 
+    def test_config_file_scenario_disagreeing_with_flag(self, tmp_path, capsys):
+        # the file's scenario used to win silently: this ran fig3d
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "fig3d", "seed": 7}))
+        out = tmp_path / "out"
+        args = ["--config", str(path), "--out", str(out)]
+        assert main(["run", "--scenario", "verify-reversal", *args]) == 2
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert "'fig3d'" in err["message"] and "'verify-reversal'" in err["message"]
+        # the same name given twice is one scenario
+        assert main(["run", "--scenario", "fig3d", *args]) == 0
+        assert (out / "fig3d_7.json").exists()
+
     def test_integral_float_is_an_integer(self):
         cfg = parse_config("fig4c", {"shots": 300.0, "ns": [8.0, 16]})
         assert cfg.params["shots"] == 300 and isinstance(cfg.params["shots"], int)

@@ -22,7 +22,6 @@ from spinlift import (
     named_state,
     run_adiabatic_transfer,
     run_ramsey_dressed_qubit,
-    run_scenario,
     run_tbb1,
     rotation_cycle_check,
     state_fidelity,
@@ -37,7 +36,7 @@ from spinlift.experiments import (
     transfer_schedules,
     zeeman_quadrature,
 )
-from spinlift import acceptance, dynamics, experiments
+from spinlift import acceptance, cli, dynamics, experiments
 from spinlift.dynamics import IntegratorError
 from spinlift.inference import ml_estimate_single
 from spinlift.dynamics import propagate, propagator
@@ -302,11 +301,20 @@ class TestReversalChecks:
 
 class TestScenarioRegistry:
     def test_unknown_scenario(self):
-        with pytest.raises(ScenarioError):
-            run_scenario("fig9z", {})
+        with pytest.raises(cli.ConfigError, match="fig9z"):
+            cli.run_scenario("fig9z", {})
+
+    @pytest.mark.parametrize("name", sorted(cli.SCENARIOS))
+    def test_table_defaults_are_valid(self, name):
+        # each entry's defaults pass its own key checks, and no two user
+        # keys feed one internal name
+        keys = cli.SCENARIOS[name].keys
+        config = cli.parse_config(name, {})
+        assert config.user_config == {k: spec.default for k, spec in keys.items()}
+        assert sorted(config.params) == sorted(spec.internal for spec in keys.values())
 
     def test_reversal_scenario_via_registry(self, tmp_path):
-        from spinlift.cli import parse_config
+        from spinlift.cli import parse_config, run_scenario
         config = parse_config("verify-reversal", {"d": 4}, seed=1,
                               out_dir=str(tmp_path))
         rep = run_scenario("verify-reversal", config.params, seed=1,

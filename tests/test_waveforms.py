@@ -18,8 +18,6 @@ from spinlift import (
     composite_method,
     lab_frame_chirp,
     lift_schedule,
-    schedule_from_json,
-    schedule_to_json,
     square_pulse,
 )
 from spinlift.waveforms import DEFAULT_PROTECT_DURATION
@@ -27,76 +25,6 @@ from spinlift.waveforms import DEFAULT_PROTECT_DURATION
 TWO_PI = 2 * np.pi
 OMEGA0 = TWO_PI * 40e3
 DELTA0 = TWO_PI * 60e3
-
-# Written by the earlier schedule_to_json, which had a "rotation" kind for
-# composite pulses and a "hold" kind for protection and dark-state holds:
-# BB1 with protection, and the nominal round trip.
-LEGACY_BB1_PROTECTED = """{
-  "segments": [
-    {
-      "duration_s": 1.767766952966369e-05,
-      "kind": "rotation",
-      "omega0_hz": 40000.0,
-      "phi_rad": 3.2669204847578586,
-      "theta_rad": 3.141592653589793
-    },
-    {
-      "duration_s": 3.535533905932738e-05,
-      "kind": "rotation",
-      "omega0_hz": 40000.0,
-      "phi_rad": 6.659168800683783,
-      "theta_rad": 6.283185307179586
-    },
-    {
-      "duration_s": 1.767766952966369e-05,
-      "kind": "rotation",
-      "omega0_hz": 40000.0,
-      "phi_rad": 3.2669204847578586,
-      "theta_rad": 3.141592653589793
-    },
-    {
-      "duration_s": 8.838834764831844e-06,
-      "kind": "rotation",
-      "omega0_hz": 40000.0,
-      "phi_rad": 1.5707963267948966,
-      "theta_rad": 1.5707963267948966
-    },
-    {
-      "chi_rad": 0.0,
-      "duration_s": 2e-05,
-      "kind": "hold",
-      "omega0_hz": 40000.0
-    }
-  ]
-}"""
-LEGACY_ROUND_TRIP = """{
-  "segments": [
-    {
-      "delta0_hz": 60000.0,
-      "duration_s": 0.0003,
-      "kind": "blackman_transfer",
-      "omega0_hz": 40000.0,
-      "reverse": false,
-      "t_delta_s": 0.0003,
-      "t_omega_s": 0.0002
-    },
-    {
-      "chi_rad": 0.0,
-      "duration_s": 0.0004,
-      "kind": "hold",
-      "omega0_hz": 40000.0
-    },
-    {
-      "delta0_hz": 60000.0,
-      "duration_s": 0.0003,
-      "kind": "blackman_transfer",
-      "omega0_hz": 40000.0,
-      "reverse": true,
-      "t_delta_s": 0.0003,
-      "t_omega_s": 0.0002
-    }
-  ]
-}"""
 
 
 class TestBlackmanProfiles:
@@ -240,7 +168,7 @@ class TestCompositeMethod:
         sched = composite_method(bb1_sequence(), OMEGA0, protect=True)
         last = sched.segments[-1]
         assert last == ConstantSegment(DEFAULT_PROTECT_DURATION, OMEGA0 / np.sqrt(2.0))
-        assert last.kind == "constant" and last.chi == 0.0 and last.delta_half == 0.0
+        assert last.chi == 0.0 and last.delta_half == 0.0
 
     def test_bb1_phases_match_reported_values(self):
         rots = bb1_sequence().rotations
@@ -312,79 +240,6 @@ class TestLiftSchedule:
         ops = angular_momentum_ops(3)
         h = drive.hamiltonian(1e-6)
         assert np.max(np.abs(h - seg.omega_half * ops.jx)) < 1e-12 * seg.omega_half
-
-
-class TestScheduleSerialization:
-    def _schedules(self):
-        return [
-            adiabatic_method(AdiabaticParams(OMEGA0, DELTA0, 200e-6, 300e-6,
-                                             400e-6, "round-trip")),
-            composite_method(bb1_sequence(), OMEGA0, protect=True),
-            ControlSchedule([ConstantSegment(3e-6, TWO_PI * 12e3, 0.3, -TWO_PI * 4e3)]),
-        ]
-
-    def test_round_trip_equality(self):
-        for sched in self._schedules():
-            again = schedule_from_json(schedule_to_json(sched))
-            assert again == sched
-            assert again.total_duration == sched.total_duration
-
-    def test_round_trip_sampling(self):
-        for sched in self._schedules():
-            again = schedule_from_json(schedule_to_json(sched))
-            if sched.total_duration == 0:
-                continue
-            ts = np.linspace(0, sched.total_duration, 37)
-            for a, b in zip(sched.controls(ts), again.controls(ts)):
-                assert np.array_equal(a, b)
-
-    def test_frequencies_serialized_in_hz(self):
-        import json
-        doc = json.loads(schedule_to_json(square_pulse(np.pi / 2, 0.0, OMEGA0)))
-        assert doc["segments"][0]["kind"] == "constant"
-        assert doc["segments"][0]["omega_half_hz"] == pytest.approx(40e3 / np.sqrt(2), rel=1e-15)
-        assert doc["segments"][0]["delta_half_hz"] == 0.0
-
-    @pytest.mark.parametrize("text, expected", [
-        (LEGACY_BB1_PROTECTED, composite_method(bb1_sequence(), OMEGA0, protect=True)),
-        (LEGACY_ROUND_TRIP, adiabatic_method(AdiabaticParams(OMEGA0, DELTA0, 200e-6, 300e-6,
-                                                             400e-6, "round-trip")))])
-    def test_rotation_and_hold_records_load_to_identical_controls(self, text, expected):
-        import json
-        sched = schedule_from_json(text)
-        assert sched == expected
-        assert np.array_equal(sched.boundaries, expected.boundaries)
-        ts = np.linspace(0.0, expected.total_duration, 1001)
-        for a, b in zip(sched.controls(ts), expected.controls(ts)):
-            assert np.array_equal(a, b)
-        kinds = {rec["kind"] for rec in json.loads(schedule_to_json(sched))["segments"]}
-        assert kinds <= {"constant", "blackman_transfer"}
-
-    def test_rotation_record_needs_positive_rabi_frequency(self):
-        text = LEGACY_BB1_PROTECTED.replace('"omega0_hz": 40000.0', '"omega0_hz": 0.0', 1)
-        with pytest.raises(ScheduleError, match="omega0"):
-            schedule_from_json(text)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ScheduleError):
-            schedule_from_json('{"segments": [{"kind": "wobble", "duration_s": 1}]}')
-
-    @pytest.mark.parametrize("sched", [
-        square_pulse(np.pi / 2, 0.3, OMEGA0),
-        composite_method(bb1_sequence(), OMEGA0, protect=True),
-        ControlSchedule([ConstantSegment(3e-6, TWO_PI * 12e3, 0.3, -TWO_PI * 4e3)]),
-        adiabatic_method(AdiabaticParams(OMEGA0, DELTA0, 200e-6, 300e-6, 0.0, "forward"))])
-    def test_amplitude_scale_other_than_one_is_refused_by_name(self, sched):
-        import json
-        doc = json.loads(schedule_to_json(sched))
-        assert all("amplitude_scale" not in rec for rec in doc["segments"])
-        # a file written before the key was dropped carries it as 1.0
-        for rec in doc["segments"]:
-            rec["amplitude_scale"] = 1.0
-        assert schedule_from_json(json.dumps(doc)) == sched
-        doc["segments"][-1]["amplitude_scale"] = 0.5
-        with pytest.raises(ScheduleError, match="amplitude_scale"):
-            schedule_from_json(json.dumps(doc))
 
 
 class TestScheduleSampling:
