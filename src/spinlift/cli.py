@@ -7,7 +7,8 @@ and its runner.  User-facing configuration uses plain Hz for frequencies
 rad/s and seconds at this boundary, and the runner reads the converted
 values by the keys' internal names.  Unknown keys are rejected by name.
 A config file's scenario must agree with --scenario when both are given;
---seed and --set override the file's seed and keys.
+--seed and --set override the file's seed and keys.  A config file that
+cannot be read, or that does not hold a JSON object, is a ConfigError.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ SCENARIOS: dict[str, Scenario] = {
 
 
 def _scenario(name: str) -> Scenario:
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; "
                           f"known: {', '.join(sorted(SCENARIOS))}")
     return SCENARIOS[name]
@@ -292,16 +293,28 @@ def _parse_set_value(text: str):
         return text
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object of a config file; a file that cannot be read or does
+    not hold a JSON object is a ConfigError."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return doc
+
+
 def _cmd_run(args) -> int:
     overrides = {}
     scenario = args.scenario
     seed = args.seed
     out_dir = args.out
     if args.config:
-        with open(args.config) as f:
-            doc = json.load(f)
-        if not isinstance(doc, dict):
-            raise ConfigError("config file must hold a JSON object")
+        doc = _read_config(args.config)
         if "scenario" in doc:
             # a run names one scenario: the file's must agree with --scenario
             file_scenario = doc.pop("scenario")

@@ -10,13 +10,18 @@ H = Lambda(t) . J) the drive is propagated as the spin-1/2 problem
 Lambda(t) . S, with Lambda read from its schedule, gain and shift: each
 step is a closed-form 2x2 exponential, kept as the (a, b) pair of
 [[a, -b*], [b, a*]].  Only a drive that breaks the symmetry takes the dense
-path, a batched d x d exponential of drive.hamiltonian per factor: closed
-form by the Cayley-Hamilton theorem for d = 3, spectral for any other d;
-that path also serves as the independent reference for the lift.  Either
-path's steps go to one product rule, _products_at: a pairwise reduction
-multiplies the steps between consecutive sample times, a work-efficient
-running product over those intervals (about two composes each) gives the
-operator at each sample time, and these are lifted to d levels once.
+path, a batched d x d exponential per factor: closed form by the
+Cayley-Hamilton theorem for d = 3, spectral for any other d; that path also
+serves as the independent reference for the lift.  Both paths combine a
+CF4 factor from control coefficients, the SU(2) path from Lambda and the
+dense path from the drive's four real coefficients, which are multiplied by
+its operators once per factor.  Dense d = 3 products are _compose3, an
+unrolled 3 x 3 product about twice as fast as np.matmul on long stacks;
+any other d keeps np.matmul.  Either path's steps go to one product rule,
+_products_at: a pairwise reduction multiplies the steps between
+consecutive sample times, a work-efficient running product over those
+intervals (about two composes each) gives the operator at each sample
+time, and these are lifted to d levels once.
 propagate, propagator, propagators and _dense_propagator are shells over
 one core, _propagation: propagate applies psi0 to the operators, the
 others project the last one to a unitary.
@@ -76,9 +81,9 @@ DEFAULT_PHASE_PER_STEP = 0.4
 _MAX_HALVINGS = 14
 _STEP_CHUNK = 131072
 # Most steps one build may take: 14x the largest build that the scenarios,
-# demos and tests make (18,096).  A dense d = 4 propagator whose last build
-# has 260,577 steps peaks at 0.38 GB of resident memory, nearly all of it
-# the build's chunked exponentials; a 101-sample trajectory peaks the same.
+# demos and tests make (18,096).  A dense d = 4 build of 260,577 steps and
+# its product peak at 0.31 GB of resident memory, nearly all of it the
+# build's chunked exponentials; with 101 sample times they peak at 0.32 GB.
 _MAX_BUILD_STEPS = 2**18
 # CF4 Gauss nodes c = 1/2 -+ sqrt(3)/6 and weights a = (3 -+ 2 sqrt(3))/12
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -255,8 +260,10 @@ class _Build:
     """The step propagators of one grid, shape (n_steps, *batch) +
     identity.shape, with their product rule: compose(u, w) is u @ w, and
     lift takes products to d-level matrices.  SU(2) steps are the (a, b)
-    pairs of [[a, -b*], [b, a*]], lifted by spin.lift_matrices; dense steps
-    are d x d matrices, which lift leaves as they are."""
+    pairs of [[a, -b*], [b, a*]], composed by _su2_compose and lifted by
+    spin.lift_matrices; dense steps are d x d matrices, composed by
+    _compose3 at d = 3 and np.matmul at any other d, which lift leaves as
+    they are."""
 
     steps: np.ndarray
     compose: Callable
@@ -277,17 +284,22 @@ def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray) -> _Build:
     return _su2_steps(drive, grid) if drive.su2_covariant else _dense_steps(drive, grid)
 
 
-def _cf4_steps(drive, grid: np.ndarray, generator, expm, compose, shape: tuple) -> np.ndarray:
+def _cf4_steps(drive, grid: np.ndarray, generator, exponentials, compose,
+               shape: tuple, chunk_size: int = _STEP_CHUNK) -> np.ndarray:
     """Step propagators (see _step_unitaries) over each grid interval, shape
-    (n_steps, *batch) + shape, at most _STEP_CHUNK of them per chunk.
-    generator(t) samples the generator at times t, expm(g, dts) exponentiates
-    it over one dt per leading index and compose(u, w) is the product u @ w."""
+    (n_steps, *batch) + shape, in chunks of chunk_size // batch size steps.
+    generator(t) samples the generator at times t, and a CF4 factor's
+    generator is a weighted sum of two samples.  exponentials(parts) takes
+    a list of (generators, dts) pairs, one dt per leading index, and returns
+    the exponentials of each pair; a chunk passes the midpoint generators of
+    its constant steps, then the two factors of its CF4 steps, leaving out
+    either kind where it has none.  compose(u, w) is the product u @ w."""
     starts = grid[:-1]
     dts = np.diff(grid)
     const = _constant_mask(drive, starts, grid[1:])
     batch = _batch_shape(drive)
     out = np.empty((dts.size,) + batch + shape, dtype=complex)
-    chunk_steps = max(1, _STEP_CHUNK // max(1, math.prod(batch)))
+    chunk_steps = max(1, chunk_size // max(1, math.prod(batch)))
     for lo in range(0, dts.size, chunk_steps):
         chunk = np.arange(lo, min(lo + chunk_steps, dts.size))
         c, s = chunk[const[chunk]], chunk[~const[chunk]]
@@ -296,22 +308,75 @@ def _cf4_steps(drive, grid: np.ndarray, generator, expm, compose, shape: tuple) 
                                       starts[s] + _GAUSS_NODES[0] * dts[s],
                                       starts[s] + _GAUSS_NODES[1] * dts[s]]))
         g1, g2 = g[c.size : c.size + s.size], g[c.size + s.size :]
-        if c.size:
-            out[c] = expm(g[: c.size], dts[c])
+        parts = [(g[: c.size], dts[c])] if c.size else []
         if s.size:
-            first = expm(_CF4_WEIGHTS[1] * g1 + _CF4_WEIGHTS[0] * g2, dts[s])
-            second = expm(_CF4_WEIGHTS[0] * g1 + _CF4_WEIGHTS[1] * g2, dts[s])
-            out[s] = compose(second, first)
+            parts += [(_CF4_WEIGHTS[1] * g1 + _CF4_WEIGHTS[0] * g2, dts[s]),
+                      (_CF4_WEIGHTS[0] * g1 + _CF4_WEIGHTS[1] * g2, dts[s])]
+        units = exponentials(parts)
+        if c.size:
+            out[c] = units[0]
+        if s.size:
+            out[s] = compose(units[-1], units[-2])
+    return out
+
+
+# Fewest matrices for which _compose3 beats np.matmul: below it, the fixed
+# cost of its five ufunc calls dominates.
+_COMPOSE3_MIN = 48
+# Matrices per block of _compose3.  It bounds the temporary (37 kB) and the
+# buffers numpy's iterator takes for the broadcast products (about 75 kB).
+_COMPOSE3_BLOCK = 256
+
+
+def _compose3(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The product u @ w of stacks of 3 x 3 complex matrices, as the sum
+    over k of column k of u times row k of w: three broadcast
+    multiply-adds into one preallocated output, about 2x faster than
+    np.matmul's stacked complex products from about _COMPOSE3_MIN matrices
+    on, and np.matmul itself below that.  Any strides and broadcasts are
+    read as they are; the first leading axis is taken in blocks of about
+    _COMPOSE3_BLOCK matrices, so the temporaries stay a block's size."""
+    if u.shape != w.shape:
+        shape = np.broadcast_shapes(u.shape, w.shape)
+        u, w = np.broadcast_to(u, shape), np.broadcast_to(w, shape)
+    if u.size < 9 * _COMPOSE3_MIN:
+        return np.matmul(u, w)
+    rows = max(1, _COMPOSE3_BLOCK // math.prod(u.shape[1:-2]))
+    out = np.empty(u.shape, dtype=complex)
+    tmp = np.empty((min(rows, u.shape[0]),) + u.shape[1:], dtype=complex)
+    for lo in range(0, u.shape[0], rows):
+        o, a, b = out[lo : lo + rows], u[lo : lo + rows], w[lo : lo + rows]
+        t = tmp[: o.shape[0]]
+        np.multiply(a[..., 0:1], b[..., 0:1, :], out=o)
+        np.multiply(a[..., 1:2], b[..., 1:2, :], out=t)
+        o += t
+        np.multiply(a[..., 2:3], b[..., 2:3, :], out=t)
+        o += t
     return out
 
 
 def _dense_steps(drive, grid: np.ndarray) -> _Build:
-    """d x d CF4 step propagators of the drive's Hamiltonian, each factor by
-    spin._expm_hermitian: the closed-form 3 x 3 exponential for d = 3, a
-    batched spectral one for any other d."""
+    """d x d CF4 step propagators of the drive's Hamiltonian.  Each factor's
+    generator is combined from the drive's four real coefficients
+    (MultiLevelDrive.coefficients) and multiplied by its operators once; a
+    chunk's factors are then exponentiated in one spin._expm_hermitian call,
+    the closed-form 3 x 3 exponential for d = 3 and a batched spectral one
+    for any other d.  Products are _compose3 for d = 3 and np.matmul for any
+    other d, where the unrolled product is slower."""
     d = drive.dim
-    return _Build(_cf4_steps(drive, grid, drive.hamiltonian, _expm_hermitian, np.matmul, (d, d)),
-                  np.matmul, lambda u: u, np.eye(d, dtype=complex))
+
+    def exponentials(parts):
+        coeffs, dts = zip(*parts)
+        units = _expm_hermitian(drive.hamiltonian_of(np.concatenate(coeffs)),
+                                np.concatenate(dts))
+        return np.split(units, np.cumsum([t.size for t in dts[:-1]]))
+
+    compose = _compose3 if d == 3 else np.matmul
+    # a chunk's one exponential call takes up to two factors per step, so a
+    # dense chunk holds half the steps of an SU(2) one
+    steps = _cf4_steps(drive, grid, drive.coefficients, exponentials, compose, (d, d),
+                       _STEP_CHUNK // 2)
+    return _Build(steps, compose, lambda u: u, np.eye(d, dtype=complex))
 
 
 def _su2_exp(v: np.ndarray, dts: np.ndarray) -> np.ndarray:
@@ -365,7 +430,10 @@ def _su2_steps(drive, grid: np.ndarray) -> _Build:
         v[..., 2] = delta.reshape(column) + drive.shift
         return v
 
-    return _Build(_cf4_steps(drive, grid, control_vectors, _su2_exp, _su2_compose, (2,)),
+    def exponentials(parts):
+        return [_su2_exp(v, dts) for v, dts in parts]
+
+    return _Build(_cf4_steps(drive, grid, control_vectors, exponentials, _su2_compose, (2,)),
                   _su2_compose, lambda ab: lift_matrices(ab[..., 0], ab[..., 1], d),
                   np.array([1.0, 0.0], dtype=complex))
 

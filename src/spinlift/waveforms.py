@@ -358,7 +358,10 @@ class MultiLevelDrive:
     they make the two field amplitudes sqrt(2) g Omega_half (1 +/- eps) and
     shift both outer levels by e.  The operators come from
     angular_momentum_ops, never from the lift, so the dense propagation of
-    this Hamiltonian is an independent check of the lift.
+    this Hamiltonian is an independent check of the lift.  H is linear in
+    the four real coefficients of coefficients(t), one per operator
+    Jx - eps {Jz, Jx}, Jy - eps {Jz, Jy}, Jz and Jz^2, and hamiltonian(t)
+    is hamiltonian_of(coefficients(t)).
 
     gain and shift may be arrays, which broadcast together to the batch
     shape: one drive per entry, all on the schedule and sharing the field
@@ -392,15 +395,27 @@ class MultiLevelDrive:
         detuning breaks the SU(2) symmetry."""
         return bool(self.rabi_mismatch == 0 and self.static_detuning == 0)
 
-    def hamiltonian(self, t):
+    def coefficients(self, t) -> np.ndarray:
+        """The real coefficients (g Omega_half cos chi, g Omega_half sin chi,
+        delta_half + shift, e) of hamiltonian(t) on its four operators, of
+        shape t.shape + batch + (4,)."""
         omega, chi, delta = self.schedule.controls(np.asarray(t, dtype=float))
         column = np.shape(omega) + (1,) * np.broadcast(self.gain, self.shift).ndim
         omega, chi = np.reshape(omega, column) * self.gain, np.reshape(chi, column)
-        coeffs = np.stack(np.broadcast_arrays(omega * np.cos(chi), omega * np.sin(chi),
-                                              np.reshape(delta, column) + self.shift,
-                                              self.static_detuning), axis=-1)
-        h = (coeffs @ _operator_basis(self.dim, self.rabi_mismatch)).view(complex)
-        return h.reshape(h.shape[:-1] + (self.dim, self.dim))
+        return np.stack(np.broadcast_arrays(omega * np.cos(chi), omega * np.sin(chi),
+                                            np.reshape(delta, column) + self.shift,
+                                            self.static_detuning), axis=-1)
+
+    def hamiltonian(self, t) -> np.ndarray:
+        return self.hamiltonian_of(self.coefficients(t))
+
+    def hamiltonian_of(self, coeffs: np.ndarray) -> np.ndarray:
+        """The d x d Hamiltonians of coefficient rows (see coefficients), or
+        of any real combination of them: H is linear in its coefficients."""
+        # one 2-D product: a stack of (1, 4) rows would be one small product per row
+        basis = _operator_basis(self.dim, self.rabi_mismatch)
+        h = (np.reshape(coeffs, (-1, 4)) @ basis).view(complex)
+        return h.reshape(np.shape(coeffs)[:-1] + (self.dim, self.dim))
 
     def control_peaks(self) -> float:
         """max of max(Omega, |delta|) in three-level field units over 512
@@ -426,7 +441,7 @@ class MultiLevelDrive:
 @lru_cache(maxsize=32)
 def _operator_basis(n: int, eps: float) -> np.ndarray:
     """The operators Jx - eps {Jz, Jx}, Jy - eps {Jz, Jy}, Jz and Jz^2 of
-    MultiLevelDrive.hamiltonian at dimension n, one row each, flattened
+    MultiLevelDrive.hamiltonian_of at dimension n, one row each, flattened
     with real and imaginary parts interleaved.  The Hamiltonian's
     coefficients times this real matrix are its entries as complex numbers;
     numpy's complex matmul of this shape is about 10x slower."""

@@ -264,6 +264,30 @@ class TestErrorContract:
         assert main(["run", "--scenario", "fig3d", *args]) == 0
         assert (out / "fig3d_7.json").exists()
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        # used to exit 1 with a raw FileNotFoundError and no error.json
+        err = self.failing_run(tmp_path, "--config", str(tmp_path / "absent.json"))
+        assert err["error"] == "ConfigError"
+        assert "absent.json" in err["message"]
+
+    def test_truncated_config_file(self, tmp_path, capsys):
+        # used to exit 1 with a raw json.JSONDecodeError and no error.json
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "fig3d", "seed": 7})[:-6])
+        err = self.failing_run(tmp_path, "--config", str(path))
+        assert err["error"] == "ConfigError"
+        assert "not JSON" in err["message"]
+        assert not list(tmp_path.glob("fig3d_*"))
+
+    def test_config_file_scenario_not_a_name(self, tmp_path, capsys):
+        # used to exit 1 with a TypeError (unhashable type: 'list')
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": ["fig3d"]}))
+        err = self.failing_run(tmp_path, "--config", str(path))
+        assert err["error"] == "ConfigError"
+        assert "['fig3d']" in err["message"]
+        assert not list(tmp_path.glob("fig3d_*"))
+
     def test_integral_float_is_an_integer(self):
         cfg = parse_config("fig4c", {"shots": 300.0, "ns": [8.0, 16]})
         assert cfg.params["shots"] == 300 and isinstance(cfg.params["shots"], int)

@@ -32,7 +32,7 @@ from spinlift import (
     square_pulse,
     state_fidelity,
 )
-from spinlift import acceptance, dynamics
+from spinlift import acceptance, dynamics, spin
 from spinlift.experiments import DressedDrive, NoiseParams, _op_unitaries, zeeman_quadrature
 from spinlift.dynamics import (
     Trajectory,
@@ -757,6 +757,105 @@ class TestProductsAt:
         traj = propagate(drive, named_state(3, "0"), CFG, [0.0, total / 3, total / 3, total])
         assert np.array_equal(traj.states[1], traj.states[2])
         assert np.array_equal(traj.states[0], named_state(3, "0").amps)
+
+
+def random_unitaries(rng, shape, d=3):
+    """Haar-like random d x d unitaries of the given stack shape, by QR."""
+    z = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
+class TestCompose3:
+    """The unrolled 3 x 3 product of dense d = 3 builds against np.matmul,
+    on every layout the product rule hands it."""
+
+    @staticmethod
+    def check(u, w):
+        got = dynamics._compose3(u, w)
+        expect = np.matmul(u, w)
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 47, 48, 255, 256, 257, 1362, 3000])
+    def test_contiguous_stacks(self, n):
+        # below _COMPOSE3_MIN, at it, and across one and several blocks
+        rng = np.random.default_rng(n)
+        self.check(random_unitaries(rng, (n,)), random_unitaries(rng, (n,)))
+
+    def test_strided_halves(self):
+        a = random_unitaries(np.random.default_rng(1), (2 * 1201 + 1,))
+        self.check(a[1::2], a[0 : a.shape[0] - 1 : 2])
+        self.check(a[0::2][1:], a[1::2])
+
+    def test_read_only_broadcast_identity(self):
+        a = random_unitaries(np.random.default_rng(2), (700, 2))
+        eye = np.broadcast_to(np.eye(3, dtype=complex), a.shape)
+        assert not eye.flags.writeable
+        self.check(a, eye)
+        self.check(eye, a)
+        self.check(np.eye(3, dtype=complex), a)
+        assert np.array_equal(dynamics._compose3(a, eye), a)
+
+    @pytest.mark.parametrize("width, pieces", [(2, 30), (7, 45), (16, 3)])
+    def test_padded_batch_of_products_at(self, width, pieces):
+        # (width, P, 3, 2, 3, 3): a padded piece array of a (3, 2) drive batch,
+        # reduced pairwise over its first axis as _pairwise_product does
+        arr = random_unitaries(np.random.default_rng(width), (width, pieces, 3, 2))
+        arr[width // 2 :, ::3] = np.eye(3)
+        self.check(arr[1::2], arr[0 : width - width % 2 : 2])
+        self.check(arr[:, 1::2], arr[:, 0 : pieces - 1 : 2])
+
+    def test_single_matrix(self):
+        u, w = random_unitaries(np.random.default_rng(3), (2,))
+        self.check(u, w)
+
+    def test_dense_builds_compose_with_it_at_d3_only(self):
+        for d in range(2, 6):
+            drive = MultiLevelDrive(d, TestIntegrator.FORWARD, rabi_mismatch=0.001)
+            build = dynamics._dense_steps(drive, np.linspace(0.0, drive.total_duration, 9))
+            assert build.compose is (dynamics._compose3 if d == 3 else np.matmul)
+
+
+class TestDenseCoefficients:
+    """Dense CF4 factors are combined from the drive's four real control
+    coefficients; weighting the sampled Hamiltonians themselves is the same
+    step to rounding."""
+
+    @staticmethod
+    def matrix_combination(drive, grid):
+        def exponentials(parts):
+            return [spin._expm_hermitian(h, dts) for h, dts in parts]
+
+        return dynamics._cf4_steps(drive, grid, drive.hamiltonian, exponentials,
+                                   np.matmul, (drive.dim, drive.dim))
+
+    def test_batched_dressed_drive_with_mismatch_and_detuning(self):
+        sched = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3, 200e-6, 300e-6,
+                                                 40e-6, "round-trip"))
+        assert {s.is_constant for s in sched.segments} == {True, False}
+        noise = NoiseParams(rabi_mismatch=0.002, common_rabi_error=TWO_PI * 1e3,
+                            static_detuning=TWO_PI * 5.0)
+        drive = DressedDrive(sched, noise, TWO_PI * np.array([-400.0, 0.0, 250.0]), OMEGA0)
+        assert not drive.su2_covariant
+        grid = _step_grid(drive, np.linspace(0.0, sched.total_duration, 7), 4e-6)
+        got = dynamics._dense_steps(drive, grid).steps
+        assert got.shape == (grid.size - 1, 3, 3, 3)
+        assert np.max(np.abs(got - self.matrix_combination(drive, grid))) <= 1e-14
+
+    def test_hamiltonian_is_the_basis_product_of_its_coefficients(self):
+        drive = MultiLevelDrive(4, TestIntegrator.FORWARD, gain=np.array([1.0, 0.98]),
+                                rabi_mismatch=0.003, static_detuning=TWO_PI * 7.0)
+        ts = np.linspace(0.0, drive.total_duration, 5)
+        coeffs = drive.coefficients(ts)
+        assert coeffs.shape == (5, 2, 4)
+        assert np.array_equal(drive.hamiltonian(ts), drive.hamiltonian_of(coeffs))
+        ops = angular_momentum_ops(4)
+        jx, jy, jz, eps = ops.jx, ops.jy, ops.jz, drive.rabi_mismatch
+        basis = [jx - eps * (jz @ jx + jx @ jz), jy - eps * (jz @ jy + jy @ jz), jz, jz @ jz]
+        expect = np.einsum("...k,kij->...ij", coeffs, np.array(basis))
+        assert np.max(np.abs(drive.hamiltonian(ts) - expect)) <= 1e-15 * np.max(np.abs(expect))
 
 
 class TestEigenScan:
