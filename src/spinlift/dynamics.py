@@ -5,26 +5,25 @@ Every drive is a waveforms.MultiLevelDrive, and its gain and shift may be
 arrays: a batch of drives on one schedule (the Gauss-Hermite nodes of a
 Zeeman average, the areas of a pulse-area sweep) is one drive, built once
 per grid on either path, with the batch axes ahead of the d-level ones.
-When drive.su2_covariant (no Rabi mismatch and no static detuning, so
-H = Lambda(t) . J) the drive is propagated as the spin-1/2 problem
-Lambda(t) . S, with Lambda read from its schedule, gain and shift: each
-step is a closed-form 2x2 exponential, kept as the (a, b) pair of
-[[a, -b*], [b, a*]].  Only a drive that breaks the symmetry takes the dense
-path, a batched d x d exponential per factor: closed form by the
-Cayley-Hamilton theorem for d = 3, spectral for any other d; that path also
-serves as the independent reference for the lift.  Both paths combine a
-CF4 factor from control coefficients, the SU(2) path from Lambda and the
-dense path from the drive's four real coefficients, which are multiplied by
-its operators once per factor.  Dense d = 3 products are _compose3, an
-unrolled 3 x 3 product about twice as fast as np.matmul on long stacks;
-any other d keeps np.matmul.  Either path's steps go to one product rule,
-_products_at: a pairwise reduction multiplies the steps between
-consecutive sample times, a work-efficient running product over those
-intervals (about two composes each) gives the operator at each sample
-time, and these are lifted to d levels once.
-propagate, propagator, propagators and _dense_propagator are shells over
-one core, _propagation: propagate applies psi0 to the operators, the
-others project the last one to a unitary.
+One builder, _cf4_steps, makes the steps of both paths from the drive's
+real coefficients (MultiLevelDrive.coefficients), whose first three are
+the control vector Lambda of H = Lambda(t) . J.  When drive.su2_covariant
+(no Rabi mismatch and no static detuning) the drive is propagated as the
+spin-1/2 problem Lambda(t) . S: each step is a closed-form 2x2
+exponential, kept as the (a, b) pair of [[a, -b*], [b, a*]].  Only a drive
+that breaks the symmetry takes the dense path, a batched d x d exponential
+of the Hamiltonian of the coefficients: closed form by the Cayley-Hamilton
+theorem for d = 3, spectral for any other d; that path also serves as the
+independent reference for the lift.  The paths differ only in that
+exponential and in how steps are composed (_su2_compose; at d = 3
+_compose3, an unrolled 3 x 3 product, and np.matmul at any other d) and
+lifted.  Either path's steps go to one product rule, _products_at: a
+pairwise reduction multiplies the steps between consecutive sample times,
+a work-efficient running product over those intervals (about two composes
+each) gives the operator at each sample time, and these are lifted to d
+levels once.  propagate, propagator, propagators and _dense_propagator are
+shells over one core, _propagation: propagate applies psi0 to the
+operators, the others project the last one to a unitary.
 
 Step boundaries are forced at segment boundaries and sample times, so no
 step straddles a discontinuity of the controls (composite phases are
@@ -79,11 +78,15 @@ __all__ = [
 # first step: max(Omega, |delta|) * step <= 0.4 rad
 DEFAULT_PHASE_PER_STEP = 0.4
 _MAX_HALVINGS = 14
-_STEP_CHUNK = 131072
+# Steps x drives per chunk of a build; its one exponential call takes up to
+# two CF4 factors per step.  4096 keeps that call's temporaries near the L2
+# cache: of the powers of two from 1024 to 65536 it built SU(2) and dense
+# d = 3 steps fastest, within noise, on a Xeon with 2 MB of L2 per core.
+_STEP_CHUNK = 4096
 # Most steps one build may take: 14x the largest build that the scenarios,
 # demos and tests make (18,096).  A dense d = 4 build of 260,577 steps and
-# its product peak at 0.31 GB of resident memory, nearly all of it the
-# build's chunked exponentials; with 101 sample times they peak at 0.32 GB.
+# its product peak at 0.12 GB of resident memory, and at 0.36 GB with 101
+# sample times, most of it the padded pieces of _products_at.
 _MAX_BUILD_STEPS = 2**18
 # CF4 Gauss nodes c = 1/2 -+ sqrt(3)/6 and weights a = (3 -+ 2 sqrt(3))/12
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -259,11 +262,7 @@ def _batch_shape(drive) -> tuple:
 class _Build:
     """The step propagators of one grid, shape (n_steps, *batch) +
     identity.shape, with their product rule: compose(u, w) is u @ w, and
-    lift takes products to d-level matrices.  SU(2) steps are the (a, b)
-    pairs of [[a, -b*], [b, a*]], composed by _su2_compose and lifted by
-    spin.lift_matrices; dense steps are d x d matrices, composed by
-    _compose3 at d = 3 and np.matmul at any other d, which lift leaves as
-    they are."""
+    lift takes products to d-level matrices; _cf4_steps makes both kinds."""
 
     steps: np.ndarray
     compose: Callable
@@ -272,52 +271,60 @@ class _Build:
 
 
 def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray) -> _Build:
-    """Step propagators over each grid interval, on the drive's path.
-
-    An interval inside a constant segment is one exact exponential.  Any
-    other interval takes the fourth-order commutator-free Magnus step: with
-    H1, H2 sampled at the Gauss nodes,
-    U = exp(-i dt (A1 H1 + A2 H2)) exp(-i dt (A2 H1 + A1 H2)),
-    where the right-hand factor acts first.  An SU(2)-covariant drive gets
-    its steps as two-level (a, b) pairs, any other drive as d x d matrices.
-    """
-    return _su2_steps(drive, grid) if drive.su2_covariant else _dense_steps(drive, grid)
+    """The steps of _cf4_steps on the drive's path."""
+    return _cf4_steps(drive, grid, dense=not drive.su2_covariant)
 
 
-def _cf4_steps(drive, grid: np.ndarray, generator, exponentials, compose,
-               shape: tuple, chunk_size: int = _STEP_CHUNK) -> np.ndarray:
-    """Step propagators (see _step_unitaries) over each grid interval, shape
-    (n_steps, *batch) + shape, in chunks of chunk_size // batch size steps.
-    generator(t) samples the generator at times t, and a CF4 factor's
-    generator is a weighted sum of two samples.  exponentials(parts) takes
-    a list of (generators, dts) pairs, one dt per leading index, and returns
-    the exponentials of each pair; a chunk passes the midpoint generators of
-    its constant steps, then the two factors of its CF4 steps, leaving out
-    either kind where it has none.  compose(u, w) is the product u @ w."""
-    starts = grid[:-1]
-    dts = np.diff(grid)
+def _dense_steps(drive: MultiLevelDrive, grid: np.ndarray) -> _Build:
+    """The steps of _cf4_steps on the dense path, whatever the drive's symmetry."""
+    return _cf4_steps(drive, grid, dense=True)
+
+
+def _cf4_steps(drive: MultiLevelDrive, grid: np.ndarray, dense: bool) -> _Build:
+    """Step propagators over each grid interval: (a, b) pairs of the
+    spin-1/2 problem, or d x d matrices with dense=True.  A constant step is
+    the exponential at its midpoint, any other the CF4 step
+    U = exp(-i dt (A1 H1 + A2 H2)) exp(-i dt (A2 H1 + A1 H2)) of H at the
+    Gauss nodes, the right-hand factor first.  H is linear in the drive's
+    coefficients, so each factor is combined from coefficient rows, and a
+    chunk of up to _STEP_CHUNK steps x drives takes one exponential call:
+    _su2_exp of Lambda, or spin._expm_hermitian of the Hamiltonians."""
+    d = drive.dim
+    if dense:
+        def exponential(c, dts):
+            return _expm_hermitian(drive.hamiltonian_of(c), dts)
+
+        compose = _compose3 if d == 3 else np.matmul
+        lift, identity = (lambda u: u), np.eye(d, dtype=complex)
+    else:
+        def exponential(c, dts):
+            return _su2_exp(c[..., :3], dts)
+
+        def lift(ab):
+            return lift_matrices(ab[..., 0], ab[..., 1], d)
+
+        compose, identity = _su2_compose, np.array([1.0, 0.0], dtype=complex)
+    starts, dts = grid[:-1], np.diff(grid)
     const = _constant_mask(drive, starts, grid[1:])
     batch = _batch_shape(drive)
-    out = np.empty((dts.size,) + batch + shape, dtype=complex)
-    chunk_steps = max(1, chunk_size // max(1, math.prod(batch)))
+    out = np.empty((dts.size,) + batch + identity.shape, dtype=complex)
+    chunk_steps = max(1, _STEP_CHUNK // max(1, math.prod(batch)))
     for lo in range(0, dts.size, chunk_steps):
         chunk = np.arange(lo, min(lo + chunk_steps, dts.size))
         c, s = chunk[const[chunk]], chunk[~const[chunk]]
         # midpoints, then both Gauss nodes, in one call: its fixed cost dominates short grids
-        g = generator(np.concatenate([starts[c] + dts[c] / 2.0,
-                                      starts[s] + _GAUSS_NODES[0] * dts[s],
-                                      starts[s] + _GAUSS_NODES[1] * dts[s]]))
-        g1, g2 = g[c.size : c.size + s.size], g[c.size + s.size :]
-        parts = [(g[: c.size], dts[c])] if c.size else []
+        g = drive.coefficients(np.concatenate([starts[c] + dts[c] / 2.0,
+                                               starts[s] + _GAUSS_NODES[0] * dts[s],
+                                               starts[s] + _GAUSS_NODES[1] * dts[s]]))
+        if s.size:  # the node rows become the factor rows, the one that acts first ahead
+            g1, g2 = g[c.size : c.size + s.size], g[c.size + s.size :]
+            g[c.size :] = np.concatenate([_CF4_WEIGHTS[1] * g1 + _CF4_WEIGHTS[0] * g2,
+                                          _CF4_WEIGHTS[0] * g1 + _CF4_WEIGHTS[1] * g2])
+        units = exponential(g, np.concatenate([dts[c], dts[s], dts[s]]))
+        out[c] = units[: c.size]
         if s.size:
-            parts += [(_CF4_WEIGHTS[1] * g1 + _CF4_WEIGHTS[0] * g2, dts[s]),
-                      (_CF4_WEIGHTS[0] * g1 + _CF4_WEIGHTS[1] * g2, dts[s])]
-        units = exponentials(parts)
-        if c.size:
-            out[c] = units[0]
-        if s.size:
-            out[s] = compose(units[-1], units[-2])
-    return out
+            out[s] = compose(units[c.size + s.size :], units[c.size : c.size + s.size])
+    return _Build(out, compose, lift, identity)
 
 
 # Fewest matrices for which _compose3 beats np.matmul: below it, the fixed
@@ -355,30 +362,6 @@ def _compose3(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dense_steps(drive, grid: np.ndarray) -> _Build:
-    """d x d CF4 step propagators of the drive's Hamiltonian.  Each factor's
-    generator is combined from the drive's four real coefficients
-    (MultiLevelDrive.coefficients) and multiplied by its operators once; a
-    chunk's factors are then exponentiated in one spin._expm_hermitian call,
-    the closed-form 3 x 3 exponential for d = 3 and a batched spectral one
-    for any other d.  Products are _compose3 for d = 3 and np.matmul for any
-    other d, where the unrolled product is slower."""
-    d = drive.dim
-
-    def exponentials(parts):
-        coeffs, dts = zip(*parts)
-        units = _expm_hermitian(drive.hamiltonian_of(np.concatenate(coeffs)),
-                                np.concatenate(dts))
-        return np.split(units, np.cumsum([t.size for t in dts[:-1]]))
-
-    compose = _compose3 if d == 3 else np.matmul
-    # a chunk's one exponential call takes up to two factors per step, so a
-    # dense chunk holds half the steps of an SU(2) one
-    steps = _cf4_steps(drive, grid, drive.coefficients, exponentials, compose, (d, d),
-                       _STEP_CHUNK // 2)
-    return _Build(steps, compose, lambda u: u, np.eye(d, dtype=complex))
-
-
 def _su2_exp(v: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """exp(-i dt v . sigma / 2) for control vectors v of shape (n, ..., 3),
     with one dt per leading index, as (a, b) pairs on the last axis, in
@@ -411,31 +394,6 @@ def _su2_compose(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     out[..., 0] = a1 * a2 - b1.conj() * b2
     out[..., 1] = b1 * a2 + a1.conj() * b2
     return out
-
-
-def _su2_steps(drive, grid: np.ndarray) -> _Build:
-    """CF4 steps of Lambda(t) . S, Lambda = (gain Omega_half cos chi,
-    gain Omega_half sin chi, delta_half + shift) of an SU(2)-covariant drive;
-    the controls are sampled once for every gain and shift of the drive,
-    which broadcast together to the batch."""
-    batch = _batch_shape(drive)
-    d = drive.dim
-
-    def control_vectors(t):
-        omega, chi, delta = drive.schedule.controls(t)
-        column = t.shape + (1,) * len(batch)
-        v = np.empty(t.shape + batch + (3,))
-        v[..., 0] = (omega * np.cos(chi)).reshape(column) * drive.gain
-        v[..., 1] = (omega * np.sin(chi)).reshape(column) * drive.gain
-        v[..., 2] = delta.reshape(column) + drive.shift
-        return v
-
-    def exponentials(parts):
-        return [_su2_exp(v, dts) for v, dts in parts]
-
-    return _Build(_cf4_steps(drive, grid, control_vectors, exponentials, _su2_compose, (2,)),
-                  _su2_compose, lambda ab: lift_matrices(ab[..., 0], ab[..., 1], d),
-                  np.array([1.0, 0.0], dtype=complex))
 
 
 def _pairwise_product(arr: np.ndarray, compose) -> np.ndarray:
@@ -568,6 +526,8 @@ def propagate(drive: MultiLevelDrive, psi0: StateVector, cfg: IntegratorConfig,
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         times = np.array([total])
+    if not np.all(np.isfinite(times)):
+        raise ScheduleError("sample_times must be finite")
     if np.any(np.diff(times) < 0):
         raise ScheduleError("sample_times must be non-decreasing")
     if times.min() < 0 or times.max() > total * (1 + 1e-12) + 1e-15:

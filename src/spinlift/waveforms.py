@@ -116,6 +116,8 @@ class ConstantSegment:
     is_constant = True
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.duration, self.omega_half, self.chi, self.delta_half])):
+            raise ScheduleError(f"segment fields must be finite, got {self}")
         if self.duration < 0:
             raise ScheduleError(f"duration must be >= 0, got {self.duration}")
         if self.omega_half < 0:
@@ -287,7 +289,9 @@ class CompositeSequence:
 
     def __init__(self, rotations: Sequence):
         rots = tuple((float(th), float(ph)) for th, ph in rotations)
-        for th, _ in rots:
+        for th, ph in rots:
+            if not (np.isfinite(th) and np.isfinite(ph)):
+                raise ScheduleError(f"rotation (theta, phi) must be finite, got ({th}, {ph})")
             if th < 0:
                 raise ScheduleError(f"rotation angle must be >= 0, got {th}")
         object.__setattr__(self, "rotations", rots)
@@ -400,11 +404,15 @@ class MultiLevelDrive:
         delta_half + shift, e) of hamiltonian(t) on its four operators, of
         shape t.shape + batch + (4,)."""
         omega, chi, delta = self.schedule.controls(np.asarray(t, dtype=float))
-        column = np.shape(omega) + (1,) * np.broadcast(self.gain, self.shift).ndim
-        omega, chi = np.reshape(omega, column) * self.gain, np.reshape(chi, column)
-        return np.stack(np.broadcast_arrays(omega * np.cos(chi), omega * np.sin(chi),
-                                            np.reshape(delta, column) + self.shift,
-                                            self.static_detuning), axis=-1)
+        batch = np.broadcast(self.gain, self.shift).shape
+        column = np.shape(omega) + (1,) * len(batch)
+        out = np.empty(np.shape(omega) + batch + (4,))
+        # (Omega cos chi) g, in this order: it sets the rounding of every step
+        out[..., 0] = np.reshape(omega * np.cos(chi), column) * self.gain
+        out[..., 1] = np.reshape(omega * np.sin(chi), column) * self.gain
+        out[..., 2] = np.reshape(delta, column) + self.shift
+        out[..., 3] = self.static_detuning
+        return out
 
     def hamiltonian(self, t) -> np.ndarray:
         return self.hamiltonian_of(self.coefficients(t))

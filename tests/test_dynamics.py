@@ -197,6 +197,12 @@ class TestPropagate:
         with pytest.raises(ScheduleError):
             propagate(drive, named_state(3, "0"), CFG, [2 * drive.total_duration])
 
+    @pytest.mark.parametrize("times", [[np.nan], [0.0, np.nan], [0.0, np.nan, 1e-6]])
+    def test_non_finite_sample_time_rejected(self, times):
+        drive = lift_schedule(square_pulse(np.pi, 0.0, OMEGA0), 3)
+        with pytest.raises(ScheduleError, match="finite"):
+            propagate(drive, named_state(3, "0"), CFG, times)
+
 
 class TestPropagator:
     def test_zero_duration_identity(self):
@@ -825,11 +831,16 @@ class TestDenseCoefficients:
 
     @staticmethod
     def matrix_combination(drive, grid):
-        def exponentials(parts):
-            return [spin._expm_hermitian(h, dts) for h, dts in parts]
-
-        return dynamics._cf4_steps(drive, grid, drive.hamiltonian, exponentials,
-                                   np.matmul, (drive.dim, drive.dim))
+        # the CF4 step by hand: the Hamiltonian at the Gauss nodes
+        # 1/2 -+ sqrt(3)/6 of each step, weighted by (3 -+ 2 sqrt(3))/12, and
+        # the two exponentials multiplied, the one that acts first on the right.
+        # On a constant step the two factors multiply to its one exponential.
+        starts, dts = grid[:-1], np.diff(grid)
+        h1 = drive.hamiltonian(starts + (0.5 - np.sqrt(3.0) / 6.0) * dts)
+        h2 = drive.hamiltonian(starts + (0.5 + np.sqrt(3.0) / 6.0) * dts)
+        a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+        first = spin._expm_hermitian(a2 * h1 + a1 * h2, dts)
+        return spin._expm_hermitian(a1 * h1 + a2 * h2, dts) @ first
 
     def test_batched_dressed_drive_with_mismatch_and_detuning(self):
         sched = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3, 200e-6, 300e-6,
@@ -856,6 +867,40 @@ class TestDenseCoefficients:
         basis = [jx - eps * (jz @ jx + jx @ jz), jy - eps * (jz @ jy + jy @ jz), jz, jz @ jz]
         expect = np.einsum("...k,kij->...ij", coeffs, np.array(basis))
         assert np.max(np.abs(drive.hamiltonian(ts) - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
+class TestStepChunks:
+    """A build cut into chunks of _STEP_CHUNK steps x drives equals the build
+    in one chunk: bit for bit on the SU(2) path, whose steps are elementwise,
+    and to rounding on the dense path, whose short chunks compose by
+    np.matmul rather than _compose3."""
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_chunked_build_equals_one_chunk(self, dense, monkeypatch):
+        sched = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3, 200e-6, 300e-6,
+                                                 40e-6, "round-trip"))
+        assert {s.is_constant for s in sched.segments} == {True, False}
+        drive = MultiLevelDrive(3, sched, gain=np.array([1.0, 1.02]),
+                                shift=TWO_PI * np.array([[0.0], [400.0], [-900.0]]))
+        grid = _step_grid(drive, np.linspace(0.0, sched.total_duration, 7), 4e-6)
+        build = dynamics._dense_steps if dense else _step_unitaries
+        assert 6 * (grid.size - 1) <= dynamics._STEP_CHUNK
+        whole = build(drive, grid).steps
+        samples = []
+        coefficients = MultiLevelDrive.coefficients
+        monkeypatch.setattr(MultiLevelDrive, "coefficients",
+                            lambda self, t: samples.append(t.size) or coefficients(self, t))
+        # fewer steps x drives than the batch (one step a chunk), then 7 and 50
+        # steps a chunk, which leave a short last chunk
+        for chunk in (5, 6 * 7, 6 * 50):
+            monkeypatch.setattr(dynamics, "_STEP_CHUNK", chunk)
+            samples.clear()
+            got = build(drive, grid).steps
+            assert len(samples) == -(-(grid.size - 1) // max(1, chunk // 6))
+            if dense:
+                assert np.max(np.abs(got - whole)) <= 1e-14
+            else:
+                assert np.array_equal(got, whole)
 
 
 class TestEigenScan:

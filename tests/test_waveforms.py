@@ -196,6 +196,19 @@ class TestCompositeMethod:
         with pytest.raises(ScheduleError):
             CompositeSequence([(-0.1, 0.0)])
 
+    @pytest.mark.parametrize("rotation", [(np.nan, 0.0), (np.pi / 2, np.inf), (np.inf, 0.0),
+                                          (np.pi, np.nan)])
+    def test_non_finite_rotation_rejected(self, rotation):
+        with pytest.raises(ScheduleError, match="finite"):
+            CompositeSequence([(np.pi, 0.0), rotation])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["duration", "omega_half", "chi", "delta_half"])
+    def test_non_finite_constant_segment_rejected(self, field, value):
+        fields = {"duration": 1e-6, "omega_half": OMEGA0, "chi": 0.3, "delta_half": 0.0}
+        with pytest.raises(ScheduleError, match="finite"):
+            ConstantSegment(**{**fields, field: value})
+
 
 class TestLiftSchedule:
     def test_d3_hamiltonian_matches_two_field_form(self):
