@@ -18,15 +18,16 @@ independent reference for the lift.  The paths differ only in that
 exponential and in how steps are composed (_su2_compose; at d = 3
 _compose3, an unrolled 3 x 3 product, and np.matmul at any other d) and
 lifted.  Either path's steps go to one product rule, _products_at: a
-pairwise reduction multiplies the steps between consecutive sample times,
-a work-efficient running product over those intervals (about two composes
-each) gives the operator at each sample time, and these are lifted to d
-levels once.  propagate, propagator, propagators and _dense_propagator are
-shells over one core, _propagation: propagate applies psi0 to the
-operators, the others project the last one to a unitary.
+pairwise reduction for one sample time, or else one work-efficient
+running product over the steps up to the last one (about two composes per
+step), gives the operators at the sample times, lifted to d levels once.
+propagate, propagator, propagators and _dense_propagator are shells over
+one core, _propagation: propagate applies psi0 to the operators, the
+others project the last one to a unitary.
 
-Step boundaries are forced at segment boundaries and sample times, so no
-step straddles a discontinuity of the controls (composite phases are
+Step boundaries are forced at segment boundaries, sample times and the
+schedule's breakpoints (a Blackman ramp's corner), so no step straddles a
+discontinuity of the controls or of a derivative (composite phases are
 handled exactly); the grid is built in one vectorized pass, so a densely
 sampled drive costs no Python work per sample.  An interval inside a
 constant-control segment is one exact exponential and is never
@@ -39,8 +40,8 @@ step is set by the batch's largest |gain| and |shift|
 (DEFAULT_PHASE_PER_STEP), and a result is accepted only once halving the
 step changes every requested d-level amplitude of every drive in the
 batch by less than the configured tolerance, whichever path built it,
-within _MAX_HALVINGS halvings; a drive whose segments are all constant is
-exact after one build and is not halved.
+within _MAX_HALVINGS halvings and above the rounding floor; a drive whose
+segments are all constant is exact after one build and is not halved.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ _MAX_HALVINGS = 14
 _STEP_CHUNK = 4096
 # Most steps one build may take: 14x the largest build that the scenarios,
 # demos and tests make (18,096).  A dense d = 4 build of 260,577 steps and
-# its product peak at 0.12 GB of resident memory, and at 0.36 GB with 101
-# sample times, most of it the padded pieces of _products_at.
+# its product take a process to a peak of 0.18 GB resident, and to 0.24 GB
+# with 101 sample times, whose scan copies the steps once.
 _MAX_BUILD_STEPS = 2**18
 # CF4 Gauss nodes c = 1/2 -+ sqrt(3)/6 and weights a = (3 -+ 2 sqrt(3))/12
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -220,23 +221,29 @@ def _constant_mask(drive: MultiLevelDrive, left: np.ndarray, right: np.ndarray) 
 
 
 def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float) -> np.ndarray:
-    """Time grid with segment boundaries and sample times as forced nodes.
+    """Time grid with boundaries, sample times and breakpoints as forced nodes.
 
     Intervals inside smooth segments are subdivided uniformly so every step
     is <= max_step; intervals inside constant segments are kept whole, since
     one exponential is exact there.  Forced nodes are emitted exactly (no
     a + (b-a)*k/n endpoint rounding), so sample times can be located in the
-    grid by exact match and steps never straddle a segment boundary.  All
-    nodes come from one vectorized pass: node k of an interval [a, b] cut
-    into n steps is a + (b - a) * k / n, k = 0 being a itself, and an
-    interior node that does not exceed the node before it, or that rounds
-    onto b, is dropped, so no step has zero length.  Raises
-    IntegratorError, before allocating, for a grid of more than
-    _MAX_BUILD_STEPS steps.
+    grid by exact match and no step straddles a segment boundary or a jump
+    in a derivative of the controls, which would cost CF4 its fourth order.
+    A breakpoint within 4 ulps of a boundary or sample time is that node
+    rounded, and is dropped rather than left as a sliver step.  All nodes
+    come from one vectorized pass: node k of an interval [a, b] cut into n
+    steps is a + (b - a) * k / n, k = 0 being a itself, and an interior node
+    that does not exceed the node before it, or that rounds onto b, is
+    dropped, so no step has zero length.  Raises IntegratorError, before
+    allocating, for a grid of more than _MAX_BUILD_STEPS steps.
     """
     total = drive.total_duration
     forced = np.unique(np.concatenate([drive.boundaries, sample_times, [0.0, total]]))
     forced = forced[(forced >= 0.0) & (forced <= total)]
+    corners = drive.schedule.breakpoints
+    near = forced[np.clip(np.searchsorted(forced, corners), 1, forced.size - 1) - [[1], [0]]]
+    far = np.all(np.abs(near - corners) > 4 * np.spacing(corners), axis=0)
+    forced = np.union1d(forced, corners[far])
     const = _constant_mask(drive, forced[:-1], forced[1:])
     counts = np.where(const, 1.0, np.maximum(1.0, np.ceil(np.diff(forced) / max_step - 1e-12)))
     n_steps = float(np.sum(counts))
@@ -427,35 +434,27 @@ def _products_at(build: _Build, idx: np.ndarray) -> np.ndarray:
     the non-decreasing step indices idx, shape (idx.size, *batch, d, d); an
     index of 0 gives the identity.
 
-    The steps are cut into pieces at every index and wherever a piece would
-    grow past the mean interval length, so the padding below stays under
-    about twice the steps however unevenly idx is spread.  One pairwise
-    reduction multiplies all pieces at once, the shorter ones padded with
-    the identity (a single piece is reduced from the step array itself, not
-    from a copy).  A work-efficient running product over the P pieces
-    (_running_product, about 2 P composes) then gives each prefix, and the
-    prefixes at idx are lifted to d levels once."""
+    A single index n > 0 takes the pairwise reduction of steps[:n], read
+    from the step array itself.  Any other idx copies the steps up to its
+    last index behind a leading identity and takes their work-efficient
+    running product in place (_running_product, about 2 composes per step);
+    the prefixes at idx are lifted to d levels once."""
     steps, compose = build.steps, build.compose
-    width = max(1, -(-idx[-1] // idx.size))
-    ends = np.union1d(idx, np.arange(width, idx[-1], width))
-    if ends.size == 1 and ends[0] > 0:
-        totals = _pairwise_product(steps[: ends[0]], compose)[None]
-    else:
-        starts = np.concatenate([[0], ends[:-1]])
-        lengths = ends - starts
-        padded = np.empty((width, ends.size) + steps.shape[1:], dtype=complex)
-        padded[...] = build.identity
-        padded[np.arange(ends[-1]) - np.repeat(starts, lengths),
-               np.repeat(np.arange(ends.size), lengths)] = steps[: ends[-1]]
-        totals = _running_product(_pairwise_product(padded, compose), compose)
-    return build.lift(totals[np.searchsorted(ends, idx)])
+    if idx.size == 1 and idx[0] > 0:
+        return build.lift(_pairwise_product(steps[: idx[0]], compose)[None])
+    prefix = np.empty((idx[-1] + 1,) + steps.shape[1:], dtype=complex)
+    prefix[0] = build.identity
+    prefix[1:] = steps[: idx[-1]]
+    return build.lift(_running_product(prefix, compose)[idx])
 
 
 def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
               caller: str, path: str) -> np.ndarray:
     """on_grid(grid) evaluated on successively halved step grids, from the
     drive's _auto_max_step, until two successive results differ by less than
-    cfg.tolerance everywhere; IntegratorError after _MAX_HALVINGS halvings.
+    cfg.tolerance everywhere; IntegratorError after _MAX_HALVINGS halvings,
+    or at the rounding floor: a residual below one ulp per step that a
+    halving failed to cut by 2 (CF4 cuts it by 16) is rounding.
 
     An all-constant drive is exact on its forced nodes, so it is evaluated
     once and not halved.
@@ -470,23 +469,24 @@ def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
     grid = _step_grid(drive, sample_times, h)
     steps = [grid.size - 1]
     coarse = on_grid(grid)
-    residual = np.inf
+    residual, reason = np.inf, f"after {_MAX_HALVINGS} halvings"
     for _ in range(_MAX_HALVINGS):
         h /= 2
         grid = _step_grid(drive, sample_times, h)
         steps.append(grid.size - 1)
         fine = on_grid(grid)
-        residual = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
+        last, residual = residual, (float(np.max(np.abs(fine - coarse))) if fine.size else 0.0)
         if residual < cfg.tolerance:
             logger.debug("%s: path %s, %d builds, steps per build %s, residual %.3e",
                          caller, path, len(steps), steps, residual)
             return fine
+        if residual < steps[-1] * np.finfo(float).eps and 2.0 * residual > last:
+            reason = "at the rounding floor"
+            break
         coarse = fine
-    logger.debug("%s: path %s, no convergence, %d builds, steps per build %s, residual %.3e",
-                 caller, path, len(steps), steps, residual)
-    raise IntegratorError(
-        f"no convergence after {_MAX_HALVINGS} halvings (residual {residual:.3e})",
-        residual)
+    logger.debug("%s: path %s, no convergence %s, %d builds, steps per build %s, residual %.3e",
+                 caller, path, reason, len(steps), steps, residual)
+    raise IntegratorError(f"no convergence {reason} (residual {residual:.3e})", residual)
 
 
 def _propagation(drive, cfg: IntegratorConfig, caller: str, psi0=None, times=None,

@@ -114,6 +114,7 @@ class ConstantSegment:
     delta_half: float = 0.0
 
     is_constant = True
+    breakpoints = ()
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.duration, self.omega_half, self.chi, self.delta_half])):
@@ -144,6 +145,8 @@ class BlackmanTransferSegment:
     is_constant = False
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.omega0, self.delta0, self.t_omega, self.t_delta])):
+            raise ScheduleError(f"leg parameters must be finite, got {self}")
         if not (0 < self.t_omega <= self.t_delta):
             raise ScheduleError(
                 f"need 0 < t_omega <= t_delta, got t_omega={self.t_omega}, t_delta={self.t_delta}")
@@ -153,6 +156,15 @@ class BlackmanTransferSegment:
     @property
     def duration(self) -> float:
         return self.t_delta
+
+    @property
+    def breakpoints(self) -> tuple:
+        """The ramp's corner, where the second derivative of Omega jumps:
+        t_omega into a forward leg, t_delta - t_omega into a reverse one;
+        none when the ramp fills the leg."""
+        if self.t_omega == self.t_delta:
+            return ()
+        return (self.t_delta - self.t_omega if self.reverse else self.t_omega,)
 
     def controls(self, t):
         t = np.asarray(t, dtype=float)
@@ -175,9 +187,10 @@ class ControlSchedule:
     controls(t) samples (Omega_half, chi, delta_half) for any t in
     [0, total_duration]; a time exactly on a boundary belongs to the later
     segment (the final boundary belongs to the last segment).  The schedule
-    is frozen, so total_duration and boundaries (the cumulative segment
-    boundaries including 0 and total_duration, a read-only array) are
-    computed once.
+    is frozen, so total_duration, boundaries (the cumulative segment
+    boundaries including 0 and total_duration) and breakpoints (each
+    segment's interior breakpoints, where a derivative of its controls
+    jumps, at schedule time) are computed once, as read-only arrays.
     """
 
     segments: tuple
@@ -186,10 +199,14 @@ class ControlSchedule:
         segments = tuple(segments)
         durs = [s.duration for s in segments]
         boundaries = np.concatenate([[0.0], np.cumsum(np.array(durs, dtype=float))])
+        breakpoints = np.array([b + t for b, s in zip(boundaries, segments)
+                                for t in s.breakpoints], dtype=float)
         boundaries.setflags(write=False)
+        breakpoints.setflags(write=False)
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "total_duration", float(sum(durs)))
         object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "breakpoints", breakpoints)
 
     def controls(self, t):
         """Sample (Omega_half(t), chi(t), delta_half(t)) at scalar or array t."""
@@ -247,6 +264,9 @@ class AdiabaticParams:
     direction: str = "round-trip"
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.omega0, self.delta0, self.t_omega, self.t_delta,
+                                   self.t_hold])):
+            raise ScheduleError(f"transfer parameters must be finite, got {self}")
         if not (0 < self.t_omega <= self.t_delta):
             raise ScheduleError(
                 f"need 0 < t_omega <= t_delta, got {self.t_omega}, {self.t_delta}")

@@ -290,6 +290,32 @@ class TestIntegrator:
 
         assert error(5e-6) > 10 * error(2.5e-6)
 
+    def test_cf4_fourth_order_across_the_ramp_corner(self):
+        noise = NoiseParams(rabi_mismatch=0.002, static_detuning=TWO_PI * 5.0)
+        drive = DressedDrive(self.FORWARD, noise, 0.0, OMEGA0)
+        assert np.array_equal(drive.schedule.breakpoints, [200e-6])
+        ref = propagator(drive, IntegratorConfig(tolerance=1e-12)).mat
+
+        def error(n):
+            grid = _step_grid(drive, np.array([]), drive.total_duration / n)
+            total = _products_at(_step_unitaries(drive, grid), np.array([grid.size - 1]))[0]
+            return np.max(np.abs(total - ref))
+
+        # 1132 and 2264 equal steps put no node on the ramp's corner at
+        # t_omega, where Omega'' jumps, unless the grid forces one: a step
+        # across it made one halving cut the error only 9.3x
+        assert error(1132) > 12 * error(2264)
+
+    def test_halving_stops_at_the_rounding_floor(self, monkeypatch):
+        noise = NoiseParams(rabi_mismatch=0.002, static_detuning=TWO_PI * 5.0)
+        drive = DressedDrive(self.FORWARD, noise, 0.0, OMEGA0)
+        builds = self.count_builds(monkeypatch)
+        with pytest.raises(IntegratorError, match="rounding floor") as err:
+            propagator(drive, IntegratorConfig(tolerance=1e-13))
+        # halving on to the step grid's limit took 10 builds, up to 144,792 steps
+        assert len(builds) < 10
+        assert 1e-13 <= err.value.residual < builds[-1] * np.finfo(float).eps
+
     def test_step_grid_limit(self, monkeypatch):
         drive = lift_schedule(self.FORWARD, 3)
         at_cap = _step_grid(drive, np.array([]), 1e-6).size - 1
@@ -362,10 +388,19 @@ class TestStepGrid:
     the reference, node for node."""
 
     @staticmethod
-    def loop(drive, sample_times, max_step):
+    def forced_nodes(drive, sample_times):
+        """Boundaries, sample times and each breakpoint that is not within 4
+        ulps of one of them, sorted and unique."""
         total = drive.total_duration
         forced = np.unique(np.concatenate([drive.boundaries, sample_times, [0.0, total]]))
         forced = forced[(forced >= 0.0) & (forced <= total)]
+        corners = [c for c in drive.schedule.breakpoints
+                   if all(abs(c - f) > 4 * np.spacing(c) for f in forced)]
+        return np.unique(np.concatenate([forced, corners]))
+
+    @classmethod
+    def loop(cls, drive, sample_times, max_step):
+        forced = cls.forced_nodes(drive, sample_times)
         const = dynamics._constant_mask(drive, forced[:-1], forced[1:])
         counts = np.where(const, 1.0, np.maximum(1.0, np.ceil(np.diff(forced) / max_step - 1e-12)))
         pieces = [forced[:1]]
@@ -380,8 +415,7 @@ class TestStepGrid:
         sample_times = np.asarray(sample_times, dtype=float)
         grid = _step_grid(drive, sample_times, max_step)
         assert np.array_equal(grid, self.loop(drive, sample_times, max_step))
-        forced = np.concatenate([drive.boundaries, sample_times])
-        forced = forced[(forced >= 0.0) & (forced <= drive.total_duration)]
+        forced = self.forced_nodes(drive, sample_times)
         # every forced node appears, exactly once: no interior node rounds onto it
         nodes, times = np.unique(grid, return_counts=True)
         at = np.searchsorted(nodes, forced)
@@ -422,6 +456,14 @@ class TestStepGrid:
         ulps = t + np.spacing(t) * np.arange(4)
         grid = self.check(drive, ulps, 1e-6)
         assert np.array_equal(grid[np.searchsorted(grid, ulps[0]) :][:4], ulps)
+        # a sample time within 4 ulps of the ramp's corner stands for it, and
+        # one 5 ulps away leaves a sliver step to the corner
+        corner = drive.schedule.breakpoints[0]
+        for ulps, kept in ((-4, False), (1, False), (4, False), (5, True)):
+            t = corner + ulps * np.spacing(corner)
+            grid = self.check(drive, [t], 1e-6)
+            assert (corner in grid) == kept and t in grid
+            assert (np.min(np.diff(grid)) < 1e-18) == kept
         # a smooth segment a few ulps long behind a constant one: steps of a
         # third of an ulp, whose interior nodes round onto the forced ones
         a = 10e-6
@@ -713,25 +755,15 @@ class TestProductsAt:
             assert np.max(np.abs(got - self.naive(build, idx))) < 1e-13
 
     @pytest.mark.parametrize("dense", [False, True])
-    def test_running_product_over_1_to_33_pieces(self, dense, monkeypatch):
+    def test_1_to_33_sample_indices(self, dense):
         drive = MultiLevelDrive(3, self.FORWARD, gain=np.array([1.0, 1.02]),
                                 shift=TWO_PI * np.array([[0.0], [400.0], [-900.0]]))
         grid = _step_grid(drive, np.array([]), 2e-6)
         build = dynamics._dense_steps(drive, grid) if dense else _step_unitaries(drive, grid)
         assert grid.size - 1 >= 3 * 33
-        pieces = []
-        scan = dynamics._running_product
-
-        def counted(arr, compose):
-            pieces.append(arr.shape[0])
-            return scan(arr, compose)
-
-        monkeypatch.setattr(dynamics, "_running_product", counted)
-        for p in range(1, 34):  # odd, even and power-of-two piece counts
-            idx = 3 * np.arange(1, p + 1)  # p pieces of three steps each
-            pieces.clear()
+        for p in range(1, 34):  # one index, then scans of odd, even and power-of-two lengths
+            idx = 3 * np.arange(1, p + 1)
             got = _products_at(build, idx)
-            assert pieces[:1] == ([] if p == 1 else [p])
             assert np.max(np.abs(got - self.naive(build, idx))) < 1e-13
 
     @staticmethod

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinlift import (
     AdiabaticParams,
+    BlackmanTransferSegment,
     CompositeSequence,
     ConstantSegment,
     ControlSchedule,
@@ -138,6 +139,46 @@ class TestAdiabaticMethod:
             AdiabaticParams(-OMEGA0, DELTA0, 200e-6, 300e-6)
         with pytest.raises(ScheduleError):
             AdiabaticParams(OMEGA0, DELTA0, 200e-6, 300e-6, -1e-6)
+
+    # an infinite t_omega needs an infinite t_delta to pass t_omega <= t_delta
+    @pytest.mark.parametrize("cls", [BlackmanTransferSegment, AdiabaticParams])
+    @pytest.mark.parametrize("field, value", [
+        ("omega0", np.inf), ("omega0", np.nan), ("delta0", np.inf), ("delta0", np.nan),
+        ("t_omega", np.inf), ("t_omega", np.nan), ("t_delta", np.inf), ("t_delta", np.nan)])
+    def test_non_finite_leg_parameters_rejected(self, cls, field, value):
+        fields = {"omega0": OMEGA0, "delta0": DELTA0, "t_omega": 200e-6, "t_delta": 300e-6}
+        if field == "t_omega" and value == np.inf:
+            fields["t_delta"] = np.inf
+        with pytest.raises(ScheduleError, match="finite"):
+            cls(**{**fields, field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hold_rejected(self, value):
+        with pytest.raises(ScheduleError, match="finite"):
+            AdiabaticParams(OMEGA0, DELTA0, 200e-6, 300e-6, value)
+
+    def test_breakpoints_at_the_ramp_corner(self):
+        sched = adiabatic_method(AdiabaticParams(
+            OMEGA0, DELTA0, 200e-6, 300e-6, 400e-6, "round-trip"))
+        fwd, hold, rev = sched.segments
+        assert fwd.breakpoints == (200e-6,) and rev.breakpoints == (300e-6 - 200e-6,)
+        assert hold.breakpoints == ()
+        assert np.array_equal(sched.breakpoints, [200e-6, sched.boundaries[2] + rev.breakpoints[0]])
+        with pytest.raises(ValueError):
+            sched.breakpoints[0] = 0.0
+        # a ramp that fills the leg has no corner inside it
+        full = BlackmanTransferSegment(OMEGA0, DELTA0, 300e-6, 300e-6, reverse=True)
+        assert full.breakpoints == ()
+        assert ControlSchedule([full]).breakpoints.shape == (0,)
+        assert composite_method(bb1_sequence(), OMEGA0).breakpoints.shape == (0,)
+        # Omega'' jumps at the corner: one-sided second differences disagree
+        h = 1e-7
+        omega = sched.controls(np.array([200e-6 - 2 * h, 200e-6 - h, 200e-6,
+                                         200e-6 + h, 200e-6 + 2 * h]))[0]
+        left = omega[0] - 2 * omega[1] + omega[2]
+        right = omega[2] - 2 * omega[3] + omega[4]
+        jump = 9 * np.pi**2 * OMEGA0 / (50 * 200e-6**2) / np.sqrt(2)
+        assert abs((right - left) / h**2 - jump) < 1e-3 * jump
 
 
 class TestCompositeMethod:
