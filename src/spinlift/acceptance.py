@@ -37,8 +37,7 @@ from .experiments import (
     sweep_pulse_area,
     transfer_schedules,
     verify_reversal,
-    zeeman_quadrature,
-    _op_unitaries,
+    _transfer_channel,
 )
 
 __all__ = ["CheckResult", "CHECKS", "run_all", "run_check", "format_table"]
@@ -258,9 +257,9 @@ def check_closed_loop_eps() -> CheckResult:
     zero = named_state(3, "0").amps
 
     def single_op_infidelity(sigma: float) -> float:
-        shifts, w = zeeman_quadrature(sigma)
-        units = _op_unitaries(fwd, NoiseParams(), shifts, cfg, 3, NOMINAL_ADIABATIC.omega0)
-        return sum(wk * (1 - abs(np.vdot(dark, u @ zero)) ** 2) for wk, u in zip(w, units))
+        kraus = _transfer_channel(fwd, NoiseParams(quasi_static_zeeman_sigma=sigma), cfg,
+                                  NOMINAL_ADIABATIC.omega0, 3)
+        return 1.0 - float(np.sum(np.abs(kraus @ zero @ dark.conj()) ** 2))
 
     from .experiments import REFERENCE_INFIDELITY_PER_OP
     target = REFERENCE_INFIDELITY_PER_OP["adiabatic"]

@@ -1,5 +1,5 @@
-"""Time evolution under lifted drives: SU(2)-first, with fourth-order
-commutator-free Magnus steps and constant segments taken exactly.
+"""Time evolution under lifted drives: SU(2)-first, with a fourth-order
+commutator-free Magnus step for every step and constant segments kept whole.
 
 Every drive is a waveforms.MultiLevelDrive, and its gain and shift may be
 arrays: a batch of drives on one schedule (the Gauss-Hermite nodes of a
@@ -29,19 +29,19 @@ Step boundaries are forced at segment boundaries, sample times and the
 schedule's breakpoints (a Blackman ramp's corner), so no step straddles a
 discontinuity of the controls or of a derivative (composite phases are
 handled exactly); the grid is built in one vectorized pass, so a densely
-sampled drive costs no Python work per sample.  An interval inside a
-constant-control segment is one exact exponential and is never
-subdivided.  An interval inside a smooth segment (a Blackman sweep) is
-cut into steps, each taken with the two-exponential fourth-order
-commutator-free Magnus rule (CF4; Blanes, Casas, Oteo & Ros, Phys. Rep.
-470, 151 (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)),
-which samples the controls at the two Gauss nodes of the step.  The first
-step is set by the batch's largest |gain| and |shift|
-(DEFAULT_PHASE_PER_STEP), and a result is accepted only once halving the
-step changes every requested d-level amplitude of every drive in the
-batch by less than the configured tolerance, whichever path built it,
-within _MAX_HALVINGS halvings and above the rounding floor; a drive whose
-segments are all constant is exact after one build and is not halved.
+sampled drive costs no Python work per sample.  Every step is taken with
+the two-exponential fourth-order commutator-free Magnus rule (CF4; Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009); Alvermann & Fehske, J.
+Comput. Phys. 230, 5930 (2011)) from the controls at its two Gauss nodes.
+An interval inside a smooth segment (a Blackman sweep) is cut into steps;
+one inside a constant-control segment is one step, whose two CF4 factors
+multiply to the exact exponential.  The first step is set by the
+batch's largest |gain| and |shift| (DEFAULT_PHASE_PER_STEP), and a result
+is accepted only once halving the step changes every requested d-level
+amplitude of every drive in the batch by less than the configured
+tolerance, whichever path built it, within _MAX_HALVINGS halvings and
+above the rounding floor; a drive whose segments are all constant is
+exact after one build and is not halved.
 """
 
 from __future__ import annotations
@@ -79,15 +79,16 @@ __all__ = [
 # first step: max(Omega, |delta|) * step <= 0.4 rad
 DEFAULT_PHASE_PER_STEP = 0.4
 _MAX_HALVINGS = 14
-# Steps x drives per chunk of a build; its one exponential call takes up to
-# two CF4 factors per step.  4096 keeps that call's temporaries near the L2
+# Steps x drives per chunk of a build; its one exponential call takes the
+# two CF4 factors of each step.  4096 keeps that call's temporaries near the L2
 # cache: of the powers of two from 1024 to 65536 it built SU(2) and dense
 # d = 3 steps fastest, within noise, on a Xeon with 2 MB of L2 per core.
 _STEP_CHUNK = 4096
 # Most steps one build may take: 14x the largest build that the scenarios,
 # demos and tests make (18,096).  A dense d = 4 build of 260,577 steps and
-# its product take a process to a peak of 0.18 GB resident, and to 0.24 GB
-# with 101 sample times, whose scan copies the steps once.
+# its product take a process to a peak of 0.15 GB resident, as does one of
+# 260,576, and to 0.23 GB with 101 sample times, whose scan copies the steps
+# once (ru_maxrss, numpy 2.4).
 _MAX_BUILD_STEPS = 2**18
 # CF4 Gauss nodes c = 1/2 -+ sqrt(3)/6 and weights a = (3 -+ 2 sqrt(3))/12
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -225,7 +226,7 @@ def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float
 
     Intervals inside smooth segments are subdivided uniformly so every step
     is <= max_step; intervals inside constant segments are kept whole, since
-    one exponential is exact there.  Forced nodes are emitted exactly (no
+    one CF4 step is exact there.  Forced nodes are emitted exactly (no
     a + (b-a)*k/n endpoint rounding), so sample times can be located in the
     grid by exact match and no step straddles a segment boundary or a jump
     in a derivative of the controls, which would cost CF4 its fourth order.
@@ -289,13 +290,14 @@ def _dense_steps(drive: MultiLevelDrive, grid: np.ndarray) -> _Build:
 
 def _cf4_steps(drive: MultiLevelDrive, grid: np.ndarray, dense: bool) -> _Build:
     """Step propagators over each grid interval: (a, b) pairs of the
-    spin-1/2 problem, or d x d matrices with dense=True.  A constant step is
-    the exponential at its midpoint, any other the CF4 step
-    U = exp(-i dt (A1 H1 + A2 H2)) exp(-i dt (A2 H1 + A1 H2)) of H at the
-    Gauss nodes, the right-hand factor first.  H is linear in the drive's
-    coefficients, so each factor is combined from coefficient rows, and a
-    chunk of up to _STEP_CHUNK steps x drives takes one exponential call:
-    _su2_exp of Lambda, or spin._expm_hermitian of the Hamiltonians."""
+    spin-1/2 problem, or d x d matrices with dense=True.  Every step is the
+    CF4 step U = exp(-i dt (A1 H1 + A2 H2)) exp(-i dt (A2 H1 + A1 H2)) of H
+    at the Gauss nodes, the right-hand factor first; on a constant step
+    H1 = H2 and A1 + A2 = 1/2, so its two factors multiply to its one exact
+    exponential.  H is linear in the drive's coefficients, so each factor is
+    combined from coefficient rows, and a chunk of up to _STEP_CHUNK steps x
+    drives takes one exponential call: _su2_exp of Lambda, or
+    spin._expm_hermitian of the Hamiltonians."""
     d = drive.dim
     if dense:
         def exponential(c, dts):
@@ -312,25 +314,18 @@ def _cf4_steps(drive: MultiLevelDrive, grid: np.ndarray, dense: bool) -> _Build:
 
         compose, identity = _su2_compose, np.array([1.0, 0.0], dtype=complex)
     starts, dts = grid[:-1], np.diff(grid)
-    const = _constant_mask(drive, starts, grid[1:])
     batch = _batch_shape(drive)
     out = np.empty((dts.size,) + batch + identity.shape, dtype=complex)
     chunk_steps = max(1, _STEP_CHUNK // max(1, math.prod(batch)))
+    a1, a2 = _CF4_WEIGHTS
     for lo in range(0, dts.size, chunk_steps):
-        chunk = np.arange(lo, min(lo + chunk_steps, dts.size))
-        c, s = chunk[const[chunk]], chunk[~const[chunk]]
-        # midpoints, then both Gauss nodes, in one call: its fixed cost dominates short grids
-        g = drive.coefficients(np.concatenate([starts[c] + dts[c] / 2.0,
-                                               starts[s] + _GAUSS_NODES[0] * dts[s],
-                                               starts[s] + _GAUSS_NODES[1] * dts[s]]))
-        if s.size:  # the node rows become the factor rows, the one that acts first ahead
-            g1, g2 = g[c.size : c.size + s.size], g[c.size + s.size :]
-            g[c.size :] = np.concatenate([_CF4_WEIGHTS[1] * g1 + _CF4_WEIGHTS[0] * g2,
-                                          _CF4_WEIGHTS[0] * g1 + _CF4_WEIGHTS[1] * g2])
-        units = exponential(g, np.concatenate([dts[c], dts[s], dts[s]]))
-        out[c] = units[: c.size]
-        if s.size:
-            out[s] = compose(units[c.size + s.size :], units[c.size : c.size + s.size])
+        t, dt = starts[lo : lo + chunk_steps], dts[lo : lo + chunk_steps]
+        # both Gauss nodes in one call: its fixed cost dominates short grids
+        nodes = np.concatenate([t + c * dt for c in _GAUSS_NODES])
+        g1, g2 = np.split(drive.coefficients(nodes), 2)
+        # the factor that acts first ahead
+        units = exponential(np.concatenate([a2 * g1 + a1 * g2, a1 * g1 + a2 * g2]), np.tile(dt, 2))
+        out[lo : lo + dt.size] = compose(units[dt.size :], units[: dt.size])
     return _Build(out, compose, lift, identity)
 
 
@@ -405,12 +400,13 @@ def _su2_compose(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _pairwise_product(arr: np.ndarray, compose) -> np.ndarray:
     """compose-product arr[n-1] ... arr[0] over the first axis by pairwise
-    reduction."""
+    reduction.  The last factor of a level of odd length is multiplied into
+    the last merged pair in place, so no level is copied."""
     while arr.shape[0] > 1:
         n = arr.shape[0]
-        merged = compose(arr[1:n:2], arr[0 : n - n % 2 : 2])
+        merged = compose(arr[1::2], arr[0 : n - 1 : 2])
         if n % 2:
-            merged = np.concatenate([merged, arr[-1:]], axis=0)
+            merged[-1] = compose(arr[-1], merged[-1])
         arr = merged
     return arr[0]
 

@@ -16,8 +16,11 @@ delta_half; both keep the SU(2) symmetry.  The fractional Rabi mismatch eps
 (field amplitudes (1 +/- eps)) and the common static per-field detuning
 offset e break it.  The Zeeman shift is Gaussian, constant over one transfer
 operation and drawn independently per operation and per shot; averages over
-it are taken with Gauss-Hermite quadrature, propagating the averaged density
-matrix through per-operation channels.
+it are taken with Gauss-Hermite quadrature.  Averaged so, one transfer
+operation is a mixed-unitary channel, kept as its Kraus stack sqrt(w_n) U_n
+over the quadrature nodes (_transfer_channel), and the averaged density
+matrix goes through each operation as one batched conjugation
+(_apply_channel).
 """
 
 from __future__ import annotations
@@ -237,29 +240,31 @@ def transfer_schedules(method: str, params: AdiabaticParams) -> tuple[ControlSch
     raise ScenarioError(f"unknown transfer method {method!r}")
 
 
-def _op_unitaries(schedule: ControlSchedule, noise: NoiseParams, shifts: np.ndarray,
-                  cfg: IntegratorConfig, dim: int, omega0_ref: float) -> list[np.ndarray]:
-    """Operation unitaries at each Zeeman node, propagated as one batch of
-    spin-1 drives; dim = 4 appends the undriven clock level |0'> (index 3),
-    so each spin-1 unitary U becomes U (+) 1."""
+def _transfer_channel(schedule: ControlSchedule, noise: NoiseParams, cfg: IntegratorConfig,
+                      omega0_ref: float, dim: int) -> np.ndarray:
+    """One transfer operation averaged over the Zeeman shift, as its Kraus
+    stack sqrt(w_n) U_n, shape (nodes, dim, dim): U_n is the spin-1
+    operation unitary at Gauss-Hermite node n of weight w_n, all nodes
+    propagated as one batch of drives.  dim = 4 appends the undriven clock
+    level |0'> (index 3), so each U_n becomes U_n (+) 1."""
+    shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
     units = propagators(DressedDrive(schedule, noise, shifts, omega0_ref), cfg)
-    out = np.zeros((len(units), dim, dim), dtype=complex)
-    out[:, 3:, 3:] = np.eye(dim - 3)
-    out[:, :3, :3] = [u.mat for u in units]
-    return list(out)
+    kraus = np.zeros((shifts.size, dim, dim), dtype=complex)
+    kraus[:, 3:, 3:] = np.eye(dim - 3)
+    kraus[:, :3, :3] = [u.mat for u in units]
+    return np.sqrt(weights)[:, None, None] * kraus
 
 
-def _apply_channel(rho: np.ndarray, unitaries: Sequence[np.ndarray],
-                   weights: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for w, u in zip(weights, unitaries):
-        out += w * (u @ rho @ u.conj().T)
-    return out
+def _apply_channel(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """sum_n K_n rho K_n^dagger over the stack axis, the third from last:
+    a Kraus stack of shape (*batch, nodes, d, d) gives one state per batch
+    index."""
+    return np.sum(kraus @ rho @ kraus.conj().swapaxes(-1, -2), axis=-3)
 
 
 # Most transfer operations one scenario run may apply: one channel over the
-# 21 Zeeman nodes takes about 0.2 ms at d = 3 or 4 (2-core x86 VM, numpy
-# 2.4), so 2**14 of them take about 3 s.
+# 21 Zeeman nodes takes about 0.02 ms at d = 3 or 4 (2-core Xeon VM, numpy
+# 2.4), so 2**14 of them take about 0.3 s.
 _MAX_TRANSFERS = 2**14
 
 
@@ -270,11 +275,11 @@ def _check_transfer_count(n: int) -> None:
         raise ScenarioError(f"{n} transfer operations exceed the limit of {_MAX_TRANSFERS}")
 
 
-def _transfers(rho: np.ndarray, ops: range, fwd_u, rev_u, weights: np.ndarray) -> np.ndarray:
-    """rho after the transfer operations numbered ops, each a channel over
-    the Zeeman nodes: forward for an even number, reverse for an odd one."""
+def _transfers(rho: np.ndarray, ops: range, fwd: np.ndarray, rev: np.ndarray) -> np.ndarray:
+    """rho after the transfer operations numbered ops, each the channel of
+    a Kraus stack: fwd for an even number, rev for an odd one."""
     for k in ops:
-        rho = _apply_channel(rho, fwd_u if k % 2 == 0 else rev_u, weights)
+        rho = _apply_channel(rho, fwd if k % 2 == 0 else rev)
     return rho
 
 
@@ -461,10 +466,8 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
     _check_transfer_count(max(ns) + 1)
     if seed is None:
         seed = m.seed
-    fwd_s, rev_s = transfer_schedules(method, params)
-    shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
-    fwd_u = _op_unitaries(fwd_s, noise, shifts, cfg, 3, params.omega0)
-    rev_u = _op_unitaries(rev_s, noise, shifts, cfg, 3, params.omega0)
+    fwd, rev = (_transfer_channel(s, noise, cfg, params.omega0, 3)
+                for s in transfer_schedules(method, params))
 
     rho0 = _D3_ZERO.density_matrix()
     dark = _D3_DARK.amps
@@ -473,7 +476,7 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
     for i, n_ops in enumerate(sorted(ns)):
         # n_ops is even, so the last operation is a forward one: read out |D>;
         # the x transfers of the previous count are already applied
-        rho = _transfers(rho, range(x, n_ops + 1), fwd_u, rev_u, weights)
+        rho = _transfers(rho, range(x, n_ops + 1), fwd, rev)
         x = n_ops + 1
         rng = np.random.default_rng([seed, i])
         _, fit = run_fringe_experiment(rho, m, rng=rng)
@@ -483,8 +486,7 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
         fids_exact.append(float(np.real(dark.conj() @ rho @ dark)))
     eps_m, sigma_eps = infidelity_per_op(list(zip(xs, fids_raw, fid_errs)))
     eps_exact, _ = infidelity_per_op([(x, f, 1.0) for x, f in zip(xs, fids_exact)])
-    single = 1.0 - float(np.real(dark.conj()
-                                 @ _apply_channel(rho0, fwd_u, weights) @ dark))
+    single = 1.0 - float(np.real(dark.conj() @ _apply_channel(rho0, fwd) @ dark))
     outputs = {
         "eps_m": eps_m,
         "sigma_eps": sigma_eps,
@@ -508,15 +510,17 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
 # Dressed-qubit Ramsey (4-level)
 # ---------------------------------------------------------------------------
 
-def _clock_unitary(theta: float, phi: float) -> np.ndarray:
-    """Ideal instantaneous clock rotation on the {|0>, |0'>} subspace of the
-    4-level basis (|-1>, |0>, |+1>, |0'>)."""
-    u = np.eye(4, dtype=complex)
+def _clock_unitary(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Ideal instantaneous clock rotations by theta at phases phi on the
+    {|0>, |0'>} subspace of the 4-level basis (|-1>, |0>, |+1>, |0'>), shape
+    (*broadcast(theta, phi).shape, 4, 4)."""
+    theta, phi = np.broadcast_arrays(theta, phi)
+    u = np.zeros(theta.shape + (4, 4), dtype=complex)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    u[1, 1] = c
-    u[3, 3] = c
-    u[1, 3] = -1j * np.exp(1j * phi) * s
-    u[3, 1] = -1j * np.exp(-1j * phi) * s
+    u[..., 0, 0] = u[..., 2, 2] = 1.0
+    u[..., 1, 1] = u[..., 3, 3] = c
+    u[..., 1, 3] = -1j * np.exp(1j * phi) * s
+    u[..., 3, 1] = -1j * np.exp(-1j * phi) * s
     return u
 
 
@@ -545,28 +549,20 @@ def run_ramsey_dressed_qubit(n_transfers: int,
     _check_transfer_count(n_transfers)
     phases = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
 
-    fwd_s, rev_s = transfer_schedules("adiabatic", params)
-    shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
-    fwd_u = rev_u = None
+    fwd = rev = None
     if n_transfers > 0:
-        fwd_u = _op_unitaries(fwd_s, noise, shifts, cfg, 4, params.omega0)
-        rev_u = _op_unitaries(rev_s, noise, shifts, cfg, 4, params.omega0)
+        fwd, rev = (_transfer_channel(s, noise, cfg, params.omega0, 4)
+                    for s in transfer_schedules("adiabatic", params))
 
-    psi0 = np.array([0, 1, 0, 0], dtype=complex)
-    rho = np.outer(psi0, psi0.conj())
-    pi2 = _clock_unitary(np.pi / 2, 0.0)
-    echo = _clock_unitary(np.pi, 0.0)
-    rho = pi2 @ rho @ pi2.conj().T
+    # the pi/2 pulse, the echo and the analysis pulses, each a Kraus stack of one
+    pulses = _clock_unitary(np.r_[np.pi / 2, np.pi, np.full(phases.size, np.pi / 2)],
+                            np.r_[0.0, 0.0, phases])[:, None]
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[1, 1] = 1.0  # |0><0|
     half = n_transfers // 2
-    rho = _transfers(rho, range(half), fwd_u, rev_u, weights)
-    rho = echo @ rho @ echo.conj().T
-    rho = _transfers(rho, range(half, n_transfers), fwd_u, rev_u, weights)
-
-    p_f1 = np.empty(phases.size)
-    for i, ph in enumerate(phases):
-        u = _clock_unitary(np.pi / 2, ph)
-        out = u @ rho @ u.conj().T
-        p_f1[i] = 1.0 - float(np.real(out[1, 1]))
+    rho = _transfers(_apply_channel(rho, pulses[0]), range(half), fwd, rev)
+    rho = _transfers(_apply_channel(rho, pulses[1]), range(half, n_transfers), fwd, rev)
+    p_f1 = 1.0 - np.real(_apply_channel(rho, pulses[2:])[:, 1, 1])
 
     if m is None:
         # exact harmonic projection of the noiseless fringe
@@ -659,9 +655,8 @@ def run_fig4b(m: MeasurementModel,
     transfer, with the measurement model, fitted for the dark-state
     fidelity (report fig4b)."""
     schedule, _ = transfer_schedules("adiabatic", params)
-    shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
-    units = _op_unitaries(schedule, noise, shifts, cfg, 3, params.omega0)
-    rho = _apply_channel(_D3_ZERO.density_matrix(), units, weights)
+    rho = _apply_channel(_D3_ZERO.density_matrix(),
+                         _transfer_channel(schedule, noise, cfg, params.omega0, 3))
     rng = np.random.default_rng([seed, 0])
     data, fit = run_fringe_experiment(rho, m, rng=rng)
     outputs = {"fit": fit.to_json_dict(),

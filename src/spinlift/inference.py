@@ -83,14 +83,6 @@ class FringeData:
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "counts", counts)
 
-    def to_json_dict(self) -> dict:
-        return {"chi_rad": self.chi.tolist(), "counts": self.counts.tolist(),
-                "shots": self.shots}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FringeData":
-        return cls(np.asarray(d["chi_rad"]), np.asarray(d["counts"]), d["shots"])
-
 
 @dataclass(frozen=True)
 class FitResult:

@@ -224,7 +224,7 @@ class TestErrorContract:
         def refuse(*args):
             raise AssertionError("propagated before refusing the transfer count")
 
-        monkeypatch.setattr(experiments, "_op_unitaries", refuse)
+        monkeypatch.setattr(experiments, "_transfer_channel", refuse)
         err = self.failing_run(tmp_path, "--scenario", scenario, "--set", setting)
         assert err["error"] == "ScenarioError"
         assert f"limit of {experiments._MAX_TRANSFERS}" in err["message"]

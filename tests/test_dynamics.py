@@ -33,7 +33,7 @@ from spinlift import (
     state_fidelity,
 )
 from spinlift import acceptance, dynamics, spin
-from spinlift.experiments import DressedDrive, NoiseParams, _op_unitaries, zeeman_quadrature
+from spinlift.experiments import DressedDrive, NoiseParams, _transfer_channel, zeeman_quadrature
 from spinlift.dynamics import (
     Trajectory,
     _auto_max_step,
@@ -568,9 +568,10 @@ class TestSu2Path:
     def test_batched_gauss_hermite_nodes_match_per_node_dense(self, tol, monkeypatch):
         cfg = IntegratorConfig(tolerance=tol)
         noise = NoiseParams(quasi_static_zeeman_sigma=TWO_PI * 200.0)
-        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
         builds = TestIntegrator.count_builds(monkeypatch)
-        batched = _op_unitaries(self.FORWARD, noise, shifts, cfg, 3, OMEGA0)
+        kraus = _transfer_channel(self.FORWARD, noise, cfg, OMEGA0, 3)
+        batched = kraus / np.sqrt(weights)[:, None, None]
         n_batched_builds = len(builds)
         per_node = [dynamics._dense_propagator(DressedDrive(self.FORWARD, noise, float(z),
                                                             OMEGA0), cfg).mat
@@ -583,9 +584,10 @@ class TestSu2Path:
 
     def test_batch_of_constant_schedules_builds_once(self, monkeypatch):
         noise = NoiseParams(quasi_static_zeeman_sigma=TWO_PI * 200.0)
-        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
         builds = TestIntegrator.count_builds(monkeypatch)
-        batched = _op_unitaries(self.COMPOSITE, noise, shifts, CFG, 3, OMEGA0)
+        kraus = _transfer_channel(self.COMPOSITE, noise, CFG, OMEGA0, 3)
+        batched = kraus / np.sqrt(weights)[:, None, None]
         assert len(builds) == 1
         for z, u in zip(shifts, batched):
             single = propagator(DressedDrive(self.COMPOSITE, noise, float(z), OMEGA0), CFG)
@@ -601,8 +603,7 @@ class TestSu2Path:
         assert not drive.su2_covariant
         propagator(drive, CFG)
         propagate(drive, named_state(3, "0"), CFG, [drive.total_duration])
-        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
-        _op_unitaries(self.COMPOSITE, noise, shifts, CFG, 3, OMEGA0)
+        _transfer_channel(self.COMPOSITE, noise, CFG, OMEGA0, 3)
         assert paths and set(paths) == {"dense"}
 
     def test_criterion_1_propagates_dense_drive_against_lift(self, monkeypatch):
@@ -677,9 +678,10 @@ class TestDriveBatch:
     def test_dense_batch_matches_per_node_dense(self, tol, monkeypatch):
         cfg = IntegratorConfig(tolerance=tol)
         noise = NoiseParams(rabi_mismatch=0.001, quasi_static_zeeman_sigma=TWO_PI * 200.0)
-        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
         builds = self.count_batch_builds(monkeypatch)
-        batched = _op_unitaries(self.FORWARD, noise, shifts, cfg, 3, OMEGA0)
+        kraus = _transfer_channel(self.FORWARD, noise, cfg, OMEGA0, 3)
+        batched = kraus / np.sqrt(weights)[:, None, None]
         # one build per halving, each of the whole batch, on the dense path
         steps = [n for n, _ in builds]
         assert {b for _, b in builds} == {shifts.shape}
@@ -788,6 +790,17 @@ class TestProductsAt:
         uneven = np.append(np.arange(40), n)
         assert self.peak_bytes(build, uneven) < 4 * build.steps.nbytes
 
+    def test_memory_of_an_odd_step_count(self):
+        # the last factor of a level of odd length is multiplied into the
+        # last merged pair, not copied in behind the pairs, so one more step
+        # costs no more memory
+        drive = lift_schedule(square_pulse(np.pi, 0.0, OMEGA0), 3)
+        peaks = []
+        for n in (2**12, 2**12 + 1):
+            build = dynamics._dense_steps(drive, np.linspace(0.0, drive.total_duration, n + 1))
+            peaks.append(self.peak_bytes(build, np.array([n])))
+        assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
+
     @pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams(rabi_mismatch=0.001)])
     def test_repeated_sample_time_gives_equal_states(self, noise):
         drive = DressedDrive(self.FORWARD, noise, 0.0, OMEGA0)
@@ -836,14 +849,16 @@ class TestCompose3:
         self.check(np.eye(3, dtype=complex), a)
         assert np.array_equal(dynamics._compose3(a, eye), a)
 
-    @pytest.mark.parametrize("width, pieces", [(2, 30), (7, 45), (16, 3)])
-    def test_padded_batch_of_products_at(self, width, pieces):
-        # (width, P, 3, 2, 3, 3): a padded piece array of a (3, 2) drive batch,
-        # reduced pairwise over its first axis as _pairwise_product does
-        arr = random_unitaries(np.random.default_rng(width), (width, pieces, 3, 2))
-        arr[width // 2 :, ::3] = np.eye(3)
-        self.check(arr[1::2], arr[0 : width - width % 2 : 2])
-        self.check(arr[:, 1::2], arr[:, 0 : pieces - 1 : 2])
+    @pytest.mark.parametrize("n", [7, 98, 513])
+    def test_strided_halves_of_a_batched_scan(self, n):
+        # (n, 3, 2, 3, 3): the steps of a (3, 2) drive batch, halved as
+        # _running_product halves them: the pairs, then each even index
+        # >= 2 with the running product of the odd prefix before it
+        rng = np.random.default_rng(n)
+        arr = random_unitaries(rng, (n, 3, 2))
+        self.check(arr[1::2], arr[0 : n - 1 : 2])
+        odd = random_unitaries(rng, (n // 2, 3, 2))
+        self.check(arr[2::2], odd[: (n - 1) // 2])
 
     def test_single_matrix(self):
         u, w = random_unitaries(np.random.default_rng(3), (2,))
@@ -857,9 +872,9 @@ class TestCompose3:
 
 
 class TestDenseCoefficients:
-    """Dense CF4 factors are combined from the drive's four real control
-    coefficients; weighting the sampled Hamiltonians themselves is the same
-    step to rounding."""
+    """CF4 factors are combined from the drive's real control coefficients
+    (all four on the dense path, Lambda on the SU(2) one); weighting the
+    sampled Hamiltonians themselves is the same step to rounding."""
 
     @staticmethod
     def matrix_combination(drive, grid):
@@ -884,6 +899,19 @@ class TestDenseCoefficients:
         assert not drive.su2_covariant
         grid = _step_grid(drive, np.linspace(0.0, sched.total_duration, 7), 4e-6)
         got = dynamics._dense_steps(drive, grid).steps
+        assert got.shape == (grid.size - 1, 3, 3, 3)
+        assert np.max(np.abs(got - self.matrix_combination(drive, grid))) <= 1e-14
+
+    def test_su2_steps_lifted(self):
+        sched = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3, 200e-6, 300e-6,
+                                                 40e-6, "round-trip"))
+        noise = NoiseParams(common_rabi_error=TWO_PI * 1e3)
+        drive = DressedDrive(sched, noise, TWO_PI * np.array([-400.0, 0.0, 250.0]), OMEGA0)
+        assert drive.su2_covariant
+        grid = _step_grid(drive, np.linspace(0.0, sched.total_duration, 7), 4e-6)
+        build = _step_unitaries(drive, grid)
+        assert build.compose is dynamics._su2_compose
+        got = build.lift(build.steps)
         assert got.shape == (grid.size - 1, 3, 3, 3)
         assert np.max(np.abs(got - self.matrix_combination(drive, grid))) <= 1e-14
 

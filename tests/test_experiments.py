@@ -75,16 +75,59 @@ class TestDressedDrive:
     @pytest.mark.parametrize("method", ["adiabatic", "tbb1"])
     def test_four_level_operation_leaves_clock_state_alone(self, method, noise):
         # Ramsey's four-level transfers are the spin-1 ones as U (+) 1, exactly
+        # (in Kraus form: the node weight's square root times U (+) 1)
         sched, _ = transfer_schedules(method, NOMINAL_ADIABATIC)
-        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
-        args = (sched, noise, shifts, FAST)
-        u3 = experiments._op_unitaries(*args, 3, NOMINAL_ADIABATIC.omega0)
-        u4 = experiments._op_unitaries(*args, 4, NOMINAL_ADIABATIC.omega0)
-        assert len(u4) == len(u3) == shifts.size
-        for a, b in zip(u3, u4):
-            expect = np.eye(4, dtype=complex)
+        shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        args = (sched, noise, FAST, NOMINAL_ADIABATIC.omega0)
+        k3 = experiments._transfer_channel(*args, 3)
+        k4 = experiments._transfer_channel(*args, 4)
+        assert len(k4) == len(k3) == shifts.size
+        for a, b, w in zip(k3, k4, weights):
+            expect = np.zeros((4, 4), dtype=complex)
             expect[:3, :3] = a
+            expect[3, 3] = np.sqrt(w)
             assert np.array_equal(b, expect)
+
+
+class TestTransferChannel:
+    """One Zeeman-averaged transfer operation as its Kraus stack
+    sqrt(w_n) (U_n (+) 1), applied by one batched conjugation."""
+
+    OMEGA0 = NOMINAL_ADIABATIC.omega0
+
+    @pytest.mark.parametrize("noise", [  # the SU(2) path, then the dense path
+        NoiseParams(), NoiseParams(quasi_static_zeeman_sigma=TWO_PI * 200.0),
+        NoiseParams(rabi_mismatch=0.001),
+        NoiseParams(rabi_mismatch=0.001, quasi_static_zeeman_sigma=TWO_PI * 200.0)])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_forward_and_reverse_stacks_preserve_the_trace(self, dim, noise):
+        shifts, _ = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        for sched in transfer_schedules("adiabatic", NOMINAL_ADIABATIC):
+            kraus = experiments._transfer_channel(sched, noise, FAST, self.OMEGA0, dim)
+            assert kraus.shape == (shifts.size, dim, dim)
+            total = np.sum(kraus.conj().swapaxes(-1, -2) @ kraus, axis=0)
+            assert np.max(np.abs(total - np.eye(dim))) <= 1e-12
+
+    def test_apply_channel_is_the_per_node_sum(self):
+        noise = NoiseParams(common_rabi_error=TWO_PI * 1e3,
+                            quasi_static_zeeman_sigma=TWO_PI * 200.0)
+        sched, _ = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        kraus = experiments._transfer_channel(sched, noise, FAST, self.OMEGA0, 4)
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = z @ z.conj().T / np.trace(z @ z.conj().T).real
+        shifts, weights = zeeman_quadrature(noise.quasi_static_zeeman_sigma)
+        units = dynamics.propagators(DressedDrive(sched, noise, shifts, self.OMEGA0), FAST)
+        expect = np.zeros((4, 4), dtype=complex)
+        for w, unit in zip(weights, units):
+            u = np.eye(4, dtype=complex)
+            u[:3, :3] = unit.mat
+            expect += w * (u @ rho @ u.conj().T)
+        assert np.max(np.abs(experiments._apply_channel(rho, kraus) - expect)) <= 1e-15
+        # a batch of stacks gives one state per stack
+        both = experiments._apply_channel(rho, np.stack([kraus, kraus[::-1]]))
+        assert both.shape == (2, 4, 4)
+        assert max(np.max(np.abs(b - expect)) for b in both) <= 1e-15
 
 
 class TestAdiabaticTransfer:
@@ -272,7 +315,7 @@ class TestRamsey:
         def refuse(*args):
             raise AssertionError("transfer unitaries built for n_transfers = 0")
 
-        monkeypatch.setattr(experiments, "_op_unitaries", refuse)
+        monkeypatch.setattr(experiments, "_transfer_channel", refuse)
         assert run_ramsey_dressed_qubit(0).outputs["contrast"] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -558,14 +601,14 @@ class TestBatchedScenarios:
                             lambda *args: applied.append(1) or apply_channel(*args))
         rep = measure_fidelity_vs_n("tbb1", ns, MeasurementModel(shots=200, seed=1), cfg=FAST)
         assert len(applied) == max(ns) + 2
-        fwd_u, rev_u = (experiments._op_unitaries(s, NoiseParams(), np.zeros(1), FAST, 3,
-                                                  NOMINAL_ADIABATIC.omega0)
-                        for s in transfer_schedules("tbb1", NOMINAL_ADIABATIC))
+        fwd, rev = (experiments._transfer_channel(s, NoiseParams(), FAST,
+                                                  NOMINAL_ADIABATIC.omega0, 3)
+                    for s in transfer_schedules("tbb1", NOMINAL_ADIABATIC))
         dark = experiments._D3_DARK.amps
         for n, f in zip(sorted(ns), rep.outputs["fidelity_exact"]):
             rho = experiments._D3_ZERO.density_matrix()
             for k in range(n + 1):
-                rho = apply_channel(rho, fwd_u if k % 2 == 0 else rev_u, np.ones(1))
+                rho = apply_channel(rho, fwd if k % 2 == 0 else rev)
             assert float(np.real(dark.conj() @ rho @ dark)) == f
 
     def test_transfer_count_refused_before_propagating(self, monkeypatch):

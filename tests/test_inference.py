@@ -452,14 +452,6 @@ class TestInfidelityPerOp:
 
 
 class TestJsonInterfaces:
-    def test_fringe_data_round_trip(self):
-        data = FringeData(chi=DEFAULT_FRINGE_CHI,
-                          counts=np.arange(20, dtype=float), shots=200)
-        again = FringeData.from_json_dict(data.to_json_dict())
-        assert np.array_equal(again.chi, data.chi)
-        assert np.array_equal(again.counts, data.counts)
-        assert again.shots == data.shots
-
     def test_fit_result_serializes(self):
         import json
         rho = named_state(3, "D").density_matrix()
