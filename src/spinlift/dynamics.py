@@ -35,13 +35,18 @@ Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009); Alvermann & Fehske, J.
 Comput. Phys. 230, 5930 (2011)) from the controls at its two Gauss nodes.
 An interval inside a smooth segment (a Blackman sweep) is cut into steps;
 one inside a constant-control segment is one step, whose two CF4 factors
-multiply to the exact exponential.  The first step is set by the
-batch's largest |gain| and |shift| (DEFAULT_PHASE_PER_STEP), and a result
-is accepted only once halving the step changes every requested d-level
-amplitude of every drive in the batch by less than the configured
-tolerance, whichever path built it, within _MAX_HALVINGS halvings and
-above the rounding floor; a drive whose segments are all constant is
-exact after one build and is not halved.
+multiply to the exact exponential.  A palindromic schedule
+(ControlSchedule.palindromic: chi = 0 throughout and its own time mirror)
+has a real Hamiltonian with H(T - t) = H(t) under every field error, so on
+a grid that is its own mirror image within 4 ulps of T the builder takes
+only the first ceil(n/2) steps and fills the rest with their transposes in
+reverse order; any other schedule or grid builds every step.  The first
+step is set by the batch's largest |gain| and |shift|
+(DEFAULT_PHASE_PER_STEP), and a result is accepted only once halving the
+step changes every requested d-level amplitude of every drive in the batch
+by less than the configured tolerance, whichever path built it, within
+_MAX_HALVINGS halvings and above the rounding floor; a drive whose
+segments are all constant is exact after one build and is not halved.
 """
 
 from __future__ import annotations
@@ -297,11 +302,20 @@ def _cf4_steps(drive: MultiLevelDrive, grid: np.ndarray, dense: bool) -> _Build:
     exponential.  H is linear in the drive's coefficients, so each factor is
     combined from coefficient rows, and a chunk of up to _STEP_CHUNK steps x
     drives takes one exponential call: _su2_exp of Lambda, or
-    spin._expm_hermitian of the Hamiltonians."""
+    spin._expm_hermitian of the Hamiltonians.
+
+    On a palindromic schedule (H(T - t) = H(t), real) over a mirror-symmetric
+    grid only the first ceil(n/2) steps are built: the CF4 nodes of the
+    mirror of a step are the step's own nodes swapped, with the weights
+    swapped too, so its propagator is the step's transpose, and the last
+    floor(n/2) steps are the first ones transposed, in reverse order."""
     d = drive.dim
     if dense:
         def exponential(c, dts):
             return _expm_hermitian(drive.hamiltonian_of(c), dts)
+
+        def transpose(u):
+            return u.swapaxes(-1, -2)
 
         compose = _compose3 if d == 3 else np.matmul
         lift, identity = (lambda u: u), np.eye(d, dtype=complex)
@@ -309,16 +323,21 @@ def _cf4_steps(drive: MultiLevelDrive, grid: np.ndarray, dense: bool) -> _Build:
         def exponential(c, dts):
             return _su2_exp(c[..., :3], dts)
 
+        def transpose(ab):  # [[a, -b*], [b, a*]] transposed
+            return np.stack([ab[..., 0], -ab[..., 1].conj()], axis=-1)
+
         def lift(ab):
             return lift_matrices(ab[..., 0], ab[..., 1], d)
 
         compose, identity = _su2_compose, np.array([1.0, 0.0], dtype=complex)
-    starts, dts = grid[:-1], np.diff(grid)
+    n = grid.size - 1
+    built = -(-n // 2) if drive.schedule.palindromic and _mirror_symmetric(grid) else n
+    starts, dts = grid[:built], np.diff(grid[: built + 1])
     batch = _batch_shape(drive)
-    out = np.empty((dts.size,) + batch + identity.shape, dtype=complex)
+    out = np.empty((n,) + batch + identity.shape, dtype=complex)
     chunk_steps = max(1, _STEP_CHUNK // max(1, math.prod(batch)))
     a1, a2 = _CF4_WEIGHTS
-    for lo in range(0, dts.size, chunk_steps):
+    for lo in range(0, built, chunk_steps):
         t, dt = starts[lo : lo + chunk_steps], dts[lo : lo + chunk_steps]
         # both Gauss nodes in one call: its fixed cost dominates short grids
         nodes = np.concatenate([t + c * dt for c in _GAUSS_NODES])
@@ -326,7 +345,16 @@ def _cf4_steps(drive: MultiLevelDrive, grid: np.ndarray, dense: bool) -> _Build:
         # the factor that acts first ahead
         units = exponential(np.concatenate([a2 * g1 + a1 * g2, a1 * g1 + a2 * g2]), np.tile(dt, 2))
         out[lo : lo + dt.size] = compose(units[dt.size :], units[: dt.size])
+    if built < n:
+        out[built:] = transpose(out[n - built - 1 :: -1])
     return _Build(out, compose, lift, identity)
+
+
+def _mirror_symmetric(grid: np.ndarray) -> bool:
+    """Whether the grid on [0, T] is its own mirror image T - grid, node
+    for node within 4 ulps of T (the rule _step_grid merges nodes by)."""
+    total = grid[-1]
+    return bool(np.all(np.abs(grid + grid[::-1] - total) <= 4 * np.spacing(total)))
 
 
 # Fewest matrices for which _compose3 beats np.matmul: below it, the fixed

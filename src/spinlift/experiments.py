@@ -20,7 +20,10 @@ it are taken with Gauss-Hermite quadrature.  Averaged so, one transfer
 operation is a mixed-unitary channel, kept as its Kraus stack sqrt(w_n) U_n
 over the quadrature nodes (_transfer_channel), and the averaged density
 matrix goes through each operation as one batched conjugation
-(_apply_channel).
+(_apply_channel).  The adiabatic reverse transfer is the time mirror of the
+forward one with chi = 0, so its Hamiltonian is real and each of its
+unitaries is the forward one's transpose: its Kraus stack is the forward
+stack transposed, not propagated again (_transfer_channels).
 """
 
 from __future__ import annotations
@@ -255,6 +258,22 @@ def _transfer_channel(schedule: ControlSchedule, noise: NoiseParams, cfg: Integr
     return np.sqrt(weights)[:, None, None] * kraus
 
 
+def _transfer_channels(method: str, params: AdiabaticParams, noise: NoiseParams,
+                       cfg: IntegratorConfig, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (forward, reverse) Kraus stacks of _transfer_channel for method's
+    transfer_schedules.  A reverse that is the forward's time mirror with
+    chi = 0 throughout (the adiabatic legs) has a real Hamiltonian under
+    every field error, so each of its unitaries is the forward's transpose
+    and its stack is the forward's, transposed; any other reverse (TBB1's
+    is the inverse sequence) is propagated."""
+    fwd_schedule, rev_schedule = transfer_schedules(method, params)
+    fwd = _transfer_channel(fwd_schedule, noise, cfg, params.omega0, dim)
+    mirrored = rev_schedule == fwd_schedule.mirrored()
+    if mirrored and all(s.chi == 0 for s in fwd_schedule.segments):
+        return fwd, fwd.swapaxes(-1, -2)
+    return fwd, _transfer_channel(rev_schedule, noise, cfg, params.omega0, dim)
+
+
 def _apply_channel(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     """sum_n K_n rho K_n^dagger over the stack axis, the third from last:
     a Kraus stack of shape (*batch, nodes, d, d) gives one state per batch
@@ -466,8 +485,7 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
     _check_transfer_count(max(ns) + 1)
     if seed is None:
         seed = m.seed
-    fwd, rev = (_transfer_channel(s, noise, cfg, params.omega0, 3)
-                for s in transfer_schedules(method, params))
+    fwd, rev = _transfer_channels(method, params, noise, cfg, 3)
 
     rho0 = _D3_ZERO.density_matrix()
     dark = _D3_DARK.amps
@@ -551,8 +569,7 @@ def run_ramsey_dressed_qubit(n_transfers: int,
 
     fwd = rev = None
     if n_transfers > 0:
-        fwd, rev = (_transfer_channel(s, noise, cfg, params.omega0, 4)
-                    for s in transfer_schedules("adiabatic", params))
+        fwd, rev = _transfer_channels("adiabatic", params, noise, cfg, 4)
 
     # the pi/2 pulse, the echo and the analysis pulses, each a Kraus stack of one
     pulses = _clock_unitary(np.r_[np.pi / 2, np.pi, np.full(phases.size, np.pi / 2)],

@@ -17,7 +17,7 @@ All frequencies are angular (rad/s) in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -124,6 +124,10 @@ class ConstantSegment:
         if self.omega_half < 0:
             raise ScheduleError(f"omega_half must be >= 0, got {self.omega_half}")
 
+    def mirrored(self) -> "ConstantSegment":
+        """The segment's time mirror: itself."""
+        return self
+
     def controls(self, t):
         t = np.asarray(t, dtype=float)
         return (np.full(t.shape, self.omega_half),
@@ -134,7 +138,8 @@ class ConstantSegment:
 @dataclass(frozen=True)
 class BlackmanTransferSegment:
     """One leg of the adiabatic transfer: Blackman amplitude ramp inside a
-    Blackman detuning chirp (chi = 0).  reverse=True time-mirrors the leg."""
+    Blackman detuning chirp (chi = 0).  reverse=True time-mirrors the leg,
+    and mirrored() is the leg with reverse flipped."""
 
     omega0: float
     delta0: float
@@ -143,6 +148,7 @@ class BlackmanTransferSegment:
     reverse: bool = False
 
     is_constant = False
+    chi = 0.0
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.omega0, self.delta0, self.t_omega, self.t_delta])):
@@ -165,6 +171,10 @@ class BlackmanTransferSegment:
         if self.t_omega == self.t_delta:
             return ()
         return (self.t_delta - self.t_omega if self.reverse else self.t_omega,)
+
+    def mirrored(self) -> "BlackmanTransferSegment":
+        """The time-mirrored leg: controls(t_delta - t) at time t."""
+        return replace(self, reverse=not self.reverse)
 
     def controls(self, t):
         t = np.asarray(t, dtype=float)
@@ -190,7 +200,12 @@ class ControlSchedule:
     is frozen, so total_duration, boundaries (the cumulative segment
     boundaries including 0 and total_duration) and breakpoints (each
     segment's interior breakpoints, where a derivative of its controls
-    jumps, at schedule time) are computed once, as read-only arrays.
+    jumps, at schedule time) are computed once, as read-only arrays, and so
+    is palindromic: every segment has chi == 0 and the schedule is its own
+    time mirror (mirrored() == self).  The controls of such a schedule are
+    real and even about its midpoint, so under any of MultiLevelDrive's
+    field errors H(T - t) = H(t) is real and the second half's propagator
+    is the transpose of the first's.
     """
 
     segments: tuple
@@ -203,7 +218,10 @@ class ControlSchedule:
                                 for t in s.breakpoints], dtype=float)
         boundaries.setflags(write=False)
         breakpoints.setflags(write=False)
+        palindromic = (all(s.chi == 0 for s in segments)
+                       and tuple(s.mirrored() for s in reversed(segments)) == segments)
         object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "palindromic", palindromic)
         object.__setattr__(self, "total_duration", float(sum(durs)))
         object.__setattr__(self, "boundaries", boundaries)
         object.__setattr__(self, "breakpoints", breakpoints)
@@ -236,6 +254,10 @@ class ControlSchedule:
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return tuple(float(x[0]) for x in out)
         return out
+
+    def mirrored(self) -> "ControlSchedule":
+        """The time mirror: the segments in reverse order, each mirrored."""
+        return ControlSchedule(s.mirrored() for s in reversed(self.segments))
 
     def __eq__(self, other):
         return isinstance(other, ControlSchedule) and self.segments == other.segments

@@ -64,6 +64,13 @@ def evolve_states(drive, psi0, sample_times, max_step):
     return _products_at(_step_unitaries(drive, grid), np.searchsorted(grid, sample_times)) @ psi0
 
 
+def su2_matrices(ab):
+    """The 2 x 2 matrices [[a, -b*], [b, a*]] of (a, b) pairs on the last axis."""
+    a, b = ab[..., 0], ab[..., 1]
+    return np.stack([np.stack([a, -b.conj()], axis=-1), np.stack([b, a.conj()], axis=-1)],
+                    axis=-2)
+
+
 def two_level_rotation(theta, phi):
     """Closed-form R(theta, phi) in the (|down>, |up>) basis."""
     c, s = np.cos(theta / 2), np.sin(theta / 2)
@@ -889,31 +896,64 @@ class TestDenseCoefficients:
         first = spin._expm_hermitian(a2 * h1 + a1 * h2, dts)
         return spin._expm_hermitian(a1 * h1 + a2 * h2, dts) @ first
 
-    def test_batched_dressed_drive_with_mismatch_and_detuning(self):
-        sched = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3, 200e-6, 300e-6,
-                                                 40e-6, "round-trip"))
-        assert {s.is_constant for s in sched.segments} == {True, False}
+    ROUND_TRIP = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3, 200e-6, 300e-6,
+                                                  40e-6, "round-trip"))
+    # seven sample times make a mirror-symmetric grid, on which the second
+    # half of the steps is the first half transposed; one more at 100 us
+    # breaks the symmetry, and every step is built
+    SAMPLES = {"symmetric": np.linspace(0.0, ROUND_TRIP.total_duration, 7),
+               "asymmetric": np.sort(np.append(np.linspace(0.0, ROUND_TRIP.total_duration, 7),
+                                               100e-6))}
+
+    @classmethod
+    def grid(cls, drive, samples):
+        assert drive.schedule.palindromic
+        assert {s.is_constant for s in drive.schedule.segments} == {True, False}
+        grid = _step_grid(drive, cls.SAMPLES[samples], 4e-6)
+        assert dynamics._mirror_symmetric(grid) == (samples == "symmetric")
+        return grid
+
+    def check_steps(self, drive, grid, build, as_matrices=np.asarray):
+        """Every built step, lifted, is the hand-built one within 1e-14; on
+        a mirror-symmetric grid the rest are the built ones' transposes, bit
+        for bit, as the matrices as_matrices makes of the steps."""
+        n = grid.size - 1
+        built = -(-n // 2) if dynamics._mirror_symmetric(grid) else n
+        lifted = build.lift(build.steps)
+        assert lifted.shape == (n, 3, 3, 3)
+        expect = self.matrix_combination(drive, grid)
+        assert np.max(np.abs(lifted[:built] - expect[:built])) <= 1e-14
+        mats = as_matrices(build.steps)
+        assert np.array_equal(mats[built:], mats[: n - built][::-1].swapaxes(-1, -2))
+        if built < n:
+            # the hand-built steps are their mirror steps' transposes to
+            # within the rounding of the step lengths: a mirrored dt differs
+            # by up to 1 ulp of the node time, which moves a step by up to
+            # 1 ulp x |H| (2.1e-14 here; 1.45e-14 measured)
+            h_norm = np.max(np.abs(np.linalg.eigvalsh(drive.hamiltonian(grid))))
+            bound = np.spacing(grid[-1]) * h_norm
+            assert np.max(np.abs(expect[::-1] - expect.swapaxes(-1, -2))) <= bound
+
+    @pytest.mark.parametrize("samples", ["symmetric", "asymmetric"])
+    def test_batched_dressed_drive_with_mismatch_and_detuning(self, samples):
         noise = NoiseParams(rabi_mismatch=0.002, common_rabi_error=TWO_PI * 1e3,
                             static_detuning=TWO_PI * 5.0)
-        drive = DressedDrive(sched, noise, TWO_PI * np.array([-400.0, 0.0, 250.0]), OMEGA0)
+        drive = DressedDrive(self.ROUND_TRIP, noise, TWO_PI * np.array([-400.0, 0.0, 250.0]),
+                             OMEGA0)
         assert not drive.su2_covariant
-        grid = _step_grid(drive, np.linspace(0.0, sched.total_duration, 7), 4e-6)
-        got = dynamics._dense_steps(drive, grid).steps
-        assert got.shape == (grid.size - 1, 3, 3, 3)
-        assert np.max(np.abs(got - self.matrix_combination(drive, grid))) <= 1e-14
+        grid = self.grid(drive, samples)
+        self.check_steps(drive, grid, dynamics._dense_steps(drive, grid))
 
-    def test_su2_steps_lifted(self):
-        sched = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3, 200e-6, 300e-6,
-                                                 40e-6, "round-trip"))
+    @pytest.mark.parametrize("samples", ["symmetric", "asymmetric"])
+    def test_su2_steps_lifted(self, samples):
         noise = NoiseParams(common_rabi_error=TWO_PI * 1e3)
-        drive = DressedDrive(sched, noise, TWO_PI * np.array([-400.0, 0.0, 250.0]), OMEGA0)
+        drive = DressedDrive(self.ROUND_TRIP, noise, TWO_PI * np.array([-400.0, 0.0, 250.0]),
+                             OMEGA0)
         assert drive.su2_covariant
-        grid = _step_grid(drive, np.linspace(0.0, sched.total_duration, 7), 4e-6)
+        grid = self.grid(drive, samples)
         build = _step_unitaries(drive, grid)
         assert build.compose is dynamics._su2_compose
-        got = build.lift(build.steps)
-        assert got.shape == (grid.size - 1, 3, 3, 3)
-        assert np.max(np.abs(got - self.matrix_combination(drive, grid))) <= 1e-14
+        self.check_steps(drive, grid, build, su2_matrices)
 
     def test_hamiltonian_is_the_basis_product_of_its_coefficients(self):
         drive = MultiLevelDrive(4, TestIntegrator.FORWARD, gain=np.array([1.0, 0.98]),
@@ -945,6 +985,10 @@ class TestStepChunks:
         grid = _step_grid(drive, np.linspace(0.0, sched.total_duration, 7), 4e-6)
         build = dynamics._dense_steps if dense else _step_unitaries
         assert 6 * (grid.size - 1) <= dynamics._STEP_CHUNK
+        # a palindromic schedule on a mirror-symmetric grid: the first half
+        # of the steps is built, the rest are its transposes
+        assert sched.palindromic and dynamics._mirror_symmetric(grid)
+        built = -(-(grid.size - 1) // 2)
         whole = build(drive, grid).steps
         samples = []
         coefficients = MultiLevelDrive.coefficients
@@ -956,11 +1000,77 @@ class TestStepChunks:
             monkeypatch.setattr(dynamics, "_STEP_CHUNK", chunk)
             samples.clear()
             got = build(drive, grid).steps
-            assert len(samples) == -(-(grid.size - 1) // max(1, chunk // 6))
+            assert len(samples) == -(-built // max(1, chunk // 6))
+            assert sum(samples) == 2 * built
             if dense:
                 assert np.max(np.abs(got - whole)) <= 1e-14
             else:
                 assert np.array_equal(got, whole)
+
+
+class TestMirroredBuild:
+    """A palindromic schedule (chi = 0, its own time mirror) on a
+    mirror-symmetric grid builds the first half of its steps and transposes
+    them into the second; any other drive or grid builds every step."""
+
+    TRIP = AdiabaticParams(OMEGA0, TWO_PI * 60e3, 100e-6, 150e-6, 20e-6, "round-trip")
+    NOISE = {"su2": {}, "dense": {"rabi_mismatch": 0.002, "static_detuning": TWO_PI * 5.0}}
+
+    @staticmethod
+    def count_built(monkeypatch):
+        """[steps in the grid, steps built] of each build: a built step
+        samples the drive's coefficients at its two Gauss nodes."""
+        builds = []
+        coefficients, cf4_steps = MultiLevelDrive.coefficients, dynamics._cf4_steps
+
+        def counted_coefficients(self, t):
+            builds[-1][1] += np.size(t) // 2
+            return coefficients(self, t)
+
+        def counted_steps(drive, grid, dense):
+            builds.append([grid.size - 1, 0])
+            return cf4_steps(drive, grid, dense)
+
+        monkeypatch.setattr(MultiLevelDrive, "coefficients", counted_coefficients)
+        monkeypatch.setattr(dynamics, "_cf4_steps", counted_steps)
+        return builds
+
+    @staticmethod
+    def batch(d, schedule, noise):
+        return MultiLevelDrive(d, schedule, gain=np.array([1.0, 1.02]),
+                               shift=TWO_PI * np.array([[0.0], [300.0]]), **noise)
+
+    @pytest.mark.parametrize("path", ["su2", "dense"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_round_trip_matches_its_separately_propagated_legs(self, d, path, monkeypatch):
+        trip = adiabatic_method(self.TRIP)
+        builds = self.count_built(monkeypatch)
+        drive = self.batch(d, trip, self.NOISE[path])
+        assert drive.su2_covariant == (path == "su2")
+        got = np.array([u.mat for u in dynamics.propagators(drive, CFG)])
+        assert builds and all(built == -(-n // 2) for n, built in builds)
+        legs = [np.array([u.mat for u in dynamics.propagators(
+                    self.batch(d, ControlSchedule([s]), self.NOISE[path]), CFG)])
+                for s in trip.segments]
+        assert np.max(np.abs(got - legs[2] @ legs[1] @ legs[0])) <= CFG.tolerance
+
+    @pytest.mark.parametrize("path", ["su2", "dense"])
+    def test_fallbacks_build_every_step(self, path, monkeypatch):
+        trip = adiabatic_method(self.TRIP)
+        leg, hold = trip.segments[:2]
+        turned = ControlSchedule([leg, replace(hold, chi=np.pi / 2), leg.mirrored()])
+        forward_hold = adiabatic_method(replace(self.TRIP, direction="forward"))
+        assert trip.palindromic
+        assert not turned.palindromic and not forward_hold.palindromic
+        builds = self.count_built(monkeypatch)
+        # sample times that are not their own mirror image
+        psi0 = named_state(3, "0")
+        propagate(self.batch(3, trip, self.NOISE[path]), psi0, CFG,
+                  [0.0, 60e-6, trip.total_duration])
+        # a chi = pi/2 hold at the centre, and a leg with a hold after it
+        for schedule in (turned, forward_hold):
+            dynamics.propagators(self.batch(3, schedule, self.NOISE[path]), CFG)
+        assert builds and all(built == n for n, built in builds)
 
 
 class TestEigenScan:

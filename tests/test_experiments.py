@@ -108,6 +108,34 @@ class TestTransferChannel:
             total = np.sum(kraus.conj().swapaxes(-1, -2) @ kraus, axis=0)
             assert np.max(np.abs(total - np.eye(dim))) <= 1e-12
 
+    @pytest.mark.parametrize("noise", [  # the SU(2) path, then the dense path
+        NoiseParams(common_rabi_error=TWO_PI * 1e3, quasi_static_zeeman_sigma=TWO_PI * 200.0),
+        NoiseParams(rabi_mismatch=0.002, static_detuning=TWO_PI * 5.0,
+                    quasi_static_zeeman_sigma=TWO_PI * 200.0)])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_adiabatic_reverse_stack_is_the_forward_transposed(self, dim, noise, monkeypatch):
+        fwd_schedule, rev_schedule = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
+        assert rev_schedule == fwd_schedule.mirrored()
+        builds = TestBatchedScenarios.count_builds(monkeypatch, (rev_schedule,))
+        fwd, rev = experiments._transfer_channels("adiabatic", NOMINAL_ADIABATIC, noise, FAST, dim)
+        assert builds == []  # the reverse transfer is not propagated
+        assert np.array_equal(rev, fwd.swapaxes(-1, -2))
+        propagated = experiments._transfer_channel(rev_schedule, noise, FAST, self.OMEGA0, dim)
+        assert builds
+        assert np.max(np.abs(rev - propagated)) <= 1e-13
+
+    def test_tbb1_reverse_is_propagated(self):
+        # TBB1's reverse is the inverse sequence, not the time mirror: its
+        # Kraus stack under a Zeeman average is not the forward one transposed
+        noise = NoiseParams(common_rabi_error=TWO_PI * 1e3,
+                            quasi_static_zeeman_sigma=TWO_PI * 200.0)
+        fwd_schedule, rev_schedule = transfer_schedules("tbb1", NOMINAL_ADIABATIC)
+        assert rev_schedule != fwd_schedule.mirrored()
+        fwd, rev = experiments._transfer_channels("tbb1", NOMINAL_ADIABATIC, noise, FAST, 4)
+        assert np.array_equal(rev, experiments._transfer_channel(rev_schedule, noise, FAST,
+                                                                 self.OMEGA0, 4))
+        assert np.max(np.abs(rev - fwd.swapaxes(-1, -2))) > 1e-6
+
     def test_apply_channel_is_the_per_node_sum(self):
         noise = NoiseParams(common_rabi_error=TWO_PI * 1e3,
                             quasi_static_zeeman_sigma=TWO_PI * 200.0)
@@ -586,10 +614,12 @@ class TestBatchedScenarios:
         fwd, rev = transfer_schedules("adiabatic", NOMINAL_ADIABATIC)
         builds = self.count_builds(monkeypatch, (fwd, rev))
         assert acceptance.check_closed_loop_eps().passed
-        # the floor (one node), the 300 Hz probe and the forward and reverse
-        # operations of the fringe pipeline (21 nodes each)
+        # the floor (one node), the 300 Hz probe and the forward operation of
+        # the fringe pipeline (21 nodes each); the reverse operation is the
+        # forward leg's time mirror with chi = 0, so its Kraus stack is the
+        # forward one transposed and is not propagated
         calls = self.calls(builds)
-        assert [{b for _, b in call} for call in calls] == [{(1,)}, {(21,)}, {(21,)}, {(21,)}]
+        assert [{b for _, b in call} for call in calls] == [{(1,)}, {(21,)}, {(21,)}]
 
     @pytest.mark.parametrize("ns", [[8, 2], [8, 2, 4, 4], [8, 2, 0, 16]])
     def test_each_count_continues_from_the_previous_one(self, ns, monkeypatch):

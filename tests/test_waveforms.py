@@ -132,6 +132,28 @@ class TestAdiabaticMethod:
         assert np.max(np.abs(d1 - d2)) < 1e-12 * DELTA0
         assert np.max(np.abs(c1 - c2)) < 1e-12
 
+    def test_mirrored_schedules(self):
+        legs = {direction: adiabatic_method(AdiabaticParams(
+            OMEGA0, DELTA0, 200e-6, 300e-6, 40e-6, direction))
+            for direction in ("forward", "reverse", "round-trip")}
+        fwd, rev, trip = legs["forward"], legs["reverse"], legs["round-trip"]
+        # forward + hold mirrors to hold + reverse; the legs mirror to each other
+        assert fwd.mirrored() == ControlSchedule([fwd.segments[1], rev.segments[0]])
+        assert ControlSchedule(fwd.segments[:1]).mirrored() == rev
+        assert rev.mirrored().mirrored() == rev
+        assert trip.mirrored() == trip and trip.palindromic
+        assert not fwd.palindromic and not rev.palindromic
+        ts = np.linspace(0.0, fwd.total_duration, 41)
+        for a, b in zip(fwd.controls(ts), fwd.mirrored().controls(fwd.total_duration - ts)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * DELTA0
+        # a constant segment is its own mirror, but only chi = 0 keeps H real
+        leg, hold = trip.segments[0], trip.segments[1]
+        assert hold.mirrored() is hold and leg.chi == 0.0
+        turned = ControlSchedule([leg, ConstantSegment(40e-6, OMEGA0, chi=np.pi / 2),
+                                  leg.mirrored()])
+        assert turned.mirrored() == turned and not turned.palindromic
+        assert ControlSchedule([]).palindromic
+
     def test_invariant_violations(self):
         with pytest.raises(ScheduleError):
             AdiabaticParams(OMEGA0, DELTA0, 400e-6, 300e-6)  # t_omega > t_delta
