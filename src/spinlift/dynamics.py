@@ -14,13 +14,17 @@ exponential, kept as the (a, b) pair of [[a, -b*], [b, a*]].  Only a drive
 that breaks the symmetry takes the dense path, a batched d x d exponential
 of the Hamiltonian of the coefficients: closed form by the Cayley-Hamilton
 theorem for d = 3, spectral for any other d; that path also serves as the
-independent reference for the lift.  The paths differ only in that
-exponential and in how steps are composed (_su2_compose; at d = 3
-_compose3, an unrolled 3 x 3 product, and np.matmul at any other d) and
-lifted.  Either path's steps go to one product rule, _products_at: a
-pairwise reduction for one sample time, or else one work-efficient
-running product over the steps up to the last one (about two composes per
-step), gives the operators at the sample times, lifted to d levels once.
+independent reference for the lift.  A chi = 0 schedule has a real
+Hamiltonian under every field error, and it stays real up to the
+exponential (MultiLevelDrive.hamiltonian_of, spin._expm_hermitian).  The
+paths differ only in that exponential and in how steps are composed
+(_su2_compose; at d = 3 _compose3, an unrolled 3 x 3 product, and
+np.matmul at any other d) and lifted.  Either path's steps go to one
+product rule, _products_at: a pairwise reduction for one sample time, or
+else one work-efficient running product over the steps up to the last one
+(about two composes per step), gives the operators at the sample times,
+lifted to d levels once; a palindromic build (below) is multiplied over
+its built half only.
 propagate, propagator, propagators and _dense_propagator are shells over
 one core, _propagation: propagate applies psi0 to the operators, the
 others project the last one to a unitary.
@@ -28,14 +32,15 @@ others project the last one to a unitary.
 Step boundaries are forced at segment boundaries, sample times and the
 schedule's breakpoints (a Blackman ramp's corner), so no step straddles a
 discontinuity of the controls or of a derivative (composite phases are
-handled exactly); the grid is built in one vectorized pass, so a densely
-sampled drive costs no Python work per sample.  Every step is taken with
-the two-exponential fourth-order commutator-free Magnus rule (CF4; Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009); Alvermann & Fehske, J.
-Comput. Phys. 230, 5930 (2011)) from the controls at its two Gauss nodes.
-An interval inside a smooth segment (a Blackman sweep) is cut into steps;
-one inside a constant-control segment is one step, whose two CF4 factors
-multiply to the exact exponential.  A palindromic schedule
+handled exactly); these nodes and the constancy of each interval between
+them are found once per propagation, and each grid subdivides them in one
+vectorized pass, so a densely sampled drive costs no Python work per
+sample.  An interval inside a smooth segment (a Blackman sweep) is cut into
+steps, each taken with the two-exponential fourth-order commutator-free
+Magnus rule (CF4; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009);
+Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)) from the controls
+at its two Gauss nodes; one inside a constant-control segment is one step
+that takes one exponential, its exact propagator.  A palindromic schedule
 (ControlSchedule.palindromic: chi = 0 throughout and its own time mirror)
 has a real Hamiltonian with H(T - t) = H(t) under every field error, so on
 a grid that is its own mirror image within 4 ulps of T the builder takes
@@ -218,31 +223,29 @@ def _auto_max_step(drive: MultiLevelDrive) -> float:
 
 
 def _constant_mask(drive: MultiLevelDrive, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Whether each interval [left, right], which lies inside one segment,
-    lies inside a constant-control segment."""
+    """Whether each interval [left, right] lies inside one constant-control
+    segment: the segment that owns left (a boundary belongs to the later
+    segment) is constant and ends at or after right."""
     segments = drive.schedule.segments
     is_constant = np.array([s.is_constant for s in segments], dtype=bool)
-    idx = np.searchsorted(drive.boundaries, (left + right) / 2.0, side="right") - 1
-    return is_constant[np.clip(idx, 0, max(len(segments) - 1, 0))]
+    if not is_constant.any():
+        return np.zeros(np.shape(left), dtype=bool)
+    bounds = drive.boundaries
+    owner = np.clip(np.searchsorted(bounds, left, side="right") - 1, 0, len(segments) - 1)
+    return is_constant[owner] & (right <= bounds[owner + 1])
 
 
-def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float) -> np.ndarray:
-    """Time grid with boundaries, sample times and breakpoints as forced nodes.
+def _forced_nodes(drive: MultiLevelDrive, sample_times: np.ndarray):
+    """The nodes that every step grid of a propagation keeps, with whether
+    each interval between them lies inside a constant-control segment.
 
-    Intervals inside smooth segments are subdivided uniformly so every step
-    is <= max_step; intervals inside constant segments are kept whole, since
-    one CF4 step is exact there.  Forced nodes are emitted exactly (no
-    a + (b-a)*k/n endpoint rounding), so sample times can be located in the
-    grid by exact match and no step straddles a segment boundary or a jump
-    in a derivative of the controls, which would cost CF4 its fourth order.
-    A breakpoint within 4 ulps of a boundary or sample time is that node
-    rounded, and is dropped rather than left as a sliver step.  All nodes
-    come from one vectorized pass: node k of an interval [a, b] cut into n
-    steps is a + (b - a) * k / n, k = 0 being a itself, and an interior node
-    that does not exceed the node before it, or that rounds onto b, is
-    dropped, so no step has zero length.  Raises IntegratorError, before
-    allocating, for a grid of more than _MAX_BUILD_STEPS steps.
-    """
+    They are the segment boundaries, the sample times and the schedule's
+    breakpoints (a Blackman ramp's corner), so no step straddles a
+    discontinuity of the controls or a jump in a derivative, which would
+    cost CF4 its fourth order.  A breakpoint within 4 ulps of a boundary or
+    sample time is that node rounded, and is dropped rather than left as a
+    sliver step.  None of this depends on the step, so _converge makes it
+    once per propagation and each build only subdivides it (_subdivide)."""
     total = drive.total_duration
     forced = np.unique(np.concatenate([drive.boundaries, sample_times, [0.0, total]]))
     forced = forced[(forced >= 0.0) & (forced <= total)]
@@ -250,8 +253,25 @@ def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float
     near = forced[np.clip(np.searchsorted(forced, corners), 1, forced.size - 1) - [[1], [0]]]
     far = np.all(np.abs(near - corners) > 4 * np.spacing(corners), axis=0)
     forced = np.union1d(forced, corners[far])
-    const = _constant_mask(drive, forced[:-1], forced[1:])
-    counts = np.where(const, 1.0, np.maximum(1.0, np.ceil(np.diff(forced) / max_step - 1e-12)))
+    return forced, _constant_mask(drive, forced[:-1], forced[1:])
+
+
+def _subdivide(forced: np.ndarray, constant: np.ndarray, max_step: float) -> np.ndarray:
+    """The step grid on the forced nodes of _forced_nodes.
+
+    Intervals inside smooth segments are subdivided uniformly so every step
+    is <= max_step; intervals inside constant segments are kept whole, since
+    one exponential is exact there.  Forced nodes are emitted exactly (no
+    a + (b-a)*k/n endpoint rounding), so sample times can be located in the
+    grid by exact match.  All nodes come from one vectorized pass: node k
+    of an interval [a, b] cut into n steps is a + (b - a) * k / n, k = 0
+    being a itself, and an interior node that does not exceed the node
+    before it, or that rounds onto b, is dropped, so no step has zero
+    length.  Raises IntegratorError, before allocating, for a grid of more
+    than _MAX_BUILD_STEPS steps.
+    """
+    counts = np.where(constant, 1.0,
+                      np.maximum(1.0, np.ceil(np.diff(forced) / max_step - 1e-12)))
     n_steps = float(np.sum(counts))
     if n_steps > _MAX_BUILD_STEPS:
         raise IntegratorError(
@@ -266,6 +286,13 @@ def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float
     return np.append(nodes[keep], forced[-1])
 
 
+def _step_grid(drive: MultiLevelDrive, sample_times: np.ndarray, max_step: float) -> np.ndarray:
+    """Time grid with boundaries, sample times and breakpoints as forced
+    nodes (_forced_nodes), cut into steps of at most max_step inside smooth
+    segments (_subdivide)."""
+    return _subdivide(*_forced_nodes(drive, sample_times), max_step)
+
+
 def _batch_shape(drive) -> tuple:
     """The batch shape of a drive: its gain and shift broadcast together."""
     return np.broadcast(drive.gain, drive.shift).shape
@@ -274,13 +301,17 @@ def _batch_shape(drive) -> tuple:
 @dataclass(frozen=True)
 class _Build:
     """The step propagators of one grid, shape (n_steps, *batch) +
-    identity.shape, with their product rule: compose(u, w) is u @ w, and
-    lift takes products to d-level matrices; _cf4_steps makes both kinds."""
+    identity.shape, with their product rule: compose(u, w) is u @ w, lift
+    takes products to d-level matrices and transpose transposes them; every
+    step from index built on is an earlier one transposed (see _cf4_steps).
+    _cf4_steps makes both kinds."""
 
     steps: np.ndarray
     compose: Callable
     lift: Callable
     identity: np.ndarray
+    transpose: Callable
+    built: int
 
 
 def _step_unitaries(drive: MultiLevelDrive, grid: np.ndarray) -> _Build:
@@ -295,14 +326,17 @@ def _dense_steps(drive: MultiLevelDrive, grid: np.ndarray) -> _Build:
 
 def _cf4_steps(drive: MultiLevelDrive, grid: np.ndarray, dense: bool) -> _Build:
     """Step propagators over each grid interval: (a, b) pairs of the
-    spin-1/2 problem, or d x d matrices with dense=True.  Every step is the
-    CF4 step U = exp(-i dt (A1 H1 + A2 H2)) exp(-i dt (A2 H1 + A1 H2)) of H
-    at the Gauss nodes, the right-hand factor first; on a constant step
-    H1 = H2 and A1 + A2 = 1/2, so its two factors multiply to its one exact
-    exponential.  H is linear in the drive's coefficients, so each factor is
-    combined from coefficient rows, and a chunk of up to _STEP_CHUNK steps x
-    drives takes one exponential call: _su2_exp of Lambda, or
-    spin._expm_hermitian of the Hamiltonians.
+    spin-1/2 problem, or d x d matrices with dense=True.  A step inside a
+    smooth segment is the CF4 step
+    U = exp(-i dt (A1 H1 + A2 H2)) exp(-i dt (A2 H1 + A1 H2)) of H at the
+    Gauss nodes, the right-hand factor first; a step inside a constant
+    segment (_constant_mask) has H1 = H2 and A1 + A2 = 1/2, and is its one
+    exact exponential exp(-i dt H1).  H is linear in the drive's
+    coefficients, so each factor is combined from coefficient rows, and a
+    chunk of up to _STEP_CHUNK steps x drives takes one exponential call of
+    its smooth steps' factors and its constant steps: _su2_exp of Lambda,
+    or spin._expm_hermitian of the Hamiltonians, which stay real for a
+    chi = 0 schedule (MultiLevelDrive.hamiltonian_of).
 
     On a palindromic schedule (H(T - t) = H(t), real) over a mirror-symmetric
     grid only the first ceil(n/2) steps are built: the CF4 nodes of the
@@ -332,7 +366,11 @@ def _cf4_steps(drive: MultiLevelDrive, grid: np.ndarray, dense: bool) -> _Build:
         compose, identity = _su2_compose, np.array([1.0, 0.0], dtype=complex)
     n = grid.size - 1
     built = -(-n // 2) if drive.schedule.palindromic and _mirror_symmetric(grid) else n
-    starts, dts = grid[:built], np.diff(grid[: built + 1])
+    starts, ends = grid[:built], grid[1 : built + 1]
+    dts, constant = ends - starts, _constant_mask(drive, starts, ends)
+    # slices (no copies) where the steps are all smooth or all constant, masks where they mix
+    kinds = ((slice(0), slice(None)) if constant.all() else
+             None if constant.any() else (slice(None), slice(0)))
     batch = _batch_shape(drive)
     out = np.empty((n,) + batch + identity.shape, dtype=complex)
     chunk_steps = max(1, _STEP_CHUNK // max(1, math.prod(batch)))
@@ -342,12 +380,20 @@ def _cf4_steps(drive: MultiLevelDrive, grid: np.ndarray, dense: bool) -> _Build:
         # both Gauss nodes in one call: its fixed cost dominates short grids
         nodes = np.concatenate([t + c * dt for c in _GAUSS_NODES])
         g1, g2 = np.split(drive.coefficients(nodes), 2)
-        # the factor that acts first ahead
-        units = exponential(np.concatenate([a2 * g1 + a1 * g2, a1 * g1 + a2 * g2]), np.tile(dt, 2))
-        out[lo : lo + dt.size] = compose(units[dt.size :], units[: dt.size])
+        const = constant[lo : lo + chunk_steps]
+        smooth, flat = kinds or (~const, const)
+        s1, s2, m = g1[smooth], g2[smooth], dt[smooth].size
+        # the smooth steps' factors, the one that acts first ahead, then the
+        # constant steps, whose coefficients are the same at both nodes
+        rows = np.concatenate([a2 * s1 + a1 * s2, a1 * s1 + a2 * s2, g1[flat]])
+        units = exponential(rows, np.concatenate([dt[smooth], dt[smooth], dt[flat]]))
+        block = out[lo : lo + dt.size]
+        if m:
+            block[smooth] = compose(units[m : 2 * m], units[:m])
+        block[flat] = units[2 * m :]
     if built < n:
         out[built:] = transpose(out[n - built - 1 :: -1])
-    return _Build(out, compose, lift, identity)
+    return _Build(out, compose, lift, identity, transpose, built)
 
 
 def _mirror_symmetric(grid: np.ndarray) -> bool:
@@ -454,22 +500,43 @@ def _running_product(arr: np.ndarray, compose) -> np.ndarray:
 
 
 def _products_at(build: _Build, idx: np.ndarray) -> np.ndarray:
-    """The d-level ordered products steps[i-1] @ ... @ steps[0] at each i of
-    the non-decreasing step indices idx, shape (idx.size, *batch, d, d); an
-    index of 0 gives the identity.
+    """The d-level ordered products P_i = steps[i-1] @ ... @ steps[0] at
+    each i of the non-decreasing step indices idx, shape
+    (idx.size, *batch, d, d); an index of 0 gives the identity.
 
-    A single index n > 0 takes the pairwise reduction of steps[:n], read
+    A single index i > 0 takes the pairwise reduction of steps[:i], read
     from the step array itself.  Any other idx copies the steps up to its
     last index behind a leading identity and takes their work-efficient
     running product in place (_running_product, about 2 composes per step);
-    the prefixes at idx are lifted to d levels once."""
-    steps, compose = build.steps, build.compose
-    if idx.size == 1 and idx[0] > 0:
-        return build.lift(_pairwise_product(steps[: idx[0]], compose)[None])
-    prefix = np.empty((idx[-1] + 1,) + steps.shape[1:], dtype=complex)
+    the prefixes at idx are lifted to d levels once.
+
+    When the build filled its steps from index built on as the first
+    h = n - built transposed (a palindromic build), only the built steps
+    are multiplied: P_n = P_h^T P_built, and for i > built
+    P_i = conj(P_{n-i}) P_n, since the steps after i multiply to
+    P_{n-i}^T and the conjugate of a unitary is its transpose's inverse
+    (on the SU(2) path the conjugate of (a, b) is (a*, b*))."""
+    steps, compose, built = build.steps, build.compose, build.built
+    n, last = steps.shape[0], idx[-1]
+    if idx.size == 1 and 0 < last <= built:
+        return build.lift(_pairwise_product(steps[:last], compose)[None])
+    if idx.size == 1 and built < last == n:
+        half = _pairwise_product(steps[: n - built], compose)
+        middle = compose(steps[n - built], half) if built > n - built else half
+        return build.lift(compose(build.transpose(half), middle)[None])
+    scan = min(last, built)
+    prefix = np.empty((scan + 1,) + steps.shape[1:], dtype=complex)
     prefix[0] = build.identity
-    prefix[1:] = steps[: idx[-1]]
-    return build.lift(_running_product(prefix, compose)[idx])
+    prefix[1:] = steps[:scan]
+    prefix = _running_product(prefix, compose)
+    if last <= built:
+        return build.lift(prefix[idx])
+    total = compose(build.transpose(prefix[n - built]), prefix[built])
+    split = np.searchsorted(idx, built, side="right")
+    ops = np.empty((idx.size,) + steps.shape[1:], dtype=complex)
+    ops[:split] = prefix[idx[:split]]
+    ops[split:] = compose(prefix[n - idx[split:]].conj(), total)
+    return build.lift(ops)
 
 
 def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
@@ -478,25 +545,28 @@ def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
     drive's _auto_max_step, until two successive results differ by less than
     cfg.tolerance everywhere; IntegratorError after _MAX_HALVINGS halvings,
     or at the rounding floor: a residual below one ulp per step that a
-    halving failed to cut by 2 (CF4 cuts it by 16) is rounding.
+    halving failed to cut by 2 (CF4 cuts it by 16) is rounding.  The forced
+    nodes and their intervals' constancy are made once (_forced_nodes), and
+    each grid subdivides them (_subdivide).
 
     An all-constant drive is exact on its forced nodes, so it is evaluated
     once and not halved.
     """
     total = drive.total_duration
+    forced = _forced_nodes(drive, sample_times)
     if all(s.is_constant for s in drive.schedule.segments):
-        grid = _step_grid(drive, sample_times, total)
+        grid = _subdivide(*forced, total)
         logger.debug("%s: path %s, all segments constant, 1 build of %d steps, no halving",
                      caller, path, grid.size - 1)
         return on_grid(grid)
     h = min(_auto_max_step(drive), total)
-    grid = _step_grid(drive, sample_times, h)
+    grid = _subdivide(*forced, h)
     steps = [grid.size - 1]
     coarse = on_grid(grid)
     residual, reason = np.inf, f"after {_MAX_HALVINGS} halvings"
     for _ in range(_MAX_HALVINGS):
         h /= 2
-        grid = _step_grid(drive, sample_times, h)
+        grid = _subdivide(*forced, h)
         steps.append(grid.size - 1)
         fine = on_grid(grid)
         last, residual = residual, (float(np.max(np.abs(fine - coarse))) if fine.size else 0.0)

@@ -142,7 +142,9 @@ class NoiseParams:
     common_rabi_error: signed offset applied to the peak Rabi frequency
         (rad/s); DressedDrive needs it smaller in magnitude than that peak
     static_detuning: common per-field detuning offset (rad/s), SU(2)-breaking
-    quasi_static_zeeman_sigma: std of the Gaussian +/-z shift on |+-1> (rad/s)
+    quasi_static_zeeman_sigma: std of the Gaussian +/-z shift on |+-1> (rad/s),
+        constant over one transfer operation and drawn afresh for each
+        transfer and each shot
     """
 
     rabi_mismatch: float = 0.0

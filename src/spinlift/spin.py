@@ -161,7 +161,8 @@ def _expm_hermitian(h: np.ndarray, t) -> np.ndarray:
     """exp(-i t h) for Hermitian h of shape (..., d, d), read from its lower
     triangle; t is a scalar or has one entry per leading index of h.  A 3 x 3
     h takes the closed form of _expm3, any other d a spectral decomposition
-    (exactly unitary)."""
+    (exactly unitary).  A real symmetric h stays real up to the exponential:
+    _expm3 takes it in real arithmetic, and eigh gets real input."""
     t = np.asarray(t, dtype=float)
     if h.shape[-1] == 3:
         return _expm3(h, t)
@@ -192,9 +193,14 @@ def _expm3(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     rescaled to Q, with sin(s w) / (s w) by its series where s w < 0.05.
     Where s < _SERIES_BELOW (a small c1 of Q0) they come from the Taylor
     series of exp(i s Q) instead, reduced by Q^3 = c1 Q + c0 I.  Apart from
-    the result, every array has one entry per matrix."""
+    the result, every array has one entry per matrix.
+
+    A real h (real symmetric, of a float dtype) is taken in real arithmetic
+    up to f0, f1 and f2: Q and Q^2 are real, and the result is symmetric,
+    so only its diagonal and lower triangle are computed."""
     lead = h.shape[:-2]
     h = h.reshape((-1, 3, 3))
+    real = h.dtype.kind == "f"
     t = np.broadcast_to(t.reshape(t.shape + (1,) * (len(lead) - t.ndim)), lead).reshape(-1)
     mean = (h[:, 0, 0].real + h[:, 1, 1].real + h[:, 2, 2].real) / 3.0
     # Q0: diagonal a, b, c and lower triangle x = Q0[1, 0], y = Q0[2, 0], z = Q0[2, 1]
@@ -203,7 +209,8 @@ def _expm3(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     s = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c), np.abs(x), np.abs(y), np.abs(z)])
     scale = np.where(s > 0.0, s, 1.0)
     a, b, c, x, y, z = a / scale, b / scale, c / scale, x / scale, y / scale, z / scale
-    xx, yy, zz = x.real**2 + x.imag**2, y.real**2 + y.imag**2, z.real**2 + z.imag**2
+    # |x|^2, |y|^2, |z|^2, by real products for a real h
+    xx, yy, zz = ((v * v) if real else (v.real**2 + v.imag**2) for v in (x, y, z))
     c1 = 0.5 * (a * a + b * b + c * c) + xx + yy + zz
     c0 = a * b * c + 2.0 * (x * z * y.conj()).real - a * zz - b * yy - c * xx
     # c1 >= 1/2 wherever s > 0; the rows of s = 0 are taken from the series
@@ -240,11 +247,14 @@ def _expm3(h: np.ndarray, t: np.ndarray) -> np.ndarray:
     out[:, 1, 1] = f0 + f1 * b + f2 * (xx + b * b + zz)
     out[:, 2, 2] = f0 + f1 * c + f2 * (yy + zz + c * c)
     out[:, 1, 0] = f1 * x + f2 * q10
-    out[:, 0, 1] = f1 * x.conj() + f2 * q10.conj()
     out[:, 2, 0] = f1 * y + f2 * q20
-    out[:, 0, 2] = f1 * y.conj() + f2 * q20.conj()
     out[:, 2, 1] = f1 * z + f2 * q21
-    out[:, 1, 2] = f1 * z.conj() + f2 * q21.conj()
+    if real:
+        out[:, [0, 0, 1], [1, 2, 2]] = out[:, [1, 2, 2], [0, 0, 1]]
+    else:
+        out[:, 0, 1] = f1 * x.conj() + f2 * q10.conj()
+        out[:, 0, 2] = f1 * y.conj() + f2 * q20.conj()
+        out[:, 1, 2] = f1 * z.conj() + f2 * q21.conj()
     return out.reshape(lead + (3, 3))
 
 

@@ -461,45 +461,57 @@ class MultiLevelDrive:
 
     def hamiltonian_of(self, coeffs: np.ndarray) -> np.ndarray:
         """The d x d Hamiltonians of coefficient rows (see coefficients), or
-        of any real combination of them: H is linear in its coefficients."""
+        of any real combination of them: H is linear in its coefficients.
+        Every operator but Jy - eps {Jz, Jy} is real, so H is returned as a
+        real array exactly when the Jy coefficient is zero on every row (a
+        chi = 0 schedule, under any field error), and as a complex one
+        otherwise."""
         # one 2-D product: a stack of (1, 4) rows would be one small product per row
-        basis = _operator_basis(self.dim, self.rabi_mismatch)
-        h = (np.reshape(coeffs, (-1, 4)) @ basis).view(complex)
+        rows = np.reshape(coeffs, (-1, 4))
+        real = not np.any(rows[:, 1])
+        h = rows @ _operator_basis(self.dim, self.rabi_mismatch, real)
+        h = h if real else h.view(complex)
         return h.reshape(np.shape(coeffs)[:-1] + (self.dim, self.dim))
 
     def control_peaks(self) -> float:
-        """max of max(Omega, |delta|) in three-level field units over 512
-        evenly spaced times and the segment boundaries, used for the default
-        integrator step.  The per-field Rabi frequency
+        """max of max(Omega, |delta|) in three-level field units, used for
+        the default integrator step: each segment's controls at its two
+        ends, which hold its extremes (a constant segment is its own value,
+        and a Blackman ramp and chirp are monotone), over the segments that
+        own a time (a boundary belongs to the later segment, the final
+        boundary to the last segment).  The per-field Rabi frequency
         sqrt(2) Omega_half is scaled by |gain| (1 + rabi_mismatch), and the
         detuning 2 |delta_half| is widened by 2 (|shift| + |static_detuning|);
         array gains and shifts count with their largest magnitude."""
         sched = self.schedule
-        total = sched.total_duration
-        if total == 0:
+        if sched.total_duration == 0:
             return 0.0
         bounds = sched.boundaries
-        probes = np.unique(np.concatenate([np.linspace(0.0, total, 512), bounds,
-                                           np.clip(bounds - 1e-15, 0, total)]))
-        omega_half, _, delta_half = sched.controls(probes)
+        owners = [s for k, s in enumerate(sched.segments)
+                  if bounds[k + 1] > bounds[k] or k == len(sched.segments) - 1]
+        ends = [s.controls(np.array([0.0, s.duration])) for s in owners]
+        omega_half = max(float(np.max(np.abs(o))) for o, _, _ in ends)
+        delta_half = max(float(np.max(np.abs(dl))) for _, _, dl in ends)
         gain = float(np.abs(self.gain).max())
         level_shift = float(np.abs(self.shift).max()) + abs(self.static_detuning)
-        peak_omega = np.sqrt(2.0) * np.max(np.abs(omega_half)) * ((1.0 + self.rabi_mismatch) * gain)
-        peak_delta = 2.0 * np.max(np.abs(delta_half)) + 2.0 * level_shift
+        peak_omega = np.sqrt(2.0) * omega_half * ((1.0 + self.rabi_mismatch) * gain)
+        peak_delta = 2.0 * delta_half + 2.0 * level_shift
         return float(max(peak_omega, peak_delta, 0.0))
 
 @lru_cache(maxsize=32)
-def _operator_basis(n: int, eps: float) -> np.ndarray:
+def _operator_basis(n: int, eps: float, real: bool) -> np.ndarray:
     """The operators Jx - eps {Jz, Jx}, Jy - eps {Jz, Jy}, Jz and Jz^2 of
     MultiLevelDrive.hamiltonian_of at dimension n, one row each, flattened
-    with real and imaginary parts interleaved.  The Hamiltonian's
-    coefficients times this real matrix are its entries as complex numbers;
-    numpy's complex matmul of this shape is about 10x slower."""
+    with real and imaginary parts interleaved, or with real=True their real
+    parts alone (the Jy row, imaginary, is then zero).  The Hamiltonian's
+    coefficients times this real matrix are its entries as complex numbers,
+    or as real ones; numpy's complex matmul of this shape is about 10x
+    slower."""
     ops = angular_momentum_ops(n)
     jx, jy, jz = ops.jx, ops.jy, ops.jz
     basis = np.stack([jx - eps * (jz @ jx + jx @ jz), jy - eps * (jz @ jy + jy @ jz),
-                      jz, jz @ jz])
-    out = basis.reshape(4, n * n).view(float)
+                      jz, jz @ jz]).reshape(4, n * n)
+    out = np.ascontiguousarray(basis.real) if real else basis.view(float)
     out.flags.writeable = False
     return out
 

@@ -1073,6 +1073,114 @@ class TestMirroredBuild:
         assert builds and all(built == n for n, built in builds)
 
 
+class TestConstantSteps:
+    """A step inside a constant segment is its one exact exponential, in the
+    same exponential call as the smooth steps' CF4 factors.  The build that
+    took both CF4 factors for it, kept here by switching the constancy off,
+    agrees within 1e-14."""
+
+    PARAMS = AdiabaticParams(OMEGA0, TWO_PI * 60e3, 100e-6, 150e-6, 40e-6, "round-trip")
+    SCHEDULES = {
+        "round trip": adiabatic_method(PARAMS),
+        "forward and hold": adiabatic_method(replace(PARAMS, direction="forward")),
+        "tbb1 and protect": composite_method(bb1_sequence(), OMEGA0, protect=True),
+        "pulse": square_pulse(np.pi, 0.0, OMEGA0),
+    }
+    NOISE = {"su2": {}, "dense": {"rabi_mismatch": 0.002, "static_detuning": TWO_PI * 5.0}}
+
+    @staticmethod
+    def all_cf4(build, drive, grid, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_constant_mask",
+                      lambda drive, left, right: np.zeros(np.shape(left), dtype=bool))
+            return build(drive, grid)
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        """The rows of each exponential call, on either path."""
+        rows = []
+        for name in ("_su2_exp", "_expm_hermitian"):
+            def counted(c, dts, real=getattr(dynamics, name)):
+                rows.append(np.size(dts))
+                return real(c, dts)
+
+            monkeypatch.setattr(dynamics, name, counted)
+        return rows
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("path", ["su2", "dense"])
+    @pytest.mark.parametrize("name", list(SCHEDULES))
+    def test_matches_the_all_cf4_build(self, name, path, batched, monkeypatch):
+        sched = self.SCHEDULES[name]
+        batch = ({"gain": np.array([1.0, 1.02]), "shift": TWO_PI * np.array([[0.0], [300.0]])}
+                 if batched else {})
+        drive = MultiLevelDrive(3, sched, **batch, **self.NOISE[path])
+        build = dynamics._dense_steps if path == "dense" else _step_unitaries
+        samples = np.linspace(0.0, sched.total_duration, 5)
+        for max_step in (4e-6, 1.5e-6):
+            grid = _step_grid(drive, samples, max_step)
+            n = grid.size - 1
+            constant = dynamics._constant_mask(drive, grid[:-1], grid[1:])
+            assert constant.any()
+            rows = self.count_rows(monkeypatch)
+            got = build(drive, grid)
+            monkeypatch.undo()
+            built = got.built
+            assert built == (-(-n // 2) if sched.palindromic else n)
+            flat = int(np.sum(constant[:built]))
+            assert sum(rows) == 2 * (built - flat) + flat
+            expect = self.all_cf4(build, drive, grid, monkeypatch)
+            assert np.max(np.abs(got.steps - expect.steps)) <= 1e-14
+
+    def test_a_step_across_a_boundary_is_not_constant(self):
+        sched = composite_method(bb1_sequence(), OMEGA0)
+        drive = lift_schedule(sched, 3)
+        b = drive.boundaries
+        left = np.array([b[0], b[1], (b[1] + b[2]) / 2, b[2] - 1e-9])
+        right = np.array([b[1], b[2], b[2], b[2] + 1e-9])
+        assert dynamics._constant_mask(drive, left, right).tolist() == [True, True, True, False]
+        forward = lift_schedule(TestIntegrator.FORWARD, 3)
+        assert not dynamics._constant_mask(forward, left[:1], right[:1]).any()
+
+
+class TestMirroredProducts:
+    """A palindromic build's products take only its built steps: P_n is
+    P_h^T P_built, and P_k = conj(P_{n-k}) P_n past the built steps.  The
+    scan over every step, kept here as the reference by marking the build
+    as built in full, agrees within 1e-14."""
+
+    ROUND_TRIP = TestDenseCoefficients.ROUND_TRIP
+    NOISE = TestConstantSteps.NOISE
+
+    @pytest.mark.parametrize("path", ["su2", "dense"])
+    def test_matches_the_full_scan(self, path):
+        drive = MultiLevelDrive(3, self.ROUND_TRIP, gain=np.array([1.0, 1.02]),
+                                shift=TWO_PI * np.array([[0.0], [300.0]]), **self.NOISE[path])
+        build_steps = dynamics._dense_steps if path == "dense" else _step_unitaries
+        parities = set()
+        # 7 sample times put a node at the centre (an even n), 6 leave the
+        # hold's centre inside one step (an odd n).  The two product orders
+        # round differently, by more as n grows: 7.3e-15 at n = 72 and
+        # 9.2e-15 at n = 92 on the dense path
+        for n_samples, max_step in ((7, 9e-6), (6, 9e-6), (7, 7e-6), (6, 7e-6)):
+            samples = np.linspace(0.0, self.ROUND_TRIP.total_duration, n_samples)
+            grid = _step_grid(drive, samples, max_step)
+            n = grid.size - 1
+            build = build_steps(drive, grid)
+            assert build.built == -(-n // 2) < n
+            parities.add(n % 2)
+            full = replace(build, built=n)
+            h = n // 2
+            sampled = np.searchsorted(grid, samples)
+            for idx in ([n], [h], [h + 1], [0, n], [n - 1], [1, h, h + 1, n - 1, n],
+                        sampled, sampled[sampled > h], np.arange(n + 1)):
+                idx = np.array(idx)
+                got = _products_at(build, idx)
+                assert got.shape == (idx.size, 2, 2, 3, 3)
+                assert np.max(np.abs(got - _products_at(full, idx))) <= 1e-14
+        assert parities == {0, 1}
+
+
 class TestEigenScan:
     def test_two_level_closed_form(self):
         omega = OMEGA0

@@ -149,6 +149,102 @@ class TestExpm3:
         assert np.array_equal(_expm_hermitian(junk, 0.8), _expm_hermitian(h, 0.8))
 
 
+def random_symmetric(rng, shape, d=3):
+    m = rng.normal(size=shape + (d, d))
+    return (m + m.swapaxes(-1, -2)) / 2
+
+
+def random_rotation(rng):
+    return np.linalg.qr(rng.normal(size=(3, 3)))[0]
+
+
+class TestExpm3Real:
+    """A real symmetric 3 x 3 h, which _expm3 takes in real arithmetic up to
+    f0, f1 and f2, passes TestExpm3's checks against the eigh reference,
+    and matches the complex path on the same matrices."""
+
+    check = staticmethod(TestExpm3.check)
+
+    def test_random_batch_over_the_float_range(self):
+        rng = np.random.default_rng(21)
+        h = random_symmetric(rng, (400,))
+        tau_norm = 10.0 ** np.concatenate([rng.uniform(-300, 3, 200), rng.uniform(-3, 3, 200)])
+        self.check(h, tau_norm / np.linalg.norm(h, 2, axis=(-2, -1)))
+
+    @pytest.mark.parametrize("exponent", [-300, -100, -20, -6, -3, -1, 0, 1, 2, 3])
+    def test_random_batch_with_one_t(self, exponent):
+        rng = np.random.default_rng(22)
+        h = random_symmetric(rng, (40,))
+        self.check(h, 10.0 ** exponent / np.median(np.linalg.norm(h, 2, axis=(-2, -1))))
+
+    def test_per_step_t_over_a_drive_batch(self):
+        rng = np.random.default_rng(23)
+        self.check(random_symmetric(rng, (50, 4)), 10.0 ** rng.uniform(-8, 1, 50))
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-3, 0.7, 40.0])
+    def test_zero_and_multiples_of_identity(self, t):
+        for c in (0.0, 2.5, -1e3):
+            h = c * np.eye(3)
+            self.check(h, t)
+            assert np.allclose(_expm_hermitian(h, t), np.exp(-1j * c * t) * np.eye(3),
+                               rtol=0.0, atol=1e-15 * max(1.0, abs(c * t)))
+
+    @pytest.mark.parametrize("t", [1e-6, 0.3, 20.0])
+    def test_double_eigenvalue_both_signs_of_c0(self, t):
+        v = random_rotation(np.random.default_rng(24))
+        for diag in ([1.0, 1.0, -2.0], [-1.0, -1.0, 2.0], [0.5, 0.5, 3.0], [3.0, 3.0, 0.5]):
+            h = np.diag(diag)
+            self.check(h, t)
+            self.check(v @ h @ v.T, t)
+
+    @pytest.mark.parametrize("split", [1e-9, 1e-12])
+    def test_near_degenerate_spectra(self, split):
+        rng = np.random.default_rng(25)
+        for t in (1e-4, 1.0, 50.0):
+            v = random_rotation(rng)
+            for diag in ([1.0, 1.0 + split, 3.0], [1.0, 3.0, 3.0 + split]):
+                self.check(v @ np.diag(diag) @ v.T, t)
+
+    def test_tiny_generator_to_first_order(self):
+        rng = np.random.default_rng(26)
+        h = random_symmetric(rng, (20,))
+        norm = np.linalg.norm(h, 2, axis=(-2, -1))
+        for t in (1e-300, 1e-100, 1e-20):
+            step = _expm_hermitian(h, t) - np.eye(3)
+            assert np.all(np.max(np.abs(step + 1j * t * h), axis=(-2, -1)) <= 1e-15 * t * norm)
+
+    def test_reads_the_lower_triangle(self):
+        rng = np.random.default_rng(27)
+        h = random_symmetric(rng, (5,))
+        junk = h.copy()
+        junk[:, [0, 0, 1], [1, 2, 2]] = 7.0
+        assert np.array_equal(_expm_hermitian(junk, 0.8), _expm_hermitian(h, 0.8))
+
+    def test_symmetric_complex_result(self):
+        h = random_symmetric(np.random.default_rng(28), (30,))
+        got = _expm_hermitian(h, 0.6)
+        assert got.dtype == complex
+        assert np.array_equal(got, got.swapaxes(-1, -2))
+
+    def test_matches_the_complex_path(self):
+        rng = np.random.default_rng(29)
+        h = random_symmetric(rng, (600,))
+        # from the series' range to a few radians, the steps' range
+        tau_norm = 10.0 ** rng.uniform(-5, 0.5, 600)
+        t = tau_norm / np.linalg.norm(h, 2, axis=(-2, -1))
+        dev = np.max(np.abs(_expm_hermitian(h, t) - _expm_hermitian(h.astype(complex), t)))
+        assert dev <= 1e-15, dev
+
+    @pytest.mark.parametrize("d", [2, 4, 5])
+    def test_eigh_path_matches_the_complex_path(self, d):
+        rng = np.random.default_rng(30 + d)
+        h = random_symmetric(rng, (50,), d)
+        t = 10.0 ** rng.uniform(-5, 0.5, 50) / np.linalg.norm(h, 2, axis=(-2, -1))
+        got = _expm_hermitian(h, t)
+        assert got.dtype == complex
+        assert np.max(np.abs(got - _expm_hermitian(h.astype(complex), t))) <= 1e-14
+
+
 class TestAngularMomentumOps:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_commutators_and_casimir(self, d):

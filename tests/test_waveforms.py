@@ -21,7 +21,9 @@ from spinlift import (
     lift_schedule,
     square_pulse,
 )
-from spinlift.waveforms import DEFAULT_PROTECT_DURATION
+from spinlift import acceptance
+from spinlift.experiments import NOMINAL_ADIABATIC, DressedDrive, NoiseParams, transfer_schedules
+from spinlift.waveforms import DEFAULT_PROTECT_DURATION, MultiLevelDrive
 
 TWO_PI = 2 * np.pi
 OMEGA0 = TWO_PI * 40e3
@@ -316,6 +318,97 @@ class TestLiftSchedule:
         ops = angular_momentum_ops(3)
         h = drive.hamiltonian(1e-6)
         assert np.max(np.abs(h - seg.omega_half * ops.jx)) < 1e-12 * seg.omega_half
+
+
+class TestControlPeaks:
+    """control_peaks reads each segment's controls at its two ends.  The
+    rule it replaced, 512 evenly spaced probes and the boundaries, is kept
+    here as the reference and gives the same float."""
+
+    @staticmethod
+    def probed(drive):
+        sched = drive.schedule
+        total = sched.total_duration
+        if total == 0:
+            return 0.0
+        bounds = sched.boundaries
+        probes = np.unique(np.concatenate([np.linspace(0.0, total, 512), bounds,
+                                           np.clip(bounds - 1e-15, 0, total)]))
+        omega_half, _, delta_half = sched.controls(probes)
+        gain = float(np.abs(drive.gain).max())
+        level_shift = float(np.abs(drive.shift).max()) + abs(drive.static_detuning)
+        peak_omega = (np.sqrt(2.0) * np.max(np.abs(omega_half))
+                      * ((1.0 + drive.rabi_mismatch) * gain))
+        peak_delta = 2.0 * np.max(np.abs(delta_half)) + 2.0 * level_shift
+        return float(max(peak_omega, peak_delta, 0.0))
+
+    @staticmethod
+    def scenario_schedules():
+        p = NOMINAL_ADIABATIC
+        full_ramp = AdiabaticParams(p.omega0, p.delta0, p.t_delta, p.t_delta, p.t_hold)
+        schedules = []
+        for params in (p, full_ramp):
+            for t_hold in (params.t_hold, 0.0):
+                for direction in ("round-trip", "forward", "reverse"):
+                    schedules.append(adiabatic_method(AdiabaticParams(
+                        params.omega0, params.delta0, params.t_omega, params.t_delta, t_hold,
+                        direction)))
+        schedules += transfer_schedules("adiabatic", p) + transfer_schedules("tbb1", p)
+        schedules += [composite_method(bb1_sequence(), p.omega0, protect=True),
+                      composite_method(CompositeSequence([(np.pi / 2, np.pi / 2)]), p.omega0),
+                      square_pulse(np.pi, 0.0, p.omega0)]
+        return schedules
+
+    def test_scenario_schedules(self):
+        noise = NoiseParams(common_rabi_error=TWO_PI * 1e3, rabi_mismatch=0.002,
+                            static_detuning=TWO_PI * 5.0)
+        for sched in self.scenario_schedules():
+            for drive in (lift_schedule(sched, 3),
+                          DressedDrive(sched, noise, TWO_PI * np.array([-300.0, 0.0, 200.0]),
+                                       NOMINAL_ADIABATIC.omega0),
+                          MultiLevelDrive(3, sched, gain=np.array([0.5, 1.2]))):
+                assert drive.control_peaks() == self.probed(drive), sched
+
+    def test_random_schedules(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            drive = lift_schedule(acceptance._random_schedule(rng), 3)
+            assert drive.control_peaks() == self.probed(drive)
+
+    def test_zero_duration_segments(self):
+        # a segment of zero length owns no time unless it is the last one
+        big = ConstantSegment(0.0, TWO_PI * 1e6)
+        seg = ConstantSegment(10e-6, OMEGA0)
+        for segs in ([seg, big, seg], [seg, big], [big, seg], [big]):
+            drive = lift_schedule(ControlSchedule(segs), 3)
+            assert drive.control_peaks() == self.probed(drive)
+
+
+class TestRealHamiltonian:
+    """hamiltonian_of is real exactly when the Jy coefficient is zero on every row."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_real_exactly_without_jy(self, d):
+        drive = MultiLevelDrive(d, adiabatic_method(NOMINAL_ADIABATIC),
+                                gain=np.array([1.0, 1.01]), shift=TWO_PI * 50.0,
+                                rabi_mismatch=0.002, static_detuning=TWO_PI * 5.0)
+        coeffs = drive.coefficients(np.linspace(0.0, drive.total_duration, 9))
+        h = drive.hamiltonian_of(coeffs)
+        assert h.dtype == float and h.shape == (9, 2, d, d)
+        mixed = coeffs.copy()
+        mixed[4, 1, 1] = 1e-300
+        h_mixed = drive.hamiltonian_of(mixed)
+        assert h_mixed.dtype == complex
+        # the same entries as the complex product, where they share rows
+        mixed[4, 1, 1] = 0.0
+        assert np.array_equal(drive.hamiltonian_of(mixed), h)
+        assert np.array_equal(h_mixed.real, h)
+        assert np.max(np.abs(h_mixed.imag)) > 0.0
+
+    def test_chi_nonzero_is_complex(self):
+        drive = lift_schedule(composite_method(bb1_sequence(), OMEGA0), 3)
+        assert drive.hamiltonian(np.linspace(0.0, drive.total_duration, 5)).dtype == complex
+        assert lift_schedule(square_pulse(np.pi, 0.0, OMEGA0), 3).hamiltonian(1e-6).dtype == float
 
 
 class TestScheduleSampling:
