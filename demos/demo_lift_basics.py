@@ -54,9 +54,11 @@ u1 = np.array([[v[0] + 1j * v[1], -(v[2] - 1j * v[3])],
 u2 = np.array([[w[0] + 1j * w[1], -(w[2] - 1j * w[3])],
                [w[2] + 1j * w[3], w[0] - 1j * w[1]]])
 u12 = u1 @ u2
-for d in (3, 4, 5, 6):
+# the lift holds at any d: 40 and 100 are far past small qudits
+for d in (3, 4, 5, 6, 40, 100):
     lhs = lift_unitary(u12[0, 0], u12[1, 0], d).mat
     rhs = lift_unitary(u1[0, 0], u1[1, 0], d).mat @ lift_unitary(
         u2[0, 0], u2[1, 0], d).mat
+    unitarity = np.max(np.abs(lhs.conj().T @ lhs - np.eye(d)))
     print(f"d = {d}: max |lift(U1 U2) - lift(U1) lift(U2)| = "
-          f"{np.max(np.abs(lhs - rhs)):.2e}")
+          f"{np.max(np.abs(lhs - rhs)):.2e}, max |U^dag U - I| = {unitarity:.2e}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -270,60 +269,60 @@ def rotation_unitary(d: int, axis: Iterable[float], angle: float) -> Unitary:
 
 
 @lru_cache(maxsize=None)
-def _lift_table(d: int):
-    """Terms of the spin-j lift for dimension d, one per (r, s, q) of the
-    binomial sum in lift_unitary: (coefficients, powers of a, a*, b and -b*,
-    start of each matrix entry's run of terms), ordered by entry r*d + s."""
-    n = d - 1
-    coeff, powers, starts = [], [], []
-    for r in range(1, d + 1):
-        for s in range(1, d + 1):
-            starts.append(len(coeff))
-            for q in range(max(0, r + s - n - 2), min(r - 1, s - 1) + 1):
-                coeff.append(np.sqrt(comb(r - 1, q) * comb(s - 1, q)
-                                     * comb(n + 1 - r, s - 1 - q)
-                                     * comb(n + 1 - s, r - 1 - q)))
-                powers.append((n + 2 - r - s + q, q, r - 1 - q, s - 1 - q))
-    return (_as_readonly(np.array(coeff)), _as_readonly(np.array(powers).T),
-            _as_readonly(np.array(starts)))
+def _lift_basis(d: int):
+    """Real eigenvectors of Jx by ascending m, with x_{-m} = (-1)^r x_m exactly so
+    that parity zeros are exact, and entry (r, s)'s indices into _signed_powers."""
+    _, vecs = np.linalg.eigh(angular_momentum_ops(d).jx.real)
+    vecs[:, : d // 2] = (-1.0) ** np.arange(d)[:, None] * vecs[:, : d - 1 - d // 2 : -1]
+    r, s = np.indices((d, d))
+    return _as_readonly(vecs), _as_readonly(2 * (d - 1) - r - s), _as_readonly(d - 1 + r - s)
+
+
+def _signed_powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^k for k = -n .. n on the last axis, x^-k = conj(x^k) for |x| = 1."""
+    pos = x ** np.arange(n + 1)
+    return np.concatenate([pos[..., :0:-1].conj(), pos], axis=-1)
 
 
 def lift_matrices(a, b, d: int) -> np.ndarray:
     """Spin-j representations of a batch of two-level unitaries
-    [[a, -b*], [b, a*]]: shape a.shape + (d, d).  The entries are
-    lift_unitary's binomial sums, evaluated from a per-d table of terms that
-    is built on first use; unlike lift_unitary, nothing is checked."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    coeff, (pa, pac, pb, pbc), starts = _lift_table(d)
-    # powers[k, ..., p] = x_k ** p for x = (a, a*, b, -b*) and p = 0 .. d-1
-    bases = np.empty((4,) + a.shape + (1,), dtype=complex)
-    bases[0, ..., 0], bases[1, ..., 0] = a, a.conj()
-    bases[2, ..., 0], bases[3, ..., 0] = b, -b.conj()
-    powers = bases ** np.arange(d)
-    terms = coeff * powers[0][..., pa] * powers[1][..., pac] * powers[2][..., pb] \
-        * powers[3][..., pbc]
-    return np.add.reduceat(terms, starts, axis=-1).reshape(a.shape + (d, d))
+    [[a, -b*], [b, a*]], shape a.shape + (d, d), at any d; nothing is checked.
+
+    D = e^{-i alpha Jz} E e^{-i beta Jx} E* e^{-i gamma Jz} from the ZYZ Euler
+    angles (Jy = E Jx E*, E = diag((-i)^r)), with e^{-i beta Jx} = I + sum_k
+    (z^(2 m_k) - 1) P_k by the exact diagonalization of Jx (Feng, Wang, Yang &
+    Jin, Phys. Rev. E 92, 043307 (2015)) and z = e^{-i beta/2} = (|a| - i|b|)
+    / hypot(|a|, |b|).  Entry (r, s) has the side phase u^(d-1-r-s) w^(r-s),
+    u = e^{i(alpha+gamma)/2} = a/|a| and w = -i e^{-i(alpha-gamma)/2} = i b/|b|,
+    taken as 1 and -i at a zero modulus: the poles need no branch.  The
+    identity lifts to I exactly, and the projectors are added in a fixed
+    order, so a batch gives each pair the bits it gives alone."""
+    vecs, iu, iw = _lift_basis(d)
+    a, b = (np.asarray(x, dtype=complex)[..., None] for x in (a, b))
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    u = np.divide(a, abs_a, out=np.ones_like(a), where=abs_a > 0)
+    w = np.divide(1j * b, abs_b, out=np.full_like(b, -1j), where=abs_b > 0)
+    z = (abs_a - 1j * abs_b) / np.hypot(abs_a, abs_b)
+    shifts = _signed_powers(z, d - 1)[..., ::2] - 1.0
+    rot = np.eye(d) + sum(shifts[..., k, None, None] * (vecs[:, k, None] * vecs[:, k])
+                          for k in range(d))
+    return _signed_powers(u, d - 1)[..., iu] * _signed_powers(w, d - 1)[..., iw] * rot
 
 
 def lift_unitary(a: complex, b: complex, d: int) -> Unitary:
-    """Spin-j representation of the two-level unitary [[a, -b*], [b, a*]].
-
-    This is the symmetric-tensor-power representation; the matrix elements
-    are the binomial-coefficient sums
+    """Spin-j representation of [[a, -b*], [b, a*]] at any d, checked, by
+    lift_matrices' Euler-angle form.  It is the symmetric-tensor-power
+    representation, whose entries are the binomial sums (the tests' reference)
 
         U_rs = sum_q sqrt(C(r-1,q) C(s-1,q) C(d-r,s-1-q) C(d-s,r-1-q))
                * a^(d+1-r-s+q) (a*)^q b^(r-1-q) (-b*)^(s-1-q)
 
-    with r, s in 1..d and q in max(0, r+s-d-1) .. min(r-1, s-1).  For d = 2
-    it reproduces [[a, -b*], [b, a*]] exactly, and for d = 3 the familiar
-    qutrit form with |a|^2 - |b|^2 in the centre.  The map is a group
-    homomorphism: lifting a product equals the product of the lifts.
-    """
+    with r, s in 1..d and q in max(0, r+s-d-1) .. min(r-1, s-1): at d = 2
+    [[a, -b*], [b, a*]] to rounding, at d = 3 the qutrit form with |a|^2 -
+    |b|^2 in the centre.  The lift of a product is the product of the lifts."""
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise DimensionError(f"dimension must be an integer >= 2, got {d!r}")
-    a = complex(a)
-    b = complex(b)
+    a, b = complex(a), complex(b)
     norm_sq = abs(a) ** 2 + abs(b) ** 2
     if not abs(norm_sq - 1.0) <= NORM_TOL:
         raise NormalizationError(f"|a|^2 + |b|^2 deviates from 1 by {norm_sq - 1.0:.3e}")

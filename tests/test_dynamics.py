@@ -535,6 +535,15 @@ class TestSu2Path:
             dense = dynamics._dense_propagator(drive, self.TOL).mat
             assert np.max(np.abs(su2 - dense)) < self.TOL.tolerance
 
+    def test_gain_error_leg_past_d37_agrees_with_dense(self, monkeypatch):
+        # the lift holds at any d, so a d = 40 drive stays a 2x2 problem
+        paths = self.count_paths(monkeypatch)
+        drive = MultiLevelDrive(40, self.FORWARD, gain=1.01)
+        su2 = propagator(drive, self.TOL).mat
+        assert set(paths) == {"su2"}
+        dense = dynamics._dense_propagator(drive, self.TOL).mat
+        assert np.max(np.abs(su2 - dense)) < 1e-12
+
     def test_same_grid_matches_dense_steps(self):
         # on one grid the closed-form 2x2 steps, lifted, equal the dense steps
         # to rounding, both for the total product and along a trajectory

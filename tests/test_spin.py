@@ -373,8 +373,8 @@ class TestLiftUnitary:
             assert phase_aligned_deviation(lifted, rotated) < 1e-10
 
     def test_tables_match_the_binomial_sum_loop(self):
-        # the per-d tables evaluate the same terms as the textbook triple loop,
-        # with products grouped differently: equal to a few ulps
+        # the Euler-angle lift against the textbook triple loop of the
+        # binomial sum: equal to a few ulps
         rng = np.random.default_rng(23)
         for d in range(2, 9):
             for _ in range(5):
@@ -399,6 +399,62 @@ class TestLiftUnitary:
             a, b = random_cayley_klein(rng)
             u = lift_unitary(a, b, d).mat
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
+
+
+class TestLiftAtEveryD:
+    """The Euler-angle lift past the dimensions a binomial-sum table reaches:
+    the properties of the representation, and its poles."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2.5])
+    def test_invalid_dimension(self, d):
+        with pytest.raises(DimensionError):
+            lift_matrices(1.0, 0.0, d)
+
+    @pytest.mark.parametrize("d", [38, 40, 100, 400])
+    def test_unitarity_and_homomorphism(self, d):
+        rng = np.random.default_rng(d)
+        a1, b1 = random_cayley_klein(rng)
+        a2, b2 = random_cayley_klein(rng)
+        u1 = np.array([[a1, -np.conj(b1)], [b1, np.conj(a1)]])
+        u2 = np.array([[a2, -np.conj(b2)], [b2, np.conj(a2)]])
+        u12 = u1 @ u2
+        # lift_unitary builds a Unitary, which checks unitarity within 1e-12
+        lhs = lift_unitary(u12[0, 0], u12[1, 0], d).mat
+        l1, l2 = lift_unitary(a1, b1, d).mat, lift_unitary(a2, b2, d).mat
+        assert np.max(np.abs(l1.conj().T @ l1 - np.eye(d))) < 1e-12
+        assert np.max(np.abs(lhs - l1 @ l2)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 38, 100, 400])
+    def test_trace_is_the_character(self, d):
+        # tr D^j = sin(d theta / 2) / sin(theta / 2), with cos(theta / 2) = Re a
+        rng = np.random.default_rng(31 + d)
+        for _ in range(3):
+            a, b = random_cayley_klein(rng)
+            half = np.arccos(a.real)
+            character = np.sin(d * half) / np.sin(half)
+            assert abs(np.trace(lift_matrices(a, b, d)) - character) < d * 1e-13
+
+    @pytest.mark.parametrize("d", [40, 100, 400])
+    def test_matches_rotation_about_a_random_axis(self, d):
+        rng = np.random.default_rng(37 + d)
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        angle = rng.uniform(0, 4 * np.pi)
+        u2 = rotation_unitary(2, axis, angle).mat
+        lifted = lift_unitary(u2[0, 0], u2[1, 0], d).mat
+        assert np.max(np.abs(lifted - rotation_unitary(d, axis, angle).mat)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 40])
+    def test_poles_and_near_poles(self, d):
+        rng = np.random.default_rng(41 + d)
+        p, q = (complex(np.exp(1j * x)) for x in rng.uniform(0, 2 * np.pi, 2))
+        for a, b in ((0.0, 1j), (0.0, p), (p, 0.0), (1e-300 * p, q), (p, 1e-300 * q)):
+            # underflow near a pole is harmless; a division by zero is not
+            with np.errstate(divide="raise", invalid="raise"):
+                u = lift_unitary(a, b, d).mat
+            assert np.all(np.isfinite(u))
+            if d <= 8:
+                assert np.max(np.abs(u - loop_lift(a, b, d))) < 1e-14
 
 
 class TestNamedStates:
