@@ -32,7 +32,9 @@ others project the last one to a unitary.
 Step boundaries are forced at segment boundaries, sample times and the
 schedule's breakpoints (a Blackman ramp's corner), so no step straddles a
 discontinuity of the controls or of a derivative (composite phases are
-handled exactly); these nodes and the constancy of each interval between
+handled exactly); a node within 4 ulps (of itself) of the node kept before
+it is that node, so no step is a sliver, and a sample is read at the node
+at or before it.  These nodes and the constancy of each interval between
 them are found once per propagation, and each grid subdivides them in one
 vectorized pass, so a densely sampled drive costs no Python work per
 sample.  An interval inside a smooth segment (a Blackman sweep) is cut into
@@ -199,11 +201,15 @@ def _write_atomic(path, text: str) -> None:
 
 def _write_csv(path, header: str, columns) -> None:
     """Write equal-length columns atomically under one header line; integer
-    columns whole, the others as %.12g, by one format string per row."""
+    columns whole, the others as %.12g, by one format of the whole table:
+    the row template repeated once per row, over the cells in row order."""
     columns = [np.asarray(c) for c in columns]
     fmt = ",".join("%s" if c.dtype.kind in "biu" else "%.12g" for c in columns)
-    rows = zip(*(c.tolist() for c in columns))
-    _write_atomic(path, "\n".join([header, *(fmt % row for row in rows)]) + "\n")
+    n = len(columns[0])
+    cells = [None] * (n * len(columns))
+    for i, c in enumerate(columns):
+        cells[i :: len(columns)] = c.tolist()
+    _write_atomic(path, header + "".join(["\n" + fmt] * n) % tuple(cells) + "\n")
 
 
 def _population_columns(times: np.ndarray, populations: np.ndarray) -> tuple[str, list]:
@@ -224,15 +230,13 @@ def _auto_max_step(drive: MultiLevelDrive) -> float:
 
 def _constant_mask(drive: MultiLevelDrive, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Whether each interval [left, right] lies inside one constant-control
-    segment: the segment that owns left (a boundary belongs to the later
-    segment) is constant and ends at or after right."""
-    segments = drive.schedule.segments
-    is_constant = np.array([s.is_constant for s in segments], dtype=bool)
+    segment: the segment that owns left (ControlSchedule.segment_index) is
+    constant and ends at or after right."""
+    is_constant = np.array([s.is_constant for s in drive.schedule.segments], dtype=bool)
     if not is_constant.any():
         return np.zeros(np.shape(left), dtype=bool)
-    bounds = drive.boundaries
-    owner = np.clip(np.searchsorted(bounds, left, side="right") - 1, 0, len(segments) - 1)
-    return is_constant[owner] & (right <= bounds[owner + 1])
+    owner = drive.schedule.segment_index(left)
+    return is_constant[owner] & (right <= drive.boundaries[owner + 1])
 
 
 def _forced_nodes(drive: MultiLevelDrive, sample_times: np.ndarray):
@@ -242,17 +246,18 @@ def _forced_nodes(drive: MultiLevelDrive, sample_times: np.ndarray):
     They are the segment boundaries, the sample times and the schedule's
     breakpoints (a Blackman ramp's corner), so no step straddles a
     discontinuity of the controls or a jump in a derivative, which would
-    cost CF4 its fourth order.  A breakpoint within 4 ulps of a boundary or
-    sample time is that node rounded, and is dropped rather than left as a
-    sliver step.  None of this depends on the step, so _converge makes it
-    once per propagation and each build only subdivides it (_subdivide)."""
+    cost CF4 its fourth order.  One rule merges them: a node within 4 ulps
+    (of itself) of the node kept before it is that node, so no step is a
+    sliver or straddles a node by more than 4 ulps.  None of this depends on
+    the step: _converge makes it once, and each build subdivides it."""
     total = drive.total_duration
-    forced = np.unique(np.concatenate([drive.boundaries, sample_times, [0.0, total]]))
-    forced = forced[(forced >= 0.0) & (forced <= total)]
-    corners = drive.schedule.breakpoints
-    near = forced[np.clip(np.searchsorted(forced, corners), 1, forced.size - 1) - [[1], [0]]]
-    far = np.all(np.abs(near - corners) > 4 * np.spacing(corners), axis=0)
-    forced = np.union1d(forced, corners[far])
+    nodes = np.unique(np.concatenate([drive.boundaries, drive.schedule.breakpoints,
+                                      sample_times, [0.0, total]]))
+    nodes = nodes[(nodes >= 0.0) & (nodes <= total)]
+    keep = np.diff(nodes, prepend=-np.inf) > 4 * np.spacing(nodes)
+    for i in np.flatnonzero(~keep):  # ascending, so each is held to the last node kept
+        keep[i] = nodes[i] - nodes[:i][keep[:i]][-1] > 4 * np.spacing(nodes[i])
+    forced = nodes[keep]
     return forced, _constant_mask(drive, forced[:-1], forced[1:])
 
 
@@ -262,8 +267,8 @@ def _subdivide(forced: np.ndarray, constant: np.ndarray, max_step: float) -> np.
     Intervals inside smooth segments are subdivided uniformly so every step
     is <= max_step; intervals inside constant segments are kept whole, since
     one exponential is exact there.  Forced nodes are emitted exactly (no
-    a + (b-a)*k/n endpoint rounding), so sample times can be located in the
-    grid by exact match.  All nodes come from one vectorized pass: node k
+    a + (b-a)*k/n endpoint rounding), so each sample time is read at the
+    node at or before it.  All nodes come from one vectorized pass: node k
     of an interval [a, b] cut into n steps is a + (b - a) * k / n, k = 0
     being a itself, and an interior node that does not exceed the node
     before it, or that rounds onto b, is dropped, so no step has zero
@@ -398,7 +403,7 @@ def _cf4_steps(drive: MultiLevelDrive, grid: np.ndarray, dense: bool) -> _Build:
 
 def _mirror_symmetric(grid: np.ndarray) -> bool:
     """Whether the grid on [0, T] is its own mirror image T - grid, node
-    for node within 4 ulps of T (the rule _step_grid merges nodes by)."""
+    for node within 4 ulps of T."""
     total = grid[-1]
     return bool(np.all(np.abs(grid + grid[::-1] - total) <= 4 * np.spacing(total)))
 
@@ -447,8 +452,9 @@ def _su2_exp(v: np.ndarray, dts: np.ndarray) -> np.ndarray:
     s = sin(theta)/|v| (any finite s serves where v = 0).  Where the plain
     norm may have overflowed or underflowed, |v| is taken on v scaled by its
     largest |v_i|, as np.hypot does, so the step holds across the float range."""
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     with np.errstate(over="ignore"):
-        norm = np.sqrt(np.sum(v * v, axis=-1))
+        norm = np.sqrt(vx * vx + vy * vy + vz * vz)
     outside = ~((norm > 1e-140) & (norm < 1e140))
     if np.any(outside):
         w = v[outside]
@@ -458,8 +464,8 @@ def _su2_exp(v: np.ndarray, dts: np.ndarray) -> np.ndarray:
     theta = norm * dts.reshape(dts.shape + (1,) * (norm.ndim - 1)) / 2.0
     s = np.sin(theta) / np.where(norm > 0.0, norm, 1.0)
     out = np.empty(theta.shape + (2,), dtype=complex)
-    out[..., 0] = np.cos(theta) + 1j * s * v[..., 2]
-    out[..., 1] = -s * (v[..., 1] + 1j * v[..., 0])
+    out[..., 0] = np.cos(theta) + 1j * s * vz
+    out[..., 1] = -s * (vy + 1j * vx)
     return out
 
 
@@ -585,17 +591,17 @@ def _converge(drive, cfg: IntegratorConfig, sample_times: np.ndarray, on_grid,
 
 def _propagation(drive, cfg: IntegratorConfig, caller: str, psi0=None, times=None,
                  dense: bool = False) -> np.ndarray:
-    """The propagation core: on each grid, the operators at the sample times
-    by _products_at.  Given psi0 and the sample times, the drive's states,
-    shape (n_times, *batch, d); otherwise its re-unitarized propagators,
-    shape (*batch, d, d), which dense=True builds on the dense path whatever
-    the drive's symmetry."""
+    """The propagation core: on each grid, the operators at the sample times,
+    each at the node at or before it, by _products_at.  Given psi0 and the
+    sample times, the drive's states, shape (n_times, *batch, d); otherwise
+    its re-unitarized propagators, shape (*batch, d, d), which dense=True
+    builds on the dense path whatever the drive's symmetry."""
     if psi0 is None:
         times = np.array([drive.total_duration])
 
     def on_grid(grid):
         build = _dense_steps(drive, grid) if dense else _step_unitaries(drive, grid)
-        ops = _products_at(build, np.searchsorted(grid, times))
+        ops = _products_at(build, np.searchsorted(grid, times, side="right") - 1)
         return ops[-1] if psi0 is None else ops @ psi0
 
     result = _converge(drive, cfg, times, on_grid, caller,

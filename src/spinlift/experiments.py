@@ -304,15 +304,25 @@ def _transfers(rho: np.ndarray, ops: range, fwd: np.ndarray, rev: np.ndarray) ->
     return rho
 
 
+def _dark_fidelity(rho: np.ndarray) -> float:
+    """<D|rho|D>, clamped to 1 as spin.state_fidelity is: the trace of a
+    state carried through many transfers drifts by rounding."""
+    return min(1.0, float(np.real(_D3_DARK.amps.conj() @ rho @ _D3_DARK.amps)))
+
+
 def _sample_times(total: float, step: float, *nodes: float) -> np.ndarray:
-    """Every step from 0 up to total, plus the given nodes and total.  Each
-    sample time is a forced node of every build, so more than
-    _MAX_BUILD_STEPS of them are refused before they are allocated."""
+    """Every step from 0 up to total, plus the given nodes and total; a step
+    within 4 ulps (of itself) of a given node is that node, rounded, and is
+    dropped, so no time is sampled twice.  Each sample time is a forced
+    node of every build, so more than _MAX_BUILD_STEPS of them are refused
+    before they are allocated."""
     if total / step > _MAX_BUILD_STEPS:
         raise IntegratorError(
             f"sampling {total:.3e} s every {step:.3e} s needs {total / step:.3e} steps per "
             f"build, more than the limit of {_MAX_BUILD_STEPS}", float("nan"))
-    return np.unique(np.concatenate([np.arange(0.0, total, step), [*nodes, total]]))
+    grid, given = np.arange(0.0, total, step), np.array([*nodes, total])
+    near = np.abs(grid[:, None] - given) <= 4 * np.spacing(grid)[:, None]
+    return np.unique(np.concatenate([grid[~near.any(axis=1)], given]))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +500,6 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
     fwd, rev = _transfer_channels(method, params, noise, cfg, 3)
 
     rho0 = _D3_ZERO.density_matrix()
-    dark = _D3_DARK.amps
     xs, fids_raw, fid_errs, fids_exact = [], [], [], []
     rho, x = rho0, 0
     for i, n_ops in enumerate(sorted(ns)):
@@ -503,10 +512,10 @@ def measure_fidelity_vs_n(method: str, ns: Sequence[int], m: MeasurementModel,
         xs.append(x)
         fids_raw.append(fit.fidelity_raw)
         fid_errs.append(fit.fidelity_err)
-        fids_exact.append(float(np.real(dark.conj() @ rho @ dark)))
+        fids_exact.append(_dark_fidelity(rho))
     eps_m, sigma_eps = infidelity_per_op(list(zip(xs, fids_raw, fid_errs)))
     eps_exact, _ = infidelity_per_op([(x, f, 1.0) for x, f in zip(xs, fids_exact)])
-    single = 1.0 - float(np.real(dark.conj() @ _apply_channel(rho0, fwd) @ dark))
+    single = 1.0 - _dark_fidelity(_apply_channel(rho0, fwd))
     outputs = {
         "eps_m": eps_m,
         "sigma_eps": sigma_eps,

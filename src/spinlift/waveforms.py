@@ -195,14 +195,15 @@ class ControlSchedule:
     """Ordered list of segments; the first segment is applied first in time.
 
     controls(t) samples (Omega_half, chi, delta_half) for any t in
-    [0, total_duration]; a time exactly on a boundary belongs to the later
-    segment (the final boundary belongs to the last segment).  The schedule
-    is frozen, so total_duration, boundaries (the cumulative segment
-    boundaries including 0 and total_duration) and breakpoints (each
-    segment's interior breakpoints, where a derivative of its controls
-    jumps, at schedule time) are computed once, as read-only arrays, and so
-    is palindromic: every segment has chi == 0 and the schedule is its own
-    time mirror (mirrored() == self).  The controls of such a schedule are
+    [0, total_duration] from the segment that owns t, segment_index(t): a
+    time exactly on a boundary belongs to the later segment, and the final
+    boundary to the last segment.  The schedule is frozen, so
+    total_duration, boundaries (the cumulative segment boundaries including
+    0 and total_duration) and breakpoints (each segment's interior
+    breakpoints, where a derivative of its controls jumps, at schedule
+    time) are computed once, as read-only arrays, and so is palindromic:
+    every segment has chi == 0 and the schedule is its own time mirror
+    (mirrored() == self).  The controls of such a schedule are
     real and even about its midpoint, so under any of MultiLevelDrive's
     field errors H(T - t) = H(t) is real and the second half's propagator
     is the transpose of the first's.
@@ -233,27 +234,24 @@ class ControlSchedule:
         if t_arr.size and (t_arr.min() < -1e-15 or t_arr.max() > total * (1 + 1e-12) + 1e-15):
             raise ScheduleError(
                 f"sample time outside [0, {total}]: range [{t_arr.min()}, {t_arr.max()}]")
-        if not self.segments:
-            zeros = np.zeros(t_arr.shape)
-            out = (zeros, zeros.copy(), zeros.copy())
-        else:
-            bounds = self.boundaries
-            idx = np.searchsorted(bounds, t_arr, side="right") - 1
-            idx = np.clip(idx, 0, len(self.segments) - 1)
-            omega = np.empty(t_arr.shape)
-            chi = np.empty(t_arr.shape)
-            delta = np.empty(t_arr.shape)
-            for k in range(len(self.segments)):
-                sel = idx == k
-                if not np.any(sel):
-                    continue
-                local = np.clip(t_arr[sel] - bounds[k], 0.0, self.segments[k].duration)
-                o, c, dl = self.segments[k].controls(local)
-                omega[sel], chi[sel], delta[sel] = o, c, dl
-            out = (omega, chi, delta)
+        out = np.zeros((3,) + t_arr.shape)
+        idx = self.segment_index(t_arr) if self.segments else ()
+        for k, segment in enumerate(self.segments):
+            sel = idx == k
+            if sel.any():
+                local = np.clip(t_arr[sel] - self.boundaries[k], 0.0, segment.duration)
+                for row, values in zip(out, segment.controls(local)):
+                    row[sel] = values
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return tuple(float(x[0]) for x in out)
-        return out
+        return tuple(out)
+
+    def segment_index(self, t) -> np.ndarray:
+        """The index of the segment that owns each time t (the schedule has
+        one): a boundary belongs to the later segment, and the end to the
+        last, so a zero-length segment owns no time unless it is the last."""
+        return np.clip(np.searchsorted(self.boundaries, t, side="right") - 1,
+                       0, len(self.segments) - 1)
 
     def mirrored(self) -> "ControlSchedule":
         """The time mirror: the segments in reverse order, each mirrored."""
@@ -478,17 +476,15 @@ class MultiLevelDrive:
         the default integrator step: each segment's controls at its two
         ends, which hold its extremes (a constant segment is its own value,
         and a Blackman ramp and chirp are monotone), over the segments that
-        own a time (a boundary belongs to the later segment, the final
-        boundary to the last segment).  The per-field Rabi frequency
-        sqrt(2) Omega_half is scaled by |gain| (1 + rabi_mismatch), and the
-        detuning 2 |delta_half| is widened by 2 (|shift| + |static_detuning|);
-        array gains and shifts count with their largest magnitude."""
+        own a time (ControlSchedule.segment_index of each segment's start).
+        The per-field Rabi frequency sqrt(2) Omega_half is scaled by |gain|
+        (1 + rabi_mismatch), and the detuning 2 |delta_half| is widened by
+        2 (|shift| + |static_detuning|); array gains and shifts count with
+        their largest magnitude."""
         sched = self.schedule
         if sched.total_duration == 0:
             return 0.0
-        bounds = sched.boundaries
-        owners = [s for k, s in enumerate(sched.segments)
-                  if bounds[k + 1] > bounds[k] or k == len(sched.segments) - 1]
+        owners = [sched.segments[k] for k in np.unique(sched.segment_index(sched.boundaries[:-1]))]
         ends = [s.controls(np.array([0.0, s.duration])) for s in owners]
         omega_half = max(float(np.max(np.abs(o))) for o, _, _ in ends)
         delta_half = max(float(np.max(np.abs(dl))) for _, _, dl in ends)

@@ -33,7 +33,15 @@ from spinlift import (
     state_fidelity,
 )
 from spinlift import acceptance, dynamics, spin
-from spinlift.experiments import DressedDrive, NoiseParams, _transfer_channel, zeeman_quadrature
+from spinlift.experiments import (
+    DressedDrive,
+    NoiseParams,
+    _transfer_channel,
+    run_adiabatic_transfer,
+    run_fig3d,
+    run_tbb1,
+    zeeman_quadrature,
+)
 from spinlift.dynamics import (
     Trajectory,
     _auto_max_step,
@@ -353,9 +361,9 @@ class TestIntegrator:
         builds = self.count_builds(monkeypatch)
         times = np.linspace(0.0, drive.total_duration, 7)
         propagate(drive, named_state(3, "0"), CFG, times)
-        # one step per gap between the forced nodes (boundaries and samples)
-        nodes = np.unique(np.concatenate([drive.boundaries, times]))
-        assert builds == [nodes.size - 1]
+        # one step per gap between the forced nodes (boundaries and samples,
+        # merged within 4 ulps: a sample 6.8e-21 s from a boundary is no step)
+        assert builds == [TestStepGrid.forced_nodes(drive, times).size - 1]
 
     def test_propagate_agrees_with_propagator(self):
         sched = adiabatic_method(AdiabaticParams(OMEGA0, TWO_PI * 60e3,
@@ -396,14 +404,16 @@ class TestStepGrid:
 
     @staticmethod
     def forced_nodes(drive, sample_times):
-        """Boundaries, sample times and each breakpoint that is not within 4
-        ulps of one of them, sorted and unique."""
+        """Boundaries, sample times and breakpoints in [0, T], sorted, each
+        kept only if it lies more than 4 ulps (of itself) after the last
+        node kept."""
         total = drive.total_duration
-        forced = np.unique(np.concatenate([drive.boundaries, sample_times, [0.0, total]]))
-        forced = forced[(forced >= 0.0) & (forced <= total)]
-        corners = [c for c in drive.schedule.breakpoints
-                   if all(abs(c - f) > 4 * np.spacing(c) for f in forced)]
-        return np.unique(np.concatenate([forced, corners]))
+        kept = []
+        for t in sorted({*drive.boundaries, *drive.schedule.breakpoints,
+                         *np.asarray(sample_times, dtype=float), 0.0, total}):
+            if 0.0 <= t <= total and (not kept or t - kept[-1] > 4 * np.spacing(t)):
+                kept.append(t)
+        return np.array(kept)
 
     @classmethod
     def loop(cls, drive, sample_times, max_step):
@@ -462,15 +472,18 @@ class TestStepGrid:
         t = 1e-4
         ulps = t + np.spacing(t) * np.arange(4)
         grid = self.check(drive, ulps, 1e-6)
-        assert np.array_equal(grid[np.searchsorted(grid, ulps[0]) :][:4], ulps)
-        # a sample time within 4 ulps of the ramp's corner stands for it, and
-        # one 5 ulps away leaves a sliver step to the corner
+        # sample times 1 to 3 ulps apart are one node, the first of them
+        at = np.searchsorted(grid, t)
+        assert grid[at] == t and grid[at + 1] > t + 4 * np.spacing(t)
+        # of a sample time and the ramp's corner within 4 ulps of each
+        # other, the earlier is the node; 5 ulps apart, both are nodes and
+        # the step between them is a sliver
         corner = drive.schedule.breakpoints[0]
-        for ulps, kept in ((-4, False), (1, False), (4, False), (5, True)):
+        for ulps, both in ((-4, False), (1, False), (4, False), (5, True)):
             t = corner + ulps * np.spacing(corner)
             grid = self.check(drive, [t], 1e-6)
-            assert (corner in grid) == kept and t in grid
-            assert (np.min(np.diff(grid)) < 1e-18) == kept
+            assert min(t, corner) in grid and (max(t, corner) in grid) == both
+            assert (np.min(np.diff(grid)) < 1e-18) == both
         # a smooth segment a few ulps long behind a constant one: steps of a
         # third of an ulp, whose interior nodes round onto the forced ones
         a = 10e-6
@@ -487,6 +500,61 @@ class TestStepGrid:
             drive = lift_schedule(sched, 3)
             for samples in ([], [0.0], [0.0, 0.0]):
                 assert np.array_equal(self.check(drive, samples, 1e-6), [0.0])
+
+
+class TestNodeRule:
+    """_forced_nodes merges boundaries, sample times and breakpoints by one
+    rule: a node within 4 ulps (of itself) of the node kept before it is
+    that node, and a sample time is read at the node at or before it."""
+
+    @staticmethod
+    def grids(monkeypatch):
+        """The step grid of every build, on either path."""
+        grids = []
+        real = dynamics._cf4_steps
+
+        def recorded(drive, grid, dense):
+            grids.append(grid)
+            return real(drive, grid, dense)
+
+        monkeypatch.setattr(dynamics, "_cf4_steps", recorded)
+        return grids
+
+    @pytest.mark.parametrize("scenario", ["fig2e", "fig2e-dense", "fig3c", "fig3d"])
+    def test_no_step_shorter_than_4_ulps(self, monkeypatch, scenario):
+        # fig2e used to keep steps of 5.4e-20 s at 300 us and 1.1e-19 s at 700 us
+        grids = self.grids(monkeypatch)
+        dense = NoiseParams(rabi_mismatch=0.002, static_detuning=TWO_PI * 5.0)
+        {"fig2e": lambda: run_adiabatic_transfer(),
+         "fig2e-dense": lambda: run_adiabatic_transfer(noise=dense),
+         "fig3c": run_tbb1, "fig3d": run_fig3d}[scenario]()
+        assert len(grids) >= (2 if scenario.startswith("fig2e") else 1)
+        for grid in grids:
+            assert np.all(np.diff(grid) > 4 * np.spacing(grid[:-1]))
+
+    def test_sample_after_a_boundary(self):
+        sched = ControlSchedule([ConstantSegment(10e-6, OMEGA0, 0.3),
+                                 BlackmanTransferSegment(OMEGA0, TWO_PI * 60e3, 20e-6, 30e-6)])
+        drive = lift_schedule(sched, 3)
+        psi0, total, b = named_state(3, "0"), sched.total_duration, sched.boundaries[1]
+        at_b = propagate(drive, psi0, CFG, [b, total]).states[0]
+        for ulps in (1, 2, 3, 4):
+            t = b + ulps * np.spacing(b)
+            assert t not in _step_grid(drive, np.array([t]), 1e-6)
+            assert np.array_equal(propagate(drive, psi0, CFG, [t, total]).states[0], at_b)
+        t = b + 5 * np.spacing(b)
+        grid = _step_grid(drive, np.array([t]), 1e-6)
+        assert b in grid and t in grid
+
+    def test_fig3c_keeps_every_pulse_boundary_at_1e300_hz(self, monkeypatch):
+        # a rule relative to T would merge the 1e-300 s pulses into 0
+        grids = self.grids(monkeypatch)
+        omega0 = TWO_PI * 1e300
+        run_tbb1(omega0=omega0)
+        bounds = composite_method(bb1_sequence(), omega0, protect=True).boundaries
+        assert bounds[1] < 1e-299 and grids
+        for grid in grids:
+            assert np.all(np.isin(bounds, grid))
 
 
 class TestSu2Exp:
@@ -1280,6 +1348,22 @@ class TestTrajectoryCsv:
         assert path.read_bytes() == expect.encode()
         first = path.read_text().splitlines()[1]
         assert first == "3,0.1,1e-300,1.79769313486e+308,nan,18446744073709551615"
+
+    @pytest.mark.parametrize("header, columns", [
+        ("time_us,p_0,p_1", [np.linspace(0.0, 1000.0, 402), np.linspace(0.0, 1.0, 402) ** 3,
+                             np.sqrt(np.linspace(0.0, 1.0, 402))]),
+        ("chi_rad,k,n,p0_corrected", [np.linspace(0.0, np.pi, 20, endpoint=False),
+                                      np.arange(20) * 7, np.full(20, 200),
+                                      np.linspace(0.0, 1.0, 20)]),
+        ("area,p_f1", [np.array([]), np.array([])]),
+    ])
+    def test_one_format_call_matches_per_row_formatting(self, tmp_path, header, columns):
+        # float columns, fig4b's integer columns k and n, and a table with no rows
+        path = tmp_path / "table.csv"
+        dynamics._write_csv(path, header, columns)
+        fmt = ",".join("%s" if c.dtype.kind in "biu" else "%.12g" for c in columns)
+        rows = zip(*(c.tolist() for c in columns))
+        assert path.read_bytes() == "\n".join([header, *(fmt % r for r in rows)]).encode() + b"\n"
 
     def test_even_dimension_rejected(self, tmp_path):
         traj = Trajectory(times=[0.0], states=[[1, 0]])

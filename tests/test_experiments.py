@@ -569,9 +569,7 @@ class TestBatchedScenarios:
         assert {b for _, b in call} == {shifts.shape}
         # the per-node loop of the previous implementation
         schedule = adiabatic_method(params)  # the nominal parameters are a round trip
-        total = schedule.total_duration
-        times = np.unique(np.concatenate([np.arange(0.0, total, 25e-6),
-                                          [params.t_delta, total]]))
+        times = experiments._sample_times(schedule.total_duration, 25e-6, params.t_delta)
         loop_pops = np.zeros((times.size, 3))
         rho_mid = np.zeros((3, 3), dtype=complex)
         rho_end = np.zeros((3, 3), dtype=complex)
@@ -639,7 +637,15 @@ class TestBatchedScenarios:
             rho = experiments._D3_ZERO.density_matrix()
             for k in range(n + 1):
                 rho = apply_channel(rho, fwd if k % 2 == 0 else rev)
-            assert float(np.real(dark.conj() @ rho @ dark)) == f
+            assert min(1.0, float(np.real(dark.conj() @ rho @ dark))) == f
+
+    def test_fidelity_exact_clamped_to_1(self):
+        # nominal d = 3: the trace of rho drifts by rounding over the 65
+        # transfers, and <D|rho|D> used to read up to 1.0000000000000047
+        rep = measure_fidelity_vs_n("tbb1", [8, 16, 32, 64],
+                                    MeasurementModel(shots=10000, seed=3))
+        assert rep.outputs["map_counts"][-1] == 65
+        assert all(f <= 1.0 for f in rep.outputs["fidelity_exact"])
 
     def test_transfer_count_refused_before_propagating(self, monkeypatch):
         builds = self.count_builds(monkeypatch)

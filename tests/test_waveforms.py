@@ -21,7 +21,7 @@ from spinlift import (
     lift_schedule,
     square_pulse,
 )
-from spinlift import acceptance
+from spinlift import acceptance, dynamics
 from spinlift.experiments import NOMINAL_ADIABATIC, DressedDrive, NoiseParams, transfer_schedules
 from spinlift.waveforms import DEFAULT_PROTECT_DURATION, MultiLevelDrive
 
@@ -382,6 +382,76 @@ class TestControlPeaks:
         for segs in ([seg, big, seg], [seg, big], [big, seg], [big]):
             drive = lift_schedule(ControlSchedule(segs), 3)
             assert drive.control_peaks() == self.probed(drive)
+
+
+class TestSegmentOwner:
+    """ControlSchedule.segment_index is the one rule for which segment owns
+    a time; controls, dynamics._constant_mask and control_peaks read it,
+    and agree here with a per-time reference of that rule."""
+
+    @staticmethod
+    def owner(sched, t):
+        """The segment whose [start, end) holds t; from the end on, the last."""
+        b = sched.boundaries
+        return next((k for k in range(len(sched.segments)) if b[k] <= t < b[k + 1]),
+                    len(sched.segments) - 1)
+
+    @staticmethod
+    def schedules():
+        """Random constant schedules with a forward Blackman leg in half of
+        them and zero-length segments anywhere, whose controls are far above
+        the others so that a peak read from one would show."""
+        rng = np.random.default_rng(28)
+        for _ in range(60):
+            segs = list(acceptance._random_schedule(rng).segments)
+            if rng.random() < 0.5:
+                segs.insert(int(rng.integers(0, len(segs) + 1)),
+                            BlackmanTransferSegment(OMEGA0, DELTA0, 2e-6, 3e-6))
+            for _ in range(int(rng.integers(0, 3))):
+                segs.insert(int(rng.integers(0, len(segs) + 1)),
+                            ConstantSegment(0.0, TWO_PI * 1e6, 1.0, TWO_PI * 1e6))
+            yield ControlSchedule(segs)
+
+    @staticmethod
+    def times(sched):
+        """Interior times, every boundary, the breakpoints, and the final
+        boundary with its 1e-12 slack."""
+        total = sched.total_duration
+        return np.sort(np.concatenate([np.linspace(0.0, total, 37), sched.boundaries,
+                                       sched.breakpoints, [total * (1 + 1e-12)]]))
+
+    def test_controls(self):
+        for sched in self.schedules():
+            times = self.times(sched)
+            got = np.stack(sched.controls(times), axis=-1)
+            b = sched.boundaries
+            for t, row in zip(times, got):
+                k = self.owner(sched, t)
+                local = np.clip(np.array([t - b[k]]), 0.0, sched.segments[k].duration)
+                assert np.array_equal(row, np.ravel(sched.segments[k].controls(local))), (t, k)
+
+    def test_constant_mask(self):
+        rng = np.random.default_rng(29)
+        for sched in self.schedules():
+            times = self.times(sched)
+            left = np.repeat(times, 3)
+            right = np.minimum(left + rng.choice([0.0, 1e-7, 2e-6], left.size),
+                               sched.total_duration)
+            got = dynamics._constant_mask(lift_schedule(sched, 3), left, right)
+            b = sched.boundaries
+            for lo, hi, g in zip(left, right, got):
+                k = self.owner(sched, lo)
+                assert g == (sched.segments[k].is_constant and hi <= b[k + 1]), (lo, hi)
+
+    def test_control_peaks(self):
+        for sched in self.schedules():
+            b = sched.boundaries
+            rows = [sched.segments[k].controls(np.array([t - b[k]]))
+                    for t in self.times(sched)[:-1] for k in [self.owner(sched, t)]]
+            omega_half = max(abs(float(o[0])) for o, _, _ in rows)
+            delta_half = max(abs(float(dl[0])) for _, _, dl in rows)
+            peak = max(np.sqrt(2.0) * omega_half, 2.0 * delta_half)
+            assert lift_schedule(sched, 3).control_peaks() == peak
 
 
 class TestRealHamiltonian:
